@@ -439,7 +439,9 @@ def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
 # ---------------------------------------------------------------------------
 # Serialization (whitespace-separated ASCII s-expressions)
 
-_NILADIC_CONV_TOKENS: dict[str, ConvProof] = {
+# The one table of niladic conversion names, shared with the replay kernel,
+# where the same names are its conversion proof constants.
+NILADIC_CONVERSIONS: dict[str, ConvProof] = {
     "lessle": LessLe(),
     "nlessle": NlessLe(),
     "nle": NleConv(),
@@ -453,7 +455,7 @@ _NILADIC_CONV_TOKENS: dict[str, ConvProof] = {
     "andorr": AndOrRConv(),
 }
 
-_CONV_TOKEN_OF = {type(v): k for k, v in _NILADIC_CONV_TOKENS.items()}
+CONVERSION_NAME = {type(v): k for k, v in NILADIC_CONVERSIONS.items()}
 
 
 def serialize_literal(lit: Literal) -> str:
@@ -493,7 +495,7 @@ def serialize_atom_proof(p: CertProof) -> str:
 
 
 def serialize_conv_proof(c: ConvProof) -> str:
-    token = _CONV_TOKEN_OF.get(type(c))
+    token = CONVERSION_NAME.get(type(c))
     if token is not None:
         return token
     if isinstance(c, AtomConv):
@@ -596,7 +598,7 @@ def _parse_conv_proof(ts: TokenStream) -> ConvProof:
         raise ParseError("syntax error: unexpected end of input in conversion")
     if tok.text != "(":
         ts.next()
-        rule = _NILADIC_CONV_TOKENS.get(tok.text)
+        rule = NILADIC_CONVERSIONS.get(tok.text)
         if rule is None:
             raise ts.error(tok, f"unknown conversion {tok.text!r}")
         return rule

@@ -221,6 +221,17 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; report a failure on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         formula, table = parse_input(_read(args.file))
@@ -238,16 +249,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     if isinstance(verdict, Unsat):
-        if args.cert:
-            with open(args.cert, "w", encoding="utf-8") as handle:
-                handle.write(serialize_cert(verdict.certificate) + "\n")
+        if args.cert and not _write(args.cert, serialize_cert(verdict.certificate) + "\n"):
+            return EXIT_USAGE
         size = cert_size(verdict.certificate)
         clause_index = None
     else:
         assert isinstance(verdict, Sat)
-        if args.model:
-            with open(args.model, "w", encoding="utf-8") as handle:
-                handle.write(format_model(verdict.model, table))
+        if args.model and not _write(args.model, format_model(verdict.model, table)):
+            return EXIT_USAGE
         size = 0
         clause_index = verdict.clause_index
 

@@ -56,17 +56,11 @@ def sym_classes(leq_keys: set[tuple[VarId, VarId]], vars: set[VarId]) -> dict[Va
     Two variables share a class when the given closure relates them in both
     directions; the diagonal is implicit, so singletons map to themselves.
     """
-    rep: dict[VarId, VarId] = {}
-    for x in vars:
-        members = [y for y in vars if _both_ways(leq_keys, x, y)]
-        rep[x] = min(members)
+    rep = {x: x for x in vars}
+    for x, y in leq_keys:
+        if x in rep and y in rep and y < rep[x] and (y, x) in leq_keys:
+            rep[x] = y
     return rep
-
-
-def _both_ways(keys: set[tuple[VarId, VarId]], x: VarId, y: VarId) -> bool:
-    if x == y:
-        return True
-    return (x, y) in keys and (y, x) in keys
 
 
 def build_partial_model(clause: Sequence[Literal], extra_vars: Iterable[VarId] = ()) -> Model:

@@ -14,14 +14,16 @@ appears inside ``SIGMA`` marks the positions a term application fills in.
 A literal judgement and the judgement of its atomic formula are identified
 (``FmP(Atom(l))`` normalizes to ``LitP(l)``).
 
-Variable id 0 is pinned: falsity is the literal ``v0 != v0``, so axiom
-binders start at 1 and substitution renames bound ids out of the way when
-an instantiation would capture them.
+Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
+negative variable in any term, so no instantiation value can mention a
+bound id.  Substitution therefore replaces binders only: it never captures
+a variable, never renames, and never touches ``v0``, the variable of
+falsity ``v0 != v0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -40,10 +42,9 @@ from .core import (
     le,
 )
 from .certs import (
+    CONVERSION_NAME,
     FLS,
-    AllConv,
-    AndOrLConv,
-    AndOrRConv,
+    NILADIC_CONVERSIONS,
     AntisymP,
     ArgConv,
     AssmP,
@@ -58,15 +59,7 @@ from .certs import (
     DisjE,
     EQE1P,
     EQE2P,
-    LessLe,
     Lift,
-    NegAndConv,
-    NegAtomConv,
-    NegNegConv,
-    NegOrConv,
-    NleConv,
-    NlessConv,
-    NlessLe,
     PropProof,
     ReflP,
     ThenConv,
@@ -179,12 +172,6 @@ class All(MetaProp):
 
 
 @dataclass(frozen=True)
-class EquivFm(MetaProp):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
 class FmHole(Formula):
     """Formula placeholder; occurs only inside axiom schemas."""
 
@@ -199,9 +186,6 @@ def _fmp(f: Formula) -> MetaProp:
 
 # ---------------------------------------------------------------------------
 # Encoding between core syntax and terms
-
-_TERM_SIGNATURE = ("le", "lt", "eq", "not", "and", "or", "fls", "atom")
-
 
 @lru_cache(maxsize=1 << 16)
 def encode_literal(lit: Literal) -> GTrm:
@@ -237,6 +221,8 @@ def _spine(t: GTrm) -> tuple[GTrm, list[GTrm]]:
 def decode_term(t: GTrm) -> VarId | Literal | Formula:
     """Interpret a term as a variable, a literal, or a formula."""
     if isinstance(t, VarT):
+        if t.var < 0:
+            raise ReplayError(f"negative variable ids are reserved for axiom binders: {t!r}")
         return t.var
     head, args = _spine(t)
     if not isinstance(head, ConstT):
@@ -293,7 +279,7 @@ def decode_prop(t: GTrm) -> MetaProp:
 # ---------------------------------------------------------------------------
 # The axiom environment
 
-_X, _Y, _Z = 1, 2, 3
+_X, _Y, _Z = -1, -2, -3
 
 
 def _lit(pol: bool, atom: OrderAtom) -> MetaProp:
@@ -375,75 +361,13 @@ SIGMA: dict[str, MetaProp] = {
     ),
 }
 
-_CONVERSION_CONSTANTS: dict[str, ConvProof] = {
-    "lessle": LessLe(),
-    "nlessle": NlessLe(),
-    "nle": NleConv(),
-    "nless": NlessConv(),
-    "allconv": AllConv(),
-    "negatom": NegAtomConv(),
-    "negneg": NegNegConv(),
-    "negand": NegAndConv(),
-    "negor": NegOrConv(),
-    "andorl": AndOrLConv(),
-    "andorr": AndOrRConv(),
-}
-
-_CONVERSION_COMBINATORS = {"atom": 1, "arg": 1, "binop": 2, "then": 2}
+_CONVERSION_COMBINATORS = {"atom": AtomConv, "arg": ArgConv, "binop": BinopConv, "then": ThenConv}
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 
 SubstValue = VarId | Formula
-
-
-def _max_id(prop: MetaProp) -> int:
-    if isinstance(prop, LitP):
-        return max(prop.lit.atom.x, prop.lit.atom.y)
-    if isinstance(prop, FmP):
-        return _max_id_fm(prop.formula)
-    if isinstance(prop, Implies):
-        return max(_max_id(prop.hyp), _max_id(prop.concl))
-    if isinstance(prop, All):
-        return max(prop.binder, _max_id(prop.body))
-    if isinstance(prop, EquivFm):
-        return max(_max_id_fm(prop.left), _max_id_fm(prop.right))
-    raise ReplayError(f"not a proposition: {prop!r}")
-
-
-def _max_id_fm(f: Formula) -> int:
-    if isinstance(f, FmHole):
-        return f.hole
-    if isinstance(f, Atom):
-        return max(f.lit.atom.x, f.lit.atom.y)
-    if isinstance(f, (And, Or)):
-        return max(_max_id_fm(f.left), _max_id_fm(f.right))
-    if isinstance(f, Neg):
-        return _max_id_fm(f.arg)
-    raise ReplayError(f"not a formula: {f!r}")
-
-
-def _value_ids(value: SubstValue) -> set[int]:
-    if isinstance(value, int):
-        return {value}
-    ids: set[int] = set()
-    stack = [value]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, FmHole):
-            ids.add(f.hole)
-        elif isinstance(f, Atom):
-            ids.add(f.lit.atom.x)
-            ids.add(f.lit.atom.y)
-        elif isinstance(f, (And, Or)):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, Neg):
-            stack.append(f.arg)
-        else:
-            raise ReplayError(f"not a formula: {f!r}")
-    return ids
 
 
 def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
@@ -453,36 +377,6 @@ def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
     if x == a.x and y == a.y:
         return lit
     return Literal(lit.pos, OrderAtom(a.kind, x, y))
-
-
-def _rename_fm(f: Formula, old: VarId, new: VarId) -> Formula:
-    if isinstance(f, FmHole):
-        return FmHole(new) if f.hole == old else f
-    if isinstance(f, Atom):
-        return Atom(_rename_lit(f.lit, old, new))
-    if isinstance(f, And):
-        return And(_rename_fm(f.left, old, new), _rename_fm(f.right, old, new))
-    if isinstance(f, Or):
-        return Or(_rename_fm(f.left, old, new), _rename_fm(f.right, old, new))
-    if isinstance(f, Neg):
-        return Neg(_rename_fm(f.arg, old, new))
-    raise ReplayError(f"not a formula: {f!r}")
-
-
-def _rename(prop: MetaProp, old: VarId, new: VarId) -> MetaProp:
-    if isinstance(prop, LitP):
-        return LitP(_rename_lit(prop.lit, old, new))
-    if isinstance(prop, FmP):
-        return _fmp(_rename_fm(prop.formula, old, new))
-    if isinstance(prop, Implies):
-        return Implies(_rename(prop.hyp, old, new), _rename(prop.concl, old, new))
-    if isinstance(prop, All):
-        if prop.binder == old:
-            return prop
-        return All(prop.binder, _rename(prop.body, old, new))
-    if isinstance(prop, EquivFm):
-        return EquivFm(_rename_fm(prop.left, old, new), _rename_fm(prop.right, old, new))
-    raise ReplayError(f"not a proposition: {prop!r}")
 
 
 def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
@@ -508,6 +402,11 @@ def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
 
 
 def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
+    """Instantiate ``binder`` with ``value``.
+
+    Values come from decode_term, which rejects the negative binder ids, so
+    no value can be captured by an inner quantifier.
+    """
     if isinstance(prop, LitP):
         if isinstance(value, int):
             return LitP(_rename_lit(prop.lit, binder, value))
@@ -521,19 +420,7 @@ def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
     if isinstance(prop, All):
         if prop.binder == binder:
             return prop
-        body = prop.body
-        inner = prop.binder
-        # Rename the inner binder out of the way when the substituted value
-        # mentions its id, so embedded formulas are never captured.
-        if inner in _value_ids(value):
-            fresh = max(_max_id(body), max(_value_ids(value)), binder) + 1
-            body = _rename(body, inner, fresh)
-            inner = fresh
-        return All(inner, _subst(body, binder, value))
-    if isinstance(prop, EquivFm):
-        return EquivFm(
-            _subst_fm(prop.left, binder, value), _subst_fm(prop.right, binder, value)
-        )
+        return All(prop.binder, _subst(prop.body, binder, value))
     raise ReplayError(f"not a proposition: {prop!r}")
 
 
@@ -554,7 +441,7 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
         prop = SIGMA.get(proof.name)
         if prop is not None:
             return prop
-        if proof.name in _CONVERSION_CONSTANTS or proof.name in _CONVERSION_COMBINATORS:
+        if proof.name in NILADIC_CONVERSIONS or proof.name in _CONVERSION_COMBINATORS:
             raise ReplayError(f"conversion constant {proof.name!r} used as a proposition")
         raise ReplayError(f"unknown proof constant {proof.name!r}")
     if isinstance(proof, Bound):
@@ -614,7 +501,7 @@ def rpc(conversion: GPrf) -> Callable[[Formula], Formula]:
 
 def _conv_of_gprf(proof: GPrf) -> ConvProof:
     if isinstance(proof, PThm):
-        conv = _CONVERSION_CONSTANTS.get(proof.name)
+        conv = NILADIC_CONVERSIONS.get(proof.name)
         if conv is not None:
             return conv
         if proof.name in _CONVERSION_COMBINATORS:
@@ -629,17 +516,11 @@ def _conv_of_gprf(proof: GPrf) -> ConvProof:
         args.reverse()
         if not isinstance(head, PThm) or head.name not in _CONVERSION_COMBINATORS:
             raise ReplayError(f"not a conversion combinator application: {proof!r}")
-        arity = _CONVERSION_COMBINATORS[head.name]
+        combinator = _CONVERSION_COMBINATORS[head.name]
+        arity = len(fields(combinator))
         if len(args) != arity:
             raise ReplayError(f"conversion {head.name!r} takes {arity} arguments, got {len(args)}")
-        parts = [_conv_of_gprf(a) for a in args]
-        if head.name == "atom":
-            return AtomConv(parts[0])
-        if head.name == "arg":
-            return ArgConv(parts[0])
-        if head.name == "binop":
-            return BinopConv(parts[0], parts[1])
-        return ThenConv(parts[0], parts[1])
+        return combinator(*(_conv_of_gprf(a) for a in args))
     raise ReplayError(f"not a conversion proof term: {proof!r}")
 
 
@@ -647,56 +528,39 @@ def _conv_of_gprf(proof: GPrf) -> ConvProof:
 # Export from structured certificates
 
 
-def _concluded(proof: CertProof) -> Literal:
-    """Structural conclusion of an atom proof; replay re-validates it."""
-    if isinstance(proof, (AssmP, EQE1P, EQE2P)):
-        lit = proof.lit
-        if isinstance(proof, EQE1P):
-            return Literal(True, le(lit.atom.x, lit.atom.y))
-        if isinstance(proof, EQE2P):
-            return Literal(True, le(lit.atom.y, lit.atom.x))
-        return lit
-    if isinstance(proof, ReflP):
-        return Literal(True, le(proof.var, proof.var))
-    if isinstance(proof, TransP):
-        c1 = _concluded(proof.left)
-        c2 = _concluded(proof.right)
-        return Literal(True, le(c1.atom.x, c2.atom.y))
-    if isinstance(proof, AntisymP):
-        c1 = _concluded(proof.left)
-        return Literal(True, eq(c1.atom.x, c1.atom.y))
-    if isinstance(proof, ContrP):
-        return FLS
-    raise ExportError(f"unknown atom proof node {proof!r}")
-
-
 def _hyp(lit: Literal) -> GPrf:
     return Bound(encode_formula(Atom(lit)))
 
 
-def _export_atom(proof: CertProof) -> GPrf:
+def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
+    """The proof term of an atom proof and the literal it concludes.
+
+    The conclusion is structural; replay re-validates it.
+    """
     if isinstance(proof, AssmP):
-        return _hyp(proof.lit)
+        return _hyp(proof.lit), proof.lit
     if isinstance(proof, ReflP):
-        return Appt(PThm("refl"), VarT(proof.var))
+        return Appt(PThm("refl"), VarT(proof.var)), Literal(True, le(proof.var, proof.var))
     if isinstance(proof, TransP):
-        c1 = _concluded(proof.left)
-        c2 = _concluded(proof.right)
-        head = Appt(
-            Appt(Appt(PThm("trans"), VarT(c1.atom.x)), VarT(c1.atom.y)),
-            VarT(c2.atom.y),
-        )
-        return AppP(AppP(head, _export_atom(proof.left)), _export_atom(proof.right))
+        left, c1 = _export_atom(proof.left)
+        right, c2 = _export_atom(proof.right)
+        x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
+        head = Appt(Appt(Appt(PThm("trans"), VarT(x)), VarT(y)), VarT(z))
+        return AppP(AppP(head, left), right), Literal(True, le(x, z))
     if isinstance(proof, AntisymP):
-        c1 = _concluded(proof.left)
-        head = Appt(Appt(PThm("antisym"), VarT(c1.atom.x)), VarT(c1.atom.y))
-        return AppP(AppP(head, _export_atom(proof.left)), _export_atom(proof.right))
+        left, c1 = _export_atom(proof.left)
+        right, _ = _export_atom(proof.right)
+        x, y = c1.atom.x, c1.atom.y
+        head = Appt(Appt(PThm("antisym"), VarT(x)), VarT(y))
+        return AppP(AppP(head, left), right), Literal(True, eq(x, y))
     if isinstance(proof, EQE1P):
         a = proof.lit.atom
-        return AppP(Appt(Appt(PThm("eqe1"), VarT(a.x)), VarT(a.y)), _hyp(proof.lit))
+        head = Appt(Appt(PThm("eqe1"), VarT(a.x)), VarT(a.y))
+        return AppP(head, _hyp(proof.lit)), Literal(True, le(a.x, a.y))
     if isinstance(proof, EQE2P):
         a = proof.lit.atom
-        return AppP(Appt(Appt(PThm("eqe2"), VarT(a.x)), VarT(a.y)), _hyp(proof.lit))
+        head = Appt(Appt(PThm("eqe2"), VarT(a.x)), VarT(a.y))
+        return AppP(head, _hyp(proof.lit)), Literal(True, le(a.y, a.x))
     if isinstance(proof, ContrP):
         a = proof.lit.atom
         if a.kind == "le":
@@ -706,12 +570,8 @@ def _export_atom(proof: CertProof) -> GPrf:
         else:
             raise ExportError("no contradiction axiom for strict atoms")
         head = Appt(Appt(PThm(axiom), VarT(a.x)), VarT(a.y))
-        return AppP(AppP(head, _hyp(proof.lit)), _export_atom(proof.proof))
+        return AppP(AppP(head, _hyp(proof.lit)), _export_atom(proof.proof)[0]), FLS
     raise ExportError(f"unknown atom proof node {proof!r}")
-
-
-def _fm_arg(f: Formula) -> GTrm:
-    return encode_formula(f)
 
 
 def export(proof: PropProof, goal: Formula) -> GPrf:
@@ -727,21 +587,19 @@ def export(proof: PropProof, goal: Formula) -> GPrf:
 
 def _export_prop(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
-        return _export_atom(proof.proof)
+        return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
-        head = Appt(Appt(PThm("conje"), _fm_arg(proof.left)), _fm_arg(proof.right))
+        left, right = encode_formula(proof.left), encode_formula(proof.right)
+        head = Appt(Appt(PThm("conje"), left), right)
         conjunction = Bound(encode_formula(And(proof.left, proof.right)))
-        body = AbsP(
-            encode_formula(proof.left),
-            AbsP(encode_formula(proof.right), _export_prop(proof.proof)),
-        )
-        return AppP(AppP(head, conjunction), body)
+        return AppP(AppP(head, conjunction), AbsP(left, AbsP(right, _export_prop(proof.proof))))
     if isinstance(proof, DisjE):
-        head = Appt(Appt(PThm("disje"), _fm_arg(proof.left)), _fm_arg(proof.right))
+        left, right = encode_formula(proof.left), encode_formula(proof.right)
+        head = Appt(Appt(PThm("disje"), left), right)
         disjunction = Bound(encode_formula(Or(proof.left, proof.right)))
-        left = AbsP(encode_formula(proof.left), _export_prop(proof.left_proof))
-        right = AbsP(encode_formula(proof.right), _export_prop(proof.right_proof))
-        return AppP(AppP(AppP(head, disjunction), left), right)
+        left_case = AbsP(left, _export_prop(proof.left_proof))
+        right_case = AbsP(right, _export_prop(proof.right_proof))
+        return AppP(AppP(AppP(head, disjunction), left_case), right_case)
     if isinstance(proof, ConvRule):
         return ConvP(
             encode_formula(proof.source),
@@ -751,21 +609,16 @@ def _export_prop(proof: PropProof) -> GPrf:
     raise ExportError(f"unknown propositional proof node {proof!r}")
 
 
-_CONVERSION_NAMES = {type(v): k for k, v in _CONVERSION_CONSTANTS.items()}
-
-
 def _conv_to_gprf(conv: ConvProof) -> GPrf:
-    name = _CONVERSION_NAMES.get(type(conv))
+    name = CONVERSION_NAME.get(type(conv))
     if name is not None:
         return PThm(name)
-    if isinstance(conv, AtomConv):
-        return AppP(PThm("atom"), _conv_to_gprf(conv.rule))
-    if isinstance(conv, ArgConv):
-        return AppP(PThm("arg"), _conv_to_gprf(conv.rule))
-    if isinstance(conv, BinopConv):
-        return AppP(AppP(PThm("binop"), _conv_to_gprf(conv.left)), _conv_to_gprf(conv.right))
-    if isinstance(conv, ThenConv):
-        return AppP(AppP(PThm("then"), _conv_to_gprf(conv.first)), _conv_to_gprf(conv.second))
+    for name, combinator in _CONVERSION_COMBINATORS.items():
+        if type(conv) is combinator:
+            term: GPrf = PThm(name)
+            for field in fields(combinator):
+                term = AppP(term, _conv_to_gprf(getattr(conv, field.name)))
+            return term
     raise ExportError(f"unknown conversion node {conv!r}")
 
 

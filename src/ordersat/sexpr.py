@@ -2,34 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .core import ParseError
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     offset: int
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(Token(c, i))
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            tokens.append(Token(text[start:i], start))
-    return tokens
+    return [Token(m.group(), m.start()) for m in _TOKEN.finditer(text)]
 
 
 class TokenStream:

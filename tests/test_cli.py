@@ -84,6 +84,20 @@ def test_solve_sat_with_model(tmp_path, capsys):
     assert any(line.startswith("rel") for line in lines)
 
 
+@pytest.mark.parametrize(
+    ("goal", "flag"), [(MOTIVATING_EXAMPLE, "--cert"), ("x <= y\n", "--model")], ids=["cert", "model"]
+)
+def test_solve_unwritable_output_is_usage_error(tmp_path, capsys, goal, flag):
+    source = tmp_path / "goal.txt"
+    source.write_text(goal)
+    target = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code = run(["solve", str(source), "--theory", "partial", flag, str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+
+
 def test_solve_json_fields(tmp_path, capsys):
     source = tmp_path / "goal.txt"
     source.write_text(MOTIVATING_EXAMPLE)

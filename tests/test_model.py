@@ -30,6 +30,8 @@ def test_sym_classes_examples():
     assert sym_classes({(0, 1), (1, 0)}, {0, 1}) == {0: 0, 1: 0}
     assert sym_classes(set(), {0, 1, 2}) == {0: 0, 1: 1, 2: 2}
     assert sym_classes({(0, 1)}, {0, 1}) == {0: 0, 1: 1}
+    cycle = naive_closure({(7, 5), (5, 2), (2, 7)})
+    assert sym_classes(cycle, {2, 5, 7, 9}) == {2: 2, 5: 2, 7: 2, 9: 9}
 
 
 def test_build_partial_model_examples():

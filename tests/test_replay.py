@@ -77,7 +77,7 @@ def test_sigma_names():
 
 
 def test_replay_axiom_lookup():
-    assert replay({}, PThm("refl")) == All(1, LitP(pos(le(1, 1))))
+    assert replay({}, PThm("refl")) == All(-1, LitP(pos(le(-1, -1))))
     with pytest.raises(ReplayError, match="unknown proof constant"):
         replay({}, PThm("modus_ponens"))
     with pytest.raises(ReplayError, match="conversion constant"):
@@ -130,6 +130,30 @@ def test_substitution_matches_direct_instantiation():
     # Same for the one-binder axiom.
     for x in range(4):
         assert replay({}, Appt(PThm("refl"), VarT(x))) == LitP(pos(le(x, x)))
+    # And for every two-binder literal axiom.
+    instances = {
+        "antisym": lambda x, y: Implies(
+            LitP(pos(le(x, y))), Implies(LitP(pos(le(y, x))), LitP(pos(eq(x, y))))
+        ),
+        "eqe1": lambda x, y: Implies(LitP(pos(eq(x, y))), LitP(pos(le(x, y)))),
+        "eqe2": lambda x, y: Implies(LitP(pos(eq(x, y))), LitP(pos(le(y, x)))),
+        "contr_le": lambda x, y: Implies(
+            LitP(neg(le(x, y))), Implies(LitP(pos(le(x, y))), LitP(FLS))
+        ),
+        "contr_eq": lambda x, y: Implies(
+            LitP(neg(eq(x, y))), Implies(LitP(pos(eq(x, y))), LitP(FLS))
+        ),
+    }
+    for name, instance in instances.items():
+        for x, y in itertools.product(range(4), repeat=2):
+            proof = Appt(Appt(PThm(name), VarT(x)), VarT(y))
+            assert replay({}, proof) == instance(x, y), (name, x, y)
+
+
+def test_replay_rejects_binder_ids_in_terms():
+    # Negative ids are reserved for axiom binders; no term may mention one.
+    with pytest.raises(ReplayError, match="negative"):
+        replay({}, Appt(PThm("refl"), VarT(-1)))
 
 
 def test_substitution_avoids_capture():
