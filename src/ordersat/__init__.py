@@ -28,6 +28,7 @@ from .core import (
     eval_literal,
     le,
     lt,
+    parse_input,
     relation_props,
 )
 from .certs import (
@@ -45,7 +46,6 @@ from .closure import Sat, Unsat, Verdict, decide
 from .model import Model, verify_model
 from .oracle import brute_sat, enumerate_posets
 from .replay import ReplayError, export, replay, replay_refutation
-from .cli import parse_input
 
 # Deep certificates (long transitivity chains, one conjunction eliminator per
 # literal) recurse past CPython's default stack limit.

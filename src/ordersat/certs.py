@@ -529,9 +529,10 @@ def serialize_cert(p: PropProof) -> str:
 
 def _parse_var(ts: TokenStream) -> VarId:
     tok = ts.next()
-    if not tok.text.startswith("v") or not tok.text[1:].isdigit():
+    digits = tok.text[1:]
+    if not tok.text.startswith("v") or not (digits.isascii() and digits.isdigit()):
         raise ts.error(tok, f"expected a variable like v0, got {tok.text!r}")
-    return int(tok.text[1:])
+    return int(digits)
 
 
 def _parse_literal(ts: TokenStream) -> Literal:

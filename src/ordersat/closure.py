@@ -4,8 +4,9 @@ The solver side of the artifact: positive literals seed a map from variable
 pairs to atom-level certificates, the map is closed under transitivity while
 composing the stored certificates, and negative literals are searched for a
 contradiction against the closure.  ``decide`` glues this to the rewrite
-passes and re-checks every certificate with the trusted kernel before
-returning a verdict.
+passes (``preprocess``: negation normal form, strict elimination, DNF) and
+re-checks every certificate with the trusted kernel before returning a
+verdict.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ from .rewrite import (
     deless_partial,
     deless_partial_prf,
     disj_clauses,
+    then,
     to_dnf,
+    to_nnf,
 )
 
 ProofMap = dict[tuple[VarId, VarId], CertProof]
@@ -219,35 +222,20 @@ class Preprocessed:
 
 
 def preprocess(f: Formula, theory: Theory) -> Preprocessed:
-    """Strict elimination, then DNF; linear orders need one more pass.
+    """Negation normal form, strict elimination, then DNF, in two stages.
 
-    Pushing negations during the DNF step can reintroduce negated <= atoms,
-    which the linear procedure cannot consume, so the strict/negative
-    elimination runs a second time afterwards.  It only maps atoms to atoms
-    or conjunctions, so the DNF shape is preserved.
+    The first stage pushes negations into the atoms and then rewrites every
+    literal with the theory's ``deless`` rule; the second distributes the
+    strict-free negation normal form into a DNF.
     """
     if theory is Theory.LINEAR:
         deless, deless_prf = deless_linear, deless_linear_prf
     else:
         deless, deless_prf = deless_partial, deless_partial_prf
-
-    stages: list[tuple[Formula, ConvProof]] = []
-    current = f
-
-    delessed = amap_fm(deless, current)
-    stages.append((current, amap_fm_prf(deless_prf, current)))
-    current = delessed
-
-    dnf, dnf_proof = to_dnf(current)
-    stages.append((current, dnf_proof))
-    current = dnf
-
-    if theory is Theory.LINEAR:
-        again = amap_fm(deless, current)
-        stages.append((current, amap_fm_prf(deless_prf, current)))
-        current = again
-
-    return Preprocessed(tuple(stages), current)
+    nnf, p = to_nnf(f)
+    delessed = amap_fm(deless, nnf)
+    dnf, q = to_dnf(delessed)
+    return Preprocessed(((f, then(p, amap_fm_prf(deless_prf, nnf))), (delessed, q)), dnf)
 
 
 @dataclass(frozen=True)
@@ -274,8 +262,10 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
 
     Unsat verdicts carry a falsity certificate rooted at ``f`` itself; it is
     re-checked with the trusted kernel before being returned.  Sat verdicts
-    carry a verified finite model of the leftmost non-contradictory DNF
-    clause, with every variable of ``f`` assigned.
+    carry a verified finite model of the leftmost non-contradictory clause
+    of ``preprocess(f, theory).result``, the DNF of the strict-free negation
+    normal form, with every variable of ``f`` assigned; ``clause_index`` is
+    that clause's position.
     """
     try:
         closure_fn = _CLOSURE_ALGORITHMS[algorithm]

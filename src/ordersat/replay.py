@@ -66,7 +66,6 @@ from .certs import (
     TransP,
     apply_conv,
 )
-from .sexpr import TokenStream
 
 
 class ReplayError(OrderSatError):
@@ -633,84 +632,3 @@ def replay_refutation(proof: GPrf, goal: Formula) -> bool:
         return replay(initial_context(goal), proof) == LitP(FLS)
     except ReplayError:
         return False
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def serialize_term(t: GTrm) -> str:
-    if isinstance(t, ConstT):
-        return f"(const {t.name})"
-    if isinstance(t, AppT):
-        return f"(app {serialize_term(t.fn)} {serialize_term(t.arg)})"
-    if isinstance(t, VarT):
-        return f"(var v{t.var})"
-    raise ValueError(f"not a term: {t!r}")
-
-
-def serialize_gprf(p: GPrf) -> str:
-    if isinstance(p, PThm):
-        return f"(pthm {p.name})"
-    if isinstance(p, Bound):
-        return f"(bound {serialize_term(p.term)})"
-    if isinstance(p, AppP):
-        return f"(appp {serialize_gprf(p.fn)} {serialize_gprf(p.arg)})"
-    if isinstance(p, AbsP):
-        return f"(absp {serialize_term(p.hyp)} {serialize_gprf(p.body)})"
-    if isinstance(p, Appt):
-        return f"(appt {serialize_gprf(p.proof)} {serialize_term(p.term)})"
-    if isinstance(p, ConvP):
-        return (
-            f"(convp {serialize_term(p.source)} {serialize_gprf(p.conversion)} "
-            f"{serialize_gprf(p.proof)})"
-        )
-    raise ValueError(f"not a proof term: {p!r}")
-
-
-def _parse_term(ts: TokenStream) -> GTrm:
-    ts.next("(")
-    head = ts.next()
-    if head.text == "const":
-        name = ts.next()
-        node: GTrm = ConstT(name.text)
-    elif head.text == "app":
-        node = AppT(_parse_term(ts), _parse_term(ts))
-    elif head.text == "var":
-        tok = ts.next()
-        if not tok.text.startswith("v") or not tok.text[1:].isdigit():
-            raise ts.error(tok, f"expected a variable like v0, got {tok.text!r}")
-        node = VarT(int(tok.text[1:]))
-    else:
-        raise ts.error(head, f"expected a term head, got {head.text!r}")
-    ts.next(")")
-    return node
-
-
-def _parse_gprf(ts: TokenStream) -> GPrf:
-    ts.next("(")
-    head = ts.next()
-    name = head.text
-    if name == "pthm":
-        node: GPrf = PThm(ts.next().text)
-    elif name == "bound":
-        node = Bound(_parse_term(ts))
-    elif name == "appp":
-        node = AppP(_parse_gprf(ts), _parse_gprf(ts))
-    elif name == "absp":
-        node = AbsP(_parse_term(ts), _parse_gprf(ts))
-    elif name == "appt":
-        node = Appt(_parse_gprf(ts), _parse_term(ts))
-    elif name == "convp":
-        node = ConvP(_parse_term(ts), _parse_gprf(ts), _parse_gprf(ts))
-    else:
-        raise ts.error(head, f"expected a proof term head, got {name!r}")
-    ts.next(")")
-    return node
-
-
-def parse_gprf(text: str) -> GPrf:
-    ts = TokenStream(text)
-    proof = _parse_gprf(ts)
-    ts.expect_end()
-    return proof

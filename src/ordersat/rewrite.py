@@ -1,10 +1,11 @@
-"""Strict-literal elimination and certified DNF conversion.
+"""Certified negation normal form, strict-literal elimination and DNF.
 
 Each rewrite comes in two flavours: the plain formula transformation and a
 companion that emits the conversion certificate replaying it.  Keeping the
 two in lock-step (no simplification, no clause deduplication) means a
 produced certificate always applies to exactly the formula the solver went
-on to analyse.
+on to analyse.  The solver applies them in the order ``to_nnf``, one
+``amap_fm`` pass of a ``deless`` rewrite, then ``to_dnf``.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def amap_fm_prf(ap: Callable[[Literal], ConvProof], f: Formula) -> ConvProof:
     raise StructureError(f"not a formula node: {f!r}")
 
 
-def _then(first: ConvProof, second: ConvProof) -> ConvProof:
+def then(first: ConvProof, second: ConvProof) -> ConvProof:
+    """``first`` followed by ``second``, dropping either side that is AllConv."""
     if isinstance(first, AllConv):
         return second
     if isinstance(second, AllConv):
@@ -131,32 +133,39 @@ def _binop(left: ConvProof, right: ConvProof) -> ConvProof:
     return BinopConv(left, right)
 
 
-def _push_neg(f: Formula) -> tuple[Formula, ConvProof]:
+def to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
+    """Push every negation into the atoms, with a conversion certificate.
+
+    The result contains no Neg node: a negated atom becomes the atom of the
+    negated literal, double negations cancel and De Morgan's laws swap And
+    and Or.  On a formula that is already negation-free the result is equal
+    to the input and the certificate is AllConv.
+    """
     if isinstance(f, Atom):
         return f, AllConv()
     if isinstance(f, And):
-        left, pl = _push_neg(f.left)
-        right, pr = _push_neg(f.right)
+        left, pl = to_nnf(f.left)
+        right, pr = to_nnf(f.right)
         return And(left, right), _binop(pl, pr)
     if isinstance(f, Or):
-        left, pl = _push_neg(f.left)
-        right, pr = _push_neg(f.right)
+        left, pl = to_nnf(f.left)
+        right, pr = to_nnf(f.right)
         return Or(left, right), _binop(pl, pr)
     if isinstance(f, Neg):
         inner = f.arg
         if isinstance(inner, Atom):
             return Atom(inner.lit.negate()), NegAtomConv()
         if isinstance(inner, Neg):
-            result, p = _push_neg(inner.arg)
-            return result, _then(NegNegConv(), p)
+            result, p = to_nnf(inner.arg)
+            return result, then(NegNegConv(), p)
         if isinstance(inner, And):
-            left, pl = _push_neg(Neg(inner.left))
-            right, pr = _push_neg(Neg(inner.right))
-            return Or(left, right), _then(NegAndConv(), _binop(pl, pr))
+            left, pl = to_nnf(Neg(inner.left))
+            right, pr = to_nnf(Neg(inner.right))
+            return Or(left, right), then(NegAndConv(), _binop(pl, pr))
         if isinstance(inner, Or):
-            left, pl = _push_neg(Neg(inner.left))
-            right, pr = _push_neg(Neg(inner.right))
-            return And(left, right), _then(NegOrConv(), _binop(pl, pr))
+            left, pl = to_nnf(Neg(inner.left))
+            right, pr = to_nnf(Neg(inner.right))
+            return And(left, right), then(NegOrConv(), _binop(pl, pr))
     raise StructureError(f"not a formula node: {f!r}")
 
 
@@ -165,11 +174,11 @@ def _dist_and(left: Formula, right: Formula) -> tuple[Formula, ConvProof]:
     if isinstance(left, Or):
         r1, p1 = _dist_and(left.left, right)
         r2, p2 = _dist_and(left.right, right)
-        return Or(r1, r2), _then(AndOrLConv(), _binop(p1, p2))
+        return Or(r1, r2), then(AndOrLConv(), _binop(p1, p2))
     if isinstance(right, Or):
         r1, p1 = _dist_and(left, right.left)
         r2, p2 = _dist_and(left, right.right)
-        return Or(r1, r2), _then(AndOrRConv(), _binop(p1, p2))
+        return Or(r1, r2), then(AndOrRConv(), _binop(p1, p2))
     return And(left, right), AllConv()
 
 
@@ -184,21 +193,22 @@ def _dist(f: Formula) -> tuple[Formula, ConvProof]:
         left, pl = _dist(f.left)
         right, pr = _dist(f.right)
         result, pd = _dist_and(left, right)
-        return result, _then(_binop(pl, pr), pd)
+        return result, then(_binop(pl, pr), pd)
     raise StructureError(f"negation survived NNF: {f!r}")
 
 
 def to_dnf(f: Formula) -> tuple[Formula, ConvProof]:
     """Convert to disjunctive normal form with a conversion certificate.
 
-    Negations are pushed into the atoms first, then conjunctions are
-    distributed over disjunctions outermost-first with a left bias.  The
+    Negations are pushed into the atoms first (``to_nnf``, the identity on
+    a negation-free input), then conjunctions are distributed over
+    disjunctions outermost-first with a left bias.  The
     result contains no Neg node and no Or node below an And node;
     ``apply_conv`` of the returned certificate on ``f`` reproduces it.
     """
-    nnf, p1 = _push_neg(f)
+    nnf, p1 = to_nnf(f)
     dnf, p2 = _dist(nnf)
-    return dnf, _then(p1, p2)
+    return dnf, then(p1, p2)
 
 
 def is_dnf(f: Formula) -> bool:

@@ -3,8 +3,8 @@
 Enumerates every clause up to a literal count and variable count, decides it
 with the full pipeline for each theory, and compares against brute force.
 Unsat verdicts additionally have their certificates checked by both kernels;
-sat verdicts have their models re-verified.  Used by the CLI selftest at
-small bounds and by the acceptance suite at full bounds.
+sat verdicts have their models checked against the formula.  Used by the CLI
+selftest at small bounds and by the acceptance suite at full bounds.
 """
 
 from __future__ import annotations
@@ -13,13 +13,22 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import ATOM_KINDS, And, Atom, Formula, Literal, OrderAtom, Theory
+from .core import (
+    ATOM_KINDS,
+    And,
+    Atom,
+    EvaluationError,
+    Formula,
+    Literal,
+    OrderAtom,
+    Theory,
+    eval_formula,
+)
 from .certs import FLS_FORMULA, check_prop_proof
-from .closure import Sat, Unsat, decide, preprocess
+from .closure import Sat, Unsat, decide
 from .model import verify_model
 from .oracle import brute_sat
 from .replay import export, replay_refutation
-from .rewrite import conj_list, disj_clauses
 
 
 def literal_pool(num_vars: int) -> list[Literal]:
@@ -104,18 +113,15 @@ class AgreementStats:
         return lines
 
 
-def check_case(
-    f: Formula,
-    theory: Theory,
-    stats: AgreementStats,
-    *,
-    check_replay: bool = True,
-    algorithm: str = "naive",
-) -> None:
-    """Decide ``f``, compare with brute force, and validate the witness."""
+def check_case(f: Formula, theory: Theory, stats: AgreementStats) -> None:
+    """Decide ``f``, compare with brute force, and validate the witness.
+
+    A model is checked against ``f`` itself and the theory's order axioms,
+    independently of the clause the solver built it from.
+    """
     label = f"{theory.value}: {f}"
     expected = brute_sat(f, theory)
-    verdict = decide(f, theory, algorithm=algorithm)
+    verdict = decide(f, theory)
     stats.checked += 1
 
     if isinstance(verdict, Unsat):
@@ -130,7 +136,7 @@ def check_case(
             label = f"{label}: {exc}"
         if not ok:
             stats.cert_failures.append(label)
-        if check_replay and not replay_refutation(export(verdict.certificate, f), f):
+        if not replay_refutation(export(verdict.certificate, f), f):
             stats.replay_failures.append(label)
     else:
         assert isinstance(verdict, Sat)
@@ -138,8 +144,16 @@ def check_case(
         if not expected:
             stats.disagreements.append(f"{label}: decide sat, oracle unsat")
             return
-        clause = disj_clauses(preprocess(f, theory).result)[verdict.clause_index]
-        if not verify_model(verdict.model, conj_list(clause)):
+        m = verdict.model
+        try:
+            ok = (
+                m.theory is theory
+                and verify_model(m, [])
+                and eval_formula(m.relation, m.assignment, f)
+            )
+        except EvaluationError:
+            ok = False
+        if not ok:
             stats.model_failures.append(label)
 
 
@@ -147,14 +161,11 @@ def run_agreement(
     max_literals: int = 4,
     num_vars: int = 3,
     theories: Sequence[Theory] = (Theory.PARTIAL, Theory.LINEAR),
-    *,
-    check_replay: bool = True,
-    algorithm: str = "naive",
 ) -> AgreementStats:
     stats = AgreementStats()
     for clause in iter_clauses(max_literals, num_vars):
         f = clause_formula(clause)
         stats.cases += 1
         for theory in theories:
-            check_case(f, theory, stats, check_replay=check_replay, algorithm=algorithm)
+            check_case(f, theory, stats)
     return stats

@@ -184,6 +184,11 @@ def test_parse_cert_reports_offset():
         parse_cert("(lift (refl")
     with pytest.raises(ParseError, match="offset"):
         parse_cert("(lift (refl v0)) extra")
+    # str.isdigit accepts superscripts and other scripts' digits; int() does not.
+    with pytest.raises(ParseError, match="offset 22: expected a variable like v0"):
+        parse_cert("(lift (contr (- le v0 v²) (assm (+ le v0 v1))))")
+    with pytest.raises(ParseError, match="offset"):
+        parse_cert("(lift (refl v١))")
 
 
 def _unsat_corpus(max_literals=3, num_vars=2):

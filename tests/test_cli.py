@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordersat
 from ordersat.core import And, Atom, Neg, ParseError, eq, le, lt, pos
 from ordersat.certs import parse_cert, serialize_cert
 from ordersat.cli import format_model, parse_input, run
@@ -154,6 +158,59 @@ def test_check_malformed_certificate(tmp_path, capsys):
     cert = tmp_path / "broken.cert"
     cert.write_text("(lift (refl")
     assert run(["check", str(cert), "--goal", str(source)]) == 2
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_non_ascii_variable_digits_are_a_parse_error(tmp_path, capsys, kernel):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y & ~(x <= y)\n")
+    cert = tmp_path / "bad.cert"
+    cert.write_text("(lift (contr (- le v0 v²) (assm (+ le v0 v1))))\n")
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
+    assert capsys.readouterr().err.startswith("error: syntax error at offset 22")
+
+
+def test_check_replay_reports_the_kernel_reason(tmp_path, capsys):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y & ~(x <= y)\n")
+    cert = tmp_path / "proof.cert"
+    assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    text = cert.read_text()
+    assert "(assm (+ le v0 v1))" in text
+    cert.write_text(text.replace("(assm (+ le v0 v1))", "(assm (+ le v1 v0))"))
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", "replay"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: ") and "unbound hypothesis" in out
+
+
+def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y\n")
+    cert = tmp_path / "proof.cert"
+    cert.write_text("(lift (refl v0))\n")
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", "replay"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: proof term concludes ") and out.rstrip().endswith(
+        "not falsity"
+    )
+
+
+def test_module_entry_point_writes_nothing_to_stderr(tmp_path):
+    source = tmp_path / "goal.txt"
+    source.write_text(MOTIVATING_EXAMPLE)
+    package_root = os.path.dirname(os.path.dirname(ordersat.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run(
+        [sys.executable, "-m", "ordersat.cli", "solve", str(source), "--theory", "partial"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "unsat\n"
+    assert done.stderr == ""
 
 
 def test_check_wrong_goal_rejected(tmp_path, capsys):

@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordersat import selfcheck
 from ordersat.core import (
     And,
     Atom,
     Neg,
     Or,
+    Relation,
     Theory,
     eq,
     le,
@@ -45,6 +47,7 @@ from ordersat.closure import (
     trancl_floyd_warshall,
     trancl_mapping,
 )
+from ordersat.model import Model
 from ordersat.oracle import brute_sat
 from ordersat.rewrite import StructureError
 
@@ -278,3 +281,18 @@ def test_refutation_is_monotone_under_conjunction():
                 found += 1
                 assert isinstance(decide(And(f, g), theory), Unsat)
     assert found > 10
+
+
+@pytest.mark.parametrize(
+    "assignment", [{0: 0, 1: 1}, {0: 0}], ids=["falsifies", "unassigned"]
+)
+def test_check_case_checks_models_against_the_formula(monkeypatch, assignment):
+    # A valid partial order whose assignment falsifies x <= y (or misses y).
+    relation = Relation.make({0, 1}, {(0, 0), (1, 1), (1, 0)})
+    model = Model(relation, assignment, Theory.PARTIAL)
+    monkeypatch.setattr(selfcheck, "decide", lambda f, theory: Sat(model, 0))
+    stats = selfcheck.AgreementStats()
+    selfcheck.check_case(Atom(pos(le(0, 1))), Theory.PARTIAL, stats)
+    assert stats.sat == {Theory.PARTIAL: 1}
+    assert len(stats.model_failures) == 1 and stats.failures == 1
+

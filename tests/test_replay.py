@@ -51,11 +51,9 @@ from ordersat.replay import (
     encode_literal,
     export,
     initial_context,
-    parse_gprf,
     replay,
     replay_refutation,
     rpc,
-    serialize_gprf,
 )
 from ordersat.selfcheck import clause_formula, iter_clauses
 
@@ -322,14 +320,3 @@ def test_sigma_axioms_semantically_valid():
             for rel in enumerate_posets(k):
                 for valuation in iter_valuations({0, 1, 2}, rel.carrier):
                     assert _prop_holds(schema, rel, valuation, pool), name
-
-
-def test_gprf_serialization_round_trip():
-    x, y = 0, 1
-    f = And(Atom(pos(le(x, y))), Atom(neg(le(x, y))))
-    verdict = decide(f, Theory.PARTIAL)
-    assert isinstance(verdict, Unsat)
-    proof = export(verdict.certificate, f)
-    text = serialize_gprf(proof)
-    assert parse_gprf(text) == proof
-    assert serialize_gprf(parse_gprf(text)) == text

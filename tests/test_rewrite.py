@@ -13,6 +13,7 @@ from ordersat.core import (
     Or,
     OrderAtom,
     Relation,
+    Theory,
     eq,
     eval_formula,
     eval_literal,
@@ -24,6 +25,7 @@ from ordersat.core import (
     pos,
 )
 from ordersat.certs import AllConv, AtomConv, BinopConv, LessLe, NleConv, apply_conv
+from ordersat.closure import preprocess
 from ordersat.oracle import enumerate_posets
 from ordersat.rewrite import (
     StructureError,
@@ -214,3 +216,31 @@ def test_disj_clauses_examples():
     assert disj_clauses(Or(c1, Or(c2, c3))) == [c1, c2, c3]
     assert disj_clauses(c2) == [c2]
     assert disj_clauses(c1) == [c1]
+
+
+def test_preprocess_eliminates_negated_strict_atoms_once():
+    x, y = 0, 1
+    f = Neg(Atom(pos(lt(x, y))))
+    assert preprocess(f, Theory.LINEAR).result == Atom(pos(le(y, x)))
+    assert preprocess(f, Theory.PARTIAL).result == Or(
+        Atom(neg(le(x, y))), Atom(pos(eq(x, y)))
+    )
+
+
+@given(formulas)
+def test_preprocess_has_two_stages_that_apply(f):
+    for theory in Theory:
+        prep = preprocess(f, theory)
+        assert len(prep.stages) == 2
+        current = f
+        for source, conversion in prep.stages:
+            assert source == current
+            current = apply_conv(conversion, source)
+        assert current == prep.result
+        assert is_dnf(prep.result)
+
+
+@given(formulas)
+def test_preprocess_partial_matches_deless_then_dnf(f):
+    assert preprocess(f, Theory.PARTIAL).result == to_dnf(amap_fm(deless_partial, f))[0]
+
