@@ -15,11 +15,18 @@ The checkers in this module are the artifact's trust root.  They depend only
 on the core types, never on the solver, so a bug in the search can at worst
 produce a certificate that fails to check, not an accepted falsehood.
 Falsity is the distinguished literal ``FLS``, the always-false ``v0 != v0``.
+
+Certificates are read in one pass over their tokens.  Elimination nodes
+restate subformulas of the formulas above them, so the reader hash-conses
+formulas by their token span: a restated formula is skipped without being
+read again and is the same object as its first occurrence, which both
+kernels then compare by identity first.  The writer builds each formula's
+text once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import AbstractSet, Iterable
 
 from .core import (
@@ -39,7 +46,7 @@ from .core import (
     eq,
     le,
 )
-from .sexpr import TokenStream
+from . import sexpr
 
 
 class ProofError(OrderSatError):
@@ -437,7 +444,7 @@ def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (whitespace-separated ASCII s-expressions)
+# Writing (whitespace-separated ASCII s-expressions)
 
 # The one table of niladic conversion names, shared with the replay kernel,
 # where the same names are its conversion proof constants.
@@ -464,183 +471,268 @@ def serialize_literal(lit: Literal) -> str:
     return f"({sign} {a.kind} v{a.x} v{a.y})"
 
 
-def serialize_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f"(atom {serialize_literal(f.lit)})"
-    if isinstance(f, And):
-        return f"(and {serialize_formula(f.left)} {serialize_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {serialize_formula(f.left)} {serialize_formula(f.right)})"
-    if isinstance(f, Neg):
-        return f"(neg {serialize_formula(f.arg)})"
-    raise ValueError(f"not a formula node: {f!r}")
+def _formula_text(f: Formula, texts: dict[int, str]) -> str:
+    """Text of ``f``, built once per formula object and kept in ``texts``.
+
+    Keys are object ids, which stay unique while the certificate being
+    written holds every formula in it.
+    """
+    text = texts.get(id(f))
+    if text is None:
+        if isinstance(f, Atom):
+            text = f"(atom {serialize_literal(f.lit)})"
+        elif isinstance(f, And):
+            text = f"(and {_formula_text(f.left, texts)} {_formula_text(f.right, texts)})"
+        elif isinstance(f, Or):
+            text = f"(or {_formula_text(f.left, texts)} {_formula_text(f.right, texts)})"
+        elif isinstance(f, Neg):
+            text = f"(neg {_formula_text(f.arg, texts)})"
+        else:
+            raise ValueError(f"not a formula node: {f!r}")
+        texts[id(f)] = text
+    return text
 
 
-def serialize_atom_proof(p: CertProof) -> str:
-    if isinstance(p, AssmP):
-        return f"(assm {serialize_literal(p.lit)})"
-    if isinstance(p, ReflP):
-        return f"(refl v{p.var})"
-    if isinstance(p, TransP):
-        return f"(trans {serialize_atom_proof(p.left)} {serialize_atom_proof(p.right)})"
-    if isinstance(p, AntisymP):
-        return f"(antisym {serialize_atom_proof(p.left)} {serialize_atom_proof(p.right)})"
-    if isinstance(p, EQE1P):
-        return f"(eqe1 {serialize_literal(p.lit)})"
-    if isinstance(p, EQE2P):
-        return f"(eqe2 {serialize_literal(p.lit)})"
-    if isinstance(p, ContrP):
-        return f"(contr {serialize_literal(p.lit)} {serialize_atom_proof(p.proof)})"
-    raise ValueError(f"not an atom proof node: {p!r}")
+# A proof node other than a niladic conversion is written
+# ``(head field ...)`` with its fields in declaration order.
+_HEADS: dict[type, str] = {
+    AssmP: "assm",
+    ReflP: "refl",
+    TransP: "trans",
+    AntisymP: "antisym",
+    EQE1P: "eqe1",
+    EQE2P: "eqe2",
+    ContrP: "contr",
+    AtomConv: "atom",
+    ArgConv: "arg",
+    BinopConv: "binop",
+    ThenConv: "then",
+    Lift: "lift",
+    ConjE: "conje",
+    DisjE: "disje",
+    ConvRule: "conv",
+}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _HEADS}
 
 
-def serialize_conv_proof(c: ConvProof) -> str:
-    token = CONVERSION_NAME.get(type(c))
-    if token is not None:
-        return token
-    if isinstance(c, AtomConv):
-        return f"(atom {serialize_conv_proof(c.rule)})"
-    if isinstance(c, ArgConv):
-        return f"(arg {serialize_conv_proof(c.rule)})"
-    if isinstance(c, BinopConv):
-        return f"(binop {serialize_conv_proof(c.left)} {serialize_conv_proof(c.right)})"
-    if isinstance(c, ThenConv):
-        return f"(then {serialize_conv_proof(c.first)} {serialize_conv_proof(c.second)})"
-    raise ValueError(f"not a conversion node: {c!r}")
+def _write(node: PropProof | CertProof | ConvProof, out: list[str], texts: dict[int, str]) -> None:
+    name = CONVERSION_NAME.get(type(node))
+    if name is not None:
+        out.append(name)
+        return
+    head = _HEADS.get(type(node))
+    if head is None:
+        raise ValueError(f"not a certificate node: {node!r}")
+    out += ("(", head)
+    for field in _FIELDS[type(node)]:
+        value = getattr(node, field)
+        out.append(" ")
+        if isinstance(value, Formula):
+            out.append(_formula_text(value, texts))
+        elif isinstance(value, Literal):
+            out.append(serialize_literal(value))
+        elif isinstance(value, int):
+            out.append(f"v{value}")
+        else:
+            _write(value, out, texts)
+    out.append(")")
 
 
 def serialize_cert(p: PropProof) -> str:
-    if isinstance(p, Lift):
-        return f"(lift {serialize_atom_proof(p.proof)})"
-    if isinstance(p, ConjE):
-        return f"(conje {serialize_formula(p.left)} {serialize_formula(p.right)} {serialize_cert(p.proof)})"
-    if isinstance(p, DisjE):
-        return (
-            f"(disje {serialize_formula(p.left)} {serialize_formula(p.right)} "
-            f"{serialize_cert(p.left_proof)} {serialize_cert(p.right_proof)})"
-        )
-    if isinstance(p, ConvRule):
-        return (
-            f"(conv {serialize_formula(p.source)} {serialize_conv_proof(p.conversion)} "
-            f"{serialize_cert(p.proof)})"
-        )
-    raise ValueError(f"not a certificate node: {p!r}")
+    """Certificate text, written as one list of parts joined once.
+
+    The text of each formula is built once per call and reused wherever the
+    formula is restated.
+    """
+    out: list[str] = []
+    _write(p, out, {})
+    return "".join(out)
 
 
-def _parse_var(ts: TokenStream) -> VarId:
-    tok = ts.next()
-    digits = tok.text[1:]
-    if not tok.text.startswith("v") or not (digits.isascii() and digits.isdigit()):
-        raise ts.error(tok, f"expected a variable like v0, got {tok.text!r}")
+# ---------------------------------------------------------------------------
+# Reading
+
+
+# A lookup by span copies and hashes the span.  Lookups that miss may copy
+# this many tokens per token of the text; after that, formulas are read
+# without lookups.  Certificates that ``decide`` writes for chains of up to
+# 140 variables or for ladders spend less than two.
+_LOOKUP_BUDGET = 4
+
+
+class _Reader:
+    """Cursor over the tokens of one certificate text.
+
+    Formulas are hash-consed by their token span: a span that has been read
+    once yields the same ``Formula`` object wherever it recurs, without being
+    read again.  A hit costs no more than the tokens it skips, and misses
+    are charged to the lookup budget, so reading stays linear in the text
+    however deep its formulas nest.  The table belongs to the reader, so
+    nothing is kept from one ``parse_cert`` call to the next.
+    """
+
+    __slots__ = ("text", "tokens", "depths", "pos", "formulas", "budget")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = sexpr.tokenize(text)
+        self.depths = sexpr.depths(self.tokens)
+        self.pos = 0
+        self.formulas: dict[tuple[str, ...], Formula] = {}
+        self.budget = _LOOKUP_BUDGET * len(self.tokens)
+
+    def next(self, expected: str | None = None) -> str:
+        pos = self.pos
+        if pos == len(self.tokens):
+            raise ParseError(f"syntax error at offset {len(self.text)}: unexpected end of input")
+        tok = self.tokens[pos]
+        self.pos = pos + 1
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, got {tok!r}", pos)
+        return tok
+
+    def span_end(self, start: int) -> int:
+        """Index just past the ``)`` that closes the ``(`` at ``start``, else ``start``.
+
+        The search takes time in proportion to the span it finds.
+        """
+        try:
+            return self.depths.index(self.depths[start] - 1, start) + 1
+        except (IndexError, ValueError):
+            return start
+
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """``message`` at token ``k``, by default the token read last."""
+        offset = sexpr.offset_of(self.text, self.tokens, self.pos - 1 if k is None else k)
+        return ParseError(f"syntax error at offset {offset}: {message}")
+
+
+def _parse_var(r: _Reader) -> VarId:
+    tok = r.next()
+    digits = tok[1:]
+    if not tok.startswith("v") or not (digits.isascii() and digits.isdigit()):
+        raise r.error(f"expected a variable like v0, got {tok!r}")
     return int(digits)
 
 
-def _parse_literal(ts: TokenStream) -> Literal:
-    ts.next("(")
-    sign = ts.next()
-    if sign.text not in ("+", "-"):
-        raise ts.error(sign, f"expected polarity + or -, got {sign.text!r}")
-    kind = ts.next()
-    if kind.text not in ("le", "lt", "eq"):
-        raise ts.error(kind, f"expected atom kind le/lt/eq, got {kind.text!r}")
-    x = _parse_var(ts)
-    y = _parse_var(ts)
-    ts.next(")")
-    return Literal(sign.text == "+", OrderAtom(kind.text, x, y))
+def _parse_literal(r: _Reader) -> Literal:
+    r.next("(")
+    sign = r.next()
+    if sign not in ("+", "-"):
+        raise r.error(f"expected polarity + or -, got {sign!r}")
+    kind = r.next()
+    if kind not in ("le", "lt", "eq"):
+        raise r.error(f"expected atom kind le/lt/eq, got {kind!r}")
+    x = _parse_var(r)
+    y = _parse_var(r)
+    r.next(")")
+    return Literal(sign == "+", OrderAtom(kind, x, y))
 
 
-def _parse_formula(ts: TokenStream) -> Formula:
-    ts.next("(")
-    head = ts.next()
-    if head.text == "atom":
-        lit = _parse_literal(ts)
-        ts.next(")")
-        return Atom(lit)
-    if head.text in ("and", "or"):
-        left = _parse_formula(ts)
-        right = _parse_formula(ts)
-        ts.next(")")
-        return And(left, right) if head.text == "and" else Or(left, right)
-    if head.text == "neg":
-        arg = _parse_formula(ts)
-        ts.next(")")
-        return Neg(arg)
-    raise ts.error(head, f"expected a formula head, got {head.text!r}")
+def _parse_formula(r: _Reader) -> Formula:
+    # A formula that reads without error ends at the ``)`` matching its
+    # first ``(`` and depends on no token outside, so a span met again reads
+    # to the same formula; a span that fails to read never enters the table.
+    span = None
+    if r.budget > 0:
+        start = r.pos
+        span = tuple(r.tokens[start : r.span_end(start)])
+        f = r.formulas.get(span)
+        if f is not None:
+            r.pos += len(span)
+            return f
+        r.budget -= len(span)
+    r.next("(")
+    head = r.next()
+    if head == "atom":
+        f = Atom(_parse_literal(r))
+    elif head in ("and", "or"):
+        left = _parse_formula(r)
+        right = _parse_formula(r)
+        f = And(left, right) if head == "and" else Or(left, right)
+    elif head == "neg":
+        f = Neg(_parse_formula(r))
+    else:
+        raise r.error(f"expected a formula head, got {head!r}")
+    r.next(")")
+    if span is not None:
+        r.formulas[span] = f
+    return f
 
 
-def _parse_atom_proof(ts: TokenStream) -> CertProof:
-    ts.next("(")
-    head = ts.next()
-    name = head.text
+def _parse_atom_proof(r: _Reader) -> CertProof:
+    r.next("(")
+    name = r.next()
     if name == "assm":
-        node: CertProof = AssmP(_parse_literal(ts))
+        node: CertProof = AssmP(_parse_literal(r))
     elif name == "refl":
-        node = ReflP(_parse_var(ts))
+        node = ReflP(_parse_var(r))
     elif name == "trans":
-        node = TransP(_parse_atom_proof(ts), _parse_atom_proof(ts))
+        node = TransP(_parse_atom_proof(r), _parse_atom_proof(r))
     elif name == "antisym":
-        node = AntisymP(_parse_atom_proof(ts), _parse_atom_proof(ts))
+        node = AntisymP(_parse_atom_proof(r), _parse_atom_proof(r))
     elif name == "eqe1":
-        node = EQE1P(_parse_literal(ts))
+        node = EQE1P(_parse_literal(r))
     elif name == "eqe2":
-        node = EQE2P(_parse_literal(ts))
+        node = EQE2P(_parse_literal(r))
     elif name == "contr":
-        lit = _parse_literal(ts)
-        node = ContrP(lit, _parse_atom_proof(ts))
+        lit = _parse_literal(r)
+        node = ContrP(lit, _parse_atom_proof(r))
     else:
-        raise ts.error(head, f"expected an atom proof head, got {name!r}")
-    ts.next(")")
+        raise r.error(f"expected an atom proof head, got {name!r}")
+    r.next(")")
     return node
 
 
-def _parse_conv_proof(ts: TokenStream) -> ConvProof:
-    tok = ts.peek()
-    if tok is None:
+def _parse_conv_proof(r: _Reader) -> ConvProof:
+    if r.pos == len(r.tokens):
         raise ParseError("syntax error: unexpected end of input in conversion")
-    if tok.text != "(":
-        ts.next()
-        rule = NILADIC_CONVERSIONS.get(tok.text)
+    tok = r.next()
+    if tok != "(":
+        rule = NILADIC_CONVERSIONS.get(tok)
         if rule is None:
-            raise ts.error(tok, f"unknown conversion {tok.text!r}")
+            raise r.error(f"unknown conversion {tok!r}")
         return rule
-    ts.next("(")
-    head = ts.next()
-    name = head.text
+    name = r.next()
     if name == "atom":
-        node: ConvProof = AtomConv(_parse_conv_proof(ts))
+        node: ConvProof = AtomConv(_parse_conv_proof(r))
     elif name == "arg":
-        node = ArgConv(_parse_conv_proof(ts))
+        node = ArgConv(_parse_conv_proof(r))
     elif name == "binop":
-        node = BinopConv(_parse_conv_proof(ts), _parse_conv_proof(ts))
+        node = BinopConv(_parse_conv_proof(r), _parse_conv_proof(r))
     elif name == "then":
-        node = ThenConv(_parse_conv_proof(ts), _parse_conv_proof(ts))
+        node = ThenConv(_parse_conv_proof(r), _parse_conv_proof(r))
     else:
-        raise ts.error(head, f"expected a conversion head, got {name!r}")
-    ts.next(")")
+        raise r.error(f"expected a conversion head, got {name!r}")
+    r.next(")")
     return node
 
 
-def _parse_cert(ts: TokenStream) -> PropProof:
-    ts.next("(")
-    head = ts.next()
-    name = head.text
+def _parse_cert(r: _Reader) -> PropProof:
+    r.next("(")
+    name = r.next()
     if name == "lift":
-        node: PropProof = Lift(_parse_atom_proof(ts))
+        node: PropProof = Lift(_parse_atom_proof(r))
     elif name == "conje":
-        node = ConjE(_parse_formula(ts), _parse_formula(ts), _parse_cert(ts))
+        node = ConjE(_parse_formula(r), _parse_formula(r), _parse_cert(r))
     elif name == "disje":
-        node = DisjE(_parse_formula(ts), _parse_formula(ts), _parse_cert(ts), _parse_cert(ts))
+        node = DisjE(_parse_formula(r), _parse_formula(r), _parse_cert(r), _parse_cert(r))
     elif name == "conv":
-        node = ConvRule(_parse_formula(ts), _parse_conv_proof(ts), _parse_cert(ts))
+        node = ConvRule(_parse_formula(r), _parse_conv_proof(r), _parse_cert(r))
     else:
-        raise ts.error(head, f"expected a certificate head, got {name!r}")
-    ts.next(")")
+        raise r.error(f"expected a certificate head, got {name!r}")
+    r.next(")")
     return node
 
 
 def parse_cert(text: str) -> PropProof:
-    """Inverse of serialize_cert; raises ParseError with the failing offset."""
-    ts = TokenStream(text)
-    cert = _parse_cert(ts)
-    ts.expect_end()
+    """Inverse of serialize_cert, in one pass over the tokens of ``text``.
+
+    A formula text read before is skipped and yields the same object.  A
+    ParseError names the offset of the offending token.
+    """
+    r = _Reader(text)
+    cert = _parse_cert(r)
+    if r.pos < len(r.tokens):
+        raise r.error(f"trailing input {r.tokens[r.pos]!r}", r.pos)
     return cert

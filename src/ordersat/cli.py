@@ -89,6 +89,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
     theory = Theory(args.theory)
     start = time.perf_counter()
@@ -96,6 +99,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         verdict = decide(formula, theory, algorithm=args.algorithm)
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except RecursionError:
+        print("internal error: formula nested too deeply to decide", file=sys.stderr)
         return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
@@ -134,34 +140,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         goal, _ = parse_input(_read(args.goal))
-        cert_text = _read(args.file)
+        cert = parse_cert(_read(args.file))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        cert = parse_cert(cert_text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: goal or certificate nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.kernel == "structured":
-        try:
+    try:
+        if args.kernel == "structured":
             conclusion = check_prop_proof({goal}, cert)
-        except (ProofError, ConversionError) as exc:
-            print(f"rejected: {exc}")
-            return EXIT_REJECTED
-        if conclusion != FLS_FORMULA:
-            print(f"rejected: certificate concludes {conclusion}, not falsity")
-            return EXIT_REJECTED
-    else:
-        try:
+            falsity, what = FLS_FORMULA, "certificate"
+        else:
             conclusion = replay(initial_context(goal), export(cert, goal))
-        except (ExportError, ReplayError) as exc:
-            print(f"rejected: {exc}")
-            return EXIT_REJECTED
-        if conclusion != LitP(FLS):
-            print(f"rejected: proof term concludes {conclusion}, not falsity")
-            return EXIT_REJECTED
+            falsity, what = LitP(FLS), "proof term"
+    except (ProofError, ConversionError, ExportError, ReplayError) as exc:
+        print(f"rejected: {exc}")
+        return EXIT_REJECTED
+    except RecursionError:
+        print(f"rejected: certificate nested too deeply for the {args.kernel} kernel")
+        return EXIT_REJECTED
+    if conclusion != falsity:
+        print(f"rejected: {what} concludes {conclusion}, not falsity")
+        return EXIT_REJECTED
     print("ok")
     return EXIT_OK
 

@@ -1,51 +1,38 @@
-"""Tiny S-expression tokenizer shared by the certificate serializers."""
+"""S-expression tokens for the certificate reader.
+
+A text is tokenized once into plain strings: parentheses, and the runs of
+other characters between whitespace and parentheses.  Offsets are computed
+only when an error is reported, by finding the tokens in the text in order
+(a character index, which is the byte offset for the ASCII texts that
+certificates are).
+"""
 
 from __future__ import annotations
 
-import re
-from typing import NamedTuple
+from itertools import accumulate, repeat
 
-from .core import ParseError
-
-
-class Token(NamedTuple):
-    text: str
-    offset: int
+_STEP = {"(": 1, ")": -1}
 
 
-_TOKEN = re.compile(r"[()]|[^\s()]+")
+def tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, in order; whitespace is any ``str.isspace`` character."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def tokenize(text: str) -> list[Token]:
-    return [Token(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+def offset_of(text: str, tokens: list[str], k: int) -> int:
+    """Offset of ``tokens[k]`` in ``text``, or ``len(text)`` past the last token.
+
+    Only whitespace separates one token from the next, so the first match
+    of a token after the end of the previous one is where it starts.
+    """
+    if k >= len(tokens):
+        return len(text)
+    pos = 0
+    for tok in tokens[:k]:
+        pos = text.find(tok, pos) + len(tok)
+    return text.find(tokens[k], pos)
 
 
-class TokenStream:
-    def __init__(self, text: str) -> None:
-        self._tokens = tokenize(text)
-        self._pos = 0
-        self._length = len(text)
-
-    def peek(self) -> Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def next(self, expected: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"syntax error at offset {self._length}: unexpected end of input")
-        self._pos += 1
-        if expected is not None and tok.text != expected:
-            raise ParseError(
-                f"syntax error at offset {tok.offset}: expected {expected!r}, got {tok.text!r}"
-            )
-        return tok
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"syntax error at offset {tok.offset}: trailing input {tok.text!r}")
-
-    def error(self, tok: Token, message: str) -> ParseError:
-        return ParseError(f"syntax error at offset {tok.offset}: {message}")
+def depths(tokens: list[str]) -> list[int]:
+    """Nesting depth after each token: ``(`` counts one up, ``)`` one down."""
+    return list(accumulate(map(_STEP.get, tokens, repeat(0))))

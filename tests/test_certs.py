@@ -1,18 +1,24 @@
 import random
+import re
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersat.core import (
     And,
     Atom,
     Neg,
     Or,
+    ParseError,
     Theory,
     eq,
     formula_vars,
     le,
     lt,
     neg,
+    parse_input,
     pos,
 )
 from ordersat.certs import (
@@ -49,7 +55,7 @@ from ordersat.closure import Unsat, decide
 from ordersat.oracle import brute_sat
 from ordersat.selfcheck import clause_formula, iter_clauses
 
-from helpers import mutate_cert
+from helpers import mutate_cert, random_formula
 
 
 def test_check_atom_proof_examples():
@@ -178,8 +184,6 @@ def test_serialization_round_trip():
 
 
 def test_parse_cert_reports_offset():
-    from ordersat.core import ParseError
-
     with pytest.raises(ParseError, match="offset"):
         parse_cert("(lift (refl")
     with pytest.raises(ParseError, match="offset"):
@@ -189,6 +193,83 @@ def test_parse_cert_reports_offset():
         parse_cert("(lift (contr (- le v0 v²) (assm (+ le v0 v1))))")
     with pytest.raises(ParseError, match="offset"):
         parse_cert("(lift (refl v١))")
+
+
+def _unsat_certificates(rng, count, theory):
+    certs = []
+    while len(certs) < count:
+        verdict = decide(random_formula(rng, 3, 4), theory)
+        if isinstance(verdict, Unsat):
+            certs.append(verdict.certificate)
+    return certs
+
+
+def test_replacing_any_token_reports_its_offset():
+    # " bogus " puts the bad token one character after the replaced one.
+    for cert in _unsat_certificates(random.Random(3), 20, Theory.LINEAR):
+        text = serialize_cert(cert)
+        for m in re.finditer(r"[()]|[^\s()]+", text):
+            bad = text[: m.start()] + " bogus " + text[m.end() :]
+            with pytest.raises(ParseError, match=f"^syntax error at offset {m.start() + 1}: "):
+                parse_cert(bad)
+
+
+def test_tokens_split_on_unicode_whitespace():
+    text = "(lift\x1c(refl\u3000v0)\u2028)\x85"
+    assert parse_cert(text) == Lift(ReflP(0))
+    with pytest.raises(ParseError, match="^syntax error at offset 18: trailing input 'x'"):
+        parse_cert("(lift (refl v0))\u00a0\tx")
+
+
+def test_writer_output_reads_back_to_the_same_text():
+    rng = random.Random(5)
+    for theory in Theory:
+        for cert in _unsat_certificates(rng, 30, theory):
+            text = serialize_cert(cert)
+            assert serialize_cert(parse_cert(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(list(Theory)), st.integers(0, 3))
+def test_parse_inverts_serialize_on_certificates_and_mutants(seed, theory, mutations):
+    rng = random.Random(seed)
+    [cert] = _unsat_certificates(rng, 1, theory)
+    for _ in range(mutations):
+        cert = mutate_cert(rng, cert)
+    assert parse_cert(serialize_cert(cert)) == cert
+
+
+def test_repeated_formula_text_parses_to_one_object():
+    a, b = "(atom (+ le v0 v1))", "(atom (- eq v0 v1))"
+    text = (
+        f"(conv (and {a} (or {b} {b})) allconv (conje {a} (or {b} {b}) "
+        f"(disje {b} {b} (lift (refl v0)) (lift (refl v0)))))"
+    )
+    cert = parse_cert(text)
+    conje = cert.proof
+    assert conje.left is cert.source.left
+    assert conje.right is cert.source.right
+    assert conje.proof.left is conje.proof.right is conje.right.left
+    assert serialize_cert(cert) == text
+
+
+def test_deep_formula_reads_in_linear_time_and_memory():
+    # The first conv node states the goal, a 3,000-deep neg chain that no
+    # later node restates.  Keying every level of it by its whole span would
+    # copy some 13 million tokens and keep about 110 MB of keys.
+    goal, _ = parse_input("~" * 3000 + "x <= y & ~(x <= y)")
+    text = serialize_cert(decide(goal, Theory.PARTIAL).certificate)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        cert = parse_cert(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 16_000_000
+    assert cert.source == goal
+    assert serialize_cert(cert) == text
 
 
 def _unsat_corpus(max_literals=3, num_vars=2):

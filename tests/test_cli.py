@@ -8,6 +8,7 @@ import pytest
 import ordersat
 from ordersat.core import And, Atom, Neg, ParseError, eq, le, lt, pos
 from ordersat.certs import parse_cert, serialize_cert
+from ordersat import cli
 from ordersat.cli import format_model, parse_input, run
 from ordersat.closure import Sat, Unsat, decide
 from ordersat.core import Theory
@@ -194,6 +195,57 @@ def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys):
     assert out.startswith("rejected: proof term concludes ") and out.rstrip().endswith(
         "not falsity"
     )
+
+
+# Before Python 3.11 every Python call also takes C stack, so 50,000 nested
+# calls (the recursion limit the package sets) overflow it before any
+# RecursionError is raised.
+needs_stackless_calls = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="deep recursion overflows the C stack before 3.11"
+)
+
+
+@needs_stackless_calls
+def test_solve_deeply_nested_formula_is_a_parse_error(tmp_path, capsys):
+    source = tmp_path / "goal.txt"
+    source.write_text("~" * 100_000 + "x <= y")
+    assert run(["solve", str(source), "--theory", "partial"]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
+@needs_stackless_calls
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys, kernel):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y & ~(x <= y)\n")
+    cert = tmp_path / "deep.cert"
+    cert.write_text("(lift " + "(trans " * 100_000)
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
+    assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
+
+
+def _too_deep(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("kernel, name", [("structured", "check_prop_proof"), ("replay", "replay")])
+def test_check_kernel_out_of_stack_is_a_rejection(tmp_path, capsys, monkeypatch, kernel, name):
+    source = tmp_path / "goal.txt"
+    source.write_text(MOTIVATING_EXAMPLE)
+    cert = tmp_path / "proof.cert"
+    assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, name, _too_deep)
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 3
+    assert capsys.readouterr().out == f"rejected: certificate nested too deeply for the {kernel} kernel\n"
+
+
+def test_solve_out_of_stack_in_decide_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "goal.txt"
+    source.write_text(MOTIVATING_EXAMPLE)
+    monkeypatch.setattr(cli, "decide", _too_deep)
+    assert run(["solve", str(source), "--theory", "partial"]) == 4
+    assert capsys.readouterr().err == "internal error: formula nested too deeply to decide\n"
 
 
 def test_module_entry_point_writes_nothing_to_stderr(tmp_path):
