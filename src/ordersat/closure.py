@@ -1,8 +1,9 @@
 """Proof-carrying transitive closure and the decision pipeline.
 
 The solver side of the artifact: positive literals seed a map from variable
-pairs to atom-level certificates, the map is closed under transitivity while
-composing the stored certificates, and negative literals are searched for a
+pairs to atom-level certificates, the map is closed under transitivity by one
+breadth-first search per source, composing the stored certificates into
+shortest ``trans`` chains, and negative literals are searched for a
 contradiction against the closure.  ``decide`` glues this to the rewrite
 passes (``preprocess``: negation normal form, strict elimination, DNF) and
 re-checks every certificate with the trusted kernel before returning a
@@ -92,25 +93,27 @@ def leq1_mapping(literals: Sequence[Literal]) -> ProofMap:
 def trancl_mapping(mapping: ProofMap) -> ProofMap:
     """Transitive closure of the key set, composing certificates.
 
-    Iterates composition with the base map at most ``len(mapping)`` times
-    (enough to cover every simple path), stopping early once a round adds
-    nothing.  Existing entries are never overwritten, so certificates for
-    pairs found earlier stay stable.
+    One breadth-first search per source over successor lists kept in
+    ``mapping`` order: a pair ``(x, z)`` first reached from ``(x, y)``
+    gets ``TransP(result[(x, y)], mapping[(y, z)])``, so every certificate
+    is a shortest ``trans`` chain.  Cost O(V·(V+E)) dictionary lookups for
+    V variables and E pairs of ``mapping``, plus one ``TransP`` per pair
+    the closure adds.  Existing entries, self-loops included, are never
+    overwritten.
     """
     result: ProofMap = dict(mapping)
-    base_out: dict[VarId, list[tuple[VarId, CertProof]]] = {}
+    succ: dict[VarId, list[tuple[VarId, CertProof]]] = {}
     for (x, y), proof in mapping.items():
-        base_out.setdefault(x, []).append((y, proof))
-    for _ in range(len(mapping)):
-        added: ProofMap = {}
-        for (x, y), proof in result.items():
-            for z, step in base_out.get(y, ()):
+        succ.setdefault(x, []).append((y, proof))
+    for x, out in succ.items():
+        queue = [y for y, _ in out]
+        for y in queue:  # grows while it is walked: discovery order
+            proof = result[(x, y)]
+            for z, step in succ.get(y, ()):
                 key = (x, z)
-                if key not in result and key not in added:
-                    added[key] = TransP(proof, step)
-        if not added:
-            break
-        result.update(added)
+                if key not in result:
+                    result[key] = TransP(proof, step)
+                    queue.append(z)
     return result
 
 

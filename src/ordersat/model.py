@@ -37,17 +37,21 @@ class Model:
 
 
 def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closed = set(pairs)
-    while True:
-        extra = {
-            (a, d)
-            for (a, b) in closed
-            for (c, d) in closed
-            if b == c and (a, d) not in closed
-        }
-        if not extra:
-            return closed
-        closed |= extra
+    """Transitive closure by one breadth-first search per source."""
+    succ: dict[int, list[int]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    closed: set[tuple[int, int]] = set()
+    for a, out in succ.items():
+        reached = set(out)
+        queue = list(out)
+        for b in queue:  # grows while it is walked
+            for c in succ.get(b, ()):
+                if c not in reached:
+                    reached.add(c)
+                    queue.append(c)
+        closed.update((a, b) for b in reached)
+    return closed
 
 
 def sym_classes(leq_keys: set[tuple[VarId, VarId]], vars: set[VarId]) -> dict[VarId, VarId]:

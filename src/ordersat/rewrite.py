@@ -108,13 +108,18 @@ def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:
 
 
 def amap_fm_prf(ap: Callable[[Literal], ConvProof], f: Formula) -> ConvProof:
-    """Certificate for amap_fm: atom rules under AtomConv, congruence above."""
+    """Certificate for amap_fm: atom rules under AtomConv, congruence above.
+
+    A subtree whose atoms the rule all leaves unchanged gets AllConv.
+    """
     if isinstance(f, Atom):
-        return AtomConv(ap(f.lit))
+        rule = ap(f.lit)
+        return rule if isinstance(rule, AllConv) else AtomConv(rule)
     if isinstance(f, (And, Or)):
-        return BinopConv(amap_fm_prf(ap, f.left), amap_fm_prf(ap, f.right))
+        return _binop(amap_fm_prf(ap, f.left), amap_fm_prf(ap, f.right))
     if isinstance(f, Neg):
-        return ArgConv(amap_fm_prf(ap, f.arg))
+        inner = amap_fm_prf(ap, f.arg)
+        return inner if isinstance(inner, AllConv) else ArgConv(inner)
     raise StructureError(f"not a formula node: {f!r}")
 
 

@@ -20,6 +20,7 @@ from ordersat.core import (
     Neg,
     Or,
     OrderAtom,
+    VarId,
 )
 from ordersat.certs import (
     AllConv,
@@ -52,6 +53,7 @@ from ordersat.certs import (
     ThenConv,
     TransP,
 )
+from ordersat.closure import ProofMap
 
 
 def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -66,6 +68,31 @@ def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
                     closed.add((a, d))
                     changed = True
     return closed
+
+
+def rounds_closure(mapping: ProofMap) -> ProofMap:
+    """Round-based closure with certificates, the oracle for ``trancl_mapping``.
+
+    Iterates composition with the base map at most ``len(mapping)`` times
+    (enough to cover every simple path), stopping early once a round adds
+    nothing.  Existing entries are never overwritten, so certificates for
+    pairs found earlier stay stable.
+    """
+    result: ProofMap = dict(mapping)
+    base_out: dict[VarId, list[tuple[VarId, CertProof]]] = {}
+    for (x, y), proof in mapping.items():
+        base_out.setdefault(x, []).append((y, proof))
+    for _ in range(len(mapping)):
+        added: ProofMap = {}
+        for (x, y), proof in result.items():
+            for z, step in base_out.get(y, ()):
+                key = (x, z)
+                if key not in result and key not in added:
+                    added[key] = TransP(proof, step)
+        if not added:
+            break
+        result.update(added)
+    return result
 
 
 def random_formula(rng: random.Random, max_depth: int = 4, num_vars: int = 4) -> Formula:

@@ -51,7 +51,7 @@ from ordersat.model import Model
 from ordersat.oracle import brute_sat
 from ordersat.rewrite import StructureError
 
-from helpers import naive_closure, random_formula
+from helpers import naive_closure, random_formula, rounds_closure
 
 
 def test_leq1_member_list():
@@ -120,6 +120,28 @@ def test_trancl_proofs_check(m):
     for closure in (trancl_mapping, trancl_floyd_warshall):
         for (x, y), proof in closure(m).items():
             assert check_atom_proof(assumptions, proof) == pos(le(x, y))
+
+
+# Positive <= and = literals over up to 8 variables: x == y gives self-loops,
+# and each = literal puts both of its directions into the map.
+_positive_literals = st.lists(
+    st.builds(
+        lambda kind, x, y: pos(kind(x, y)),
+        st.sampled_from([le, eq]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+    ),
+    max_size=20,
+)
+
+
+@given(_positive_literals)
+@settings(max_examples=400, deadline=None)
+def test_trancl_matches_round_based_closure(literals):
+    m = leq1_mapping(literals)
+    closed, expected = trancl_mapping(m), rounds_closure(m)
+    assert closed.keys() == expected.keys()
+    assert closed == expected
 
 
 def test_is_in_leq_examples():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersat.core import (
     InvariantViolation,
@@ -15,6 +16,7 @@ from ordersat.core import (
 )
 from ordersat.closure import contr_list
 from ordersat.model import (
+    _transitive_closure,
     build_linear_model,
     build_partial_model,
     linear_extension,
@@ -24,6 +26,12 @@ from ordersat.model import (
 from ordersat.selfcheck import iter_clauses
 
 from helpers import naive_closure
+
+
+@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_transitive_closure_matches_fixpoint_oracle(pairs):
+    assert _transitive_closure(pairs) == naive_closure(pairs)
 
 
 def test_sym_classes_examples():

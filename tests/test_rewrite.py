@@ -24,7 +24,7 @@ from ordersat.core import (
     neg,
     pos,
 )
-from ordersat.certs import AllConv, AtomConv, BinopConv, LessLe, NleConv, apply_conv
+from ordersat.certs import AllConv, ArgConv, AtomConv, BinopConv, LessLe, NleConv, apply_conv
 from ordersat.closure import preprocess
 from ordersat.oracle import enumerate_posets
 from ordersat.rewrite import (
@@ -132,11 +132,13 @@ def test_amap_fm_examples():
 def test_amap_fm_prf_examples():
     x, y = 0, 1
     assert amap_fm_prf(deless_partial_prf, Atom(pos(lt(x, y)))) == AtomConv(LessLe())
-    a, b = Atom(pos(le(x, y))), Atom(pos(eq(x, y)))
+    a, b = Atom(pos(lt(x, y))), Atom(pos(eq(x, y)))
     assert amap_fm_prf(deless_partial_prf, And(a, b)) == BinopConv(
         amap_fm_prf(deless_partial_prf, a), amap_fm_prf(deless_partial_prf, b)
     )
-    assert amap_fm_prf(deless_partial_prf, Atom(pos(le(x, y)))) == AtomConv(AllConv())
+    assert amap_fm_prf(deless_partial_prf, Atom(pos(le(x, y)))) == AllConv()
+    assert amap_fm_prf(deless_partial_prf, Or(b, Neg(b))) == AllConv()
+    assert amap_fm_prf(deless_partial_prf, Neg(a)) == ArgConv(AtomConv(LessLe()))
     assert deless_linear_prf(neg(le(x, y))) == NleConv()
 
 
