@@ -416,33 +416,6 @@ def is_refutation(goal: Formula, proof: PropProof) -> bool:
         return False
 
 
-def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
-    """Number of certificate nodes (formulas referenced inside count as 1)."""
-    if isinstance(proof, (AssmP, ReflP, EQE1P, EQE2P)):
-        return 1
-    if isinstance(proof, (TransP, AntisymP)):
-        return 1 + cert_size(proof.left) + cert_size(proof.right)
-    if isinstance(proof, ContrP):
-        return 1 + cert_size(proof.proof)
-    if isinstance(proof, (AtomConv, ArgConv)):
-        return 1 + cert_size(proof.rule)
-    if isinstance(proof, BinopConv):
-        return 1 + cert_size(proof.left) + cert_size(proof.right)
-    if isinstance(proof, ThenConv):
-        return 1 + cert_size(proof.first) + cert_size(proof.second)
-    if isinstance(proof, ConvProof):
-        return 1
-    if isinstance(proof, Lift):
-        return 1 + cert_size(proof.proof)
-    if isinstance(proof, ConjE):
-        return 1 + cert_size(proof.proof)
-    if isinstance(proof, DisjE):
-        return 1 + cert_size(proof.left_proof) + cert_size(proof.right_proof)
-    if isinstance(proof, ConvRule):
-        return 1 + cert_size(proof.conversion) + cert_size(proof.proof)
-    raise ValueError(f"not a certificate node: {proof!r}")
-
-
 # ---------------------------------------------------------------------------
 # Writing (whitespace-separated ASCII s-expressions)
 
@@ -513,6 +486,20 @@ _HEADS: dict[type, str] = {
     ConvRule: "conv",
 }
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _HEADS}
+
+
+def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
+    """Number of certificate nodes: 1 per node plus its proof-valued fields.
+
+    A niladic conversion counts 1; the formulas, literals and variables a
+    node restates count 0.
+    """
+    if type(proof) in CONVERSION_NAME:
+        return 1
+    if type(proof) not in _FIELDS:
+        raise ValueError(f"not a certificate node: {proof!r}")
+    values = (getattr(proof, name) for name in _FIELDS[type(proof)])
+    return 1 + sum(cert_size(v) for v in values if isinstance(v, (PropProof, CertProof, ConvProof)))
 
 
 def _write(node: PropProof | CertProof | ConvProof, out: list[str], texts: dict[int, str]) -> None:

@@ -4,14 +4,15 @@ The solver side of the artifact: positive literals seed a map from variable
 pairs to atom-level certificates, the map is closed under transitivity by one
 breadth-first search per source, composing the stored certificates into
 shortest ``trans`` chains, and negative literals are searched for a
-contradiction against the closure.  ``decide`` glues this to the rewrite
-passes (``preprocess``: negation normal form, strict elimination, DNF) and
-re-checks every certificate with the trusted kernel before returning a
-verdict.
+contradiction against the closure, clause by clause; the first open clause
+keeps its closure for the model.  ``decide`` glues this to the rewrite passes
+(``preprocess``: negation normal form, strict elimination, DNF, one
+conversion) and re-checks every certificate with the trusted kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +32,7 @@ from .core import (
 )
 from .certs import (
     FLS_FORMULA,
+    AllConv,
     AntisymP,
     AssmP,
     CertProof,
@@ -47,7 +49,7 @@ from .certs import (
     ConjE,
     check_prop_proof,
 )
-from .model import Model, build_linear_model, build_partial_model, verify_model
+from .model import Model, Pair, build_linear_model, build_partial_model, verify_model
 from .rewrite import (
     StructureError,
     amap_fm,
@@ -57,15 +59,12 @@ from .rewrite import (
     deless_linear_prf,
     deless_partial,
     deless_partial_prf,
-    disj_clauses,
     then,
     to_dnf,
     to_nnf,
 )
 
-ProofMap = dict[tuple[VarId, VarId], CertProof]
-
-Pair = tuple[VarId, VarId]
+ProofMap = dict[Pair, CertProof]
 
 
 def leq1_member_list(lit: Literal) -> list[tuple[Pair, CertProof]]:
@@ -172,11 +171,8 @@ def contr1_list(leqm: ProofMap, lit: Literal) -> PropProof | None:
 ClosureFn = Callable[[ProofMap], ProofMap]
 
 
-def contr_list(
-    literals: Sequence[Literal], *, closure_fn: ClosureFn = trancl_mapping
-) -> PropProof | None:
-    """First contradiction in sequence order, or None when none exists."""
-    leqm = closure_fn(leq1_mapping(literals))
+def contr_list(leqm: ProofMap, literals: Sequence[Literal]) -> PropProof | None:
+    """First contradiction in sequence order against the closed map ``leqm``."""
     for lit in literals:
         found = contr1_list(leqm, lit)
         if found is not None:
@@ -194,42 +190,56 @@ def from_conj_prf(proof: PropProof, clause: Formula) -> PropProof:
     raise StructureError(f"not a conjunction of atoms: {clause}")
 
 
-def contr_fm_prf(
-    f: Formula, *, closure_fn: ClosureFn = trancl_mapping
-) -> PropProof | None:
-    """Refute a negation-free DNF: every clause must be contradictory."""
-    if isinstance(f, Or):
-        p1 = contr_fm_prf(f.left, closure_fn=closure_fn)
-        if p1 is None:
-            return None
-        p2 = contr_fm_prf(f.right, closure_fn=closure_fn)
-        if p2 is None:
-            return None
-        return DisjE(f.left, f.right, p1, p2)
-    if isinstance(f, And):
-        found = contr_list(conj_list(f), closure_fn=closure_fn)
+@dataclass(frozen=True)
+class OpenClause:
+    """A DNF clause without a contradiction: its position, atoms and closure."""
+
+    index: int
+    literals: tuple[Literal, ...]
+    closure: ProofMap
+
+
+def contr_fm_prf(f: Formula, *, closure_fn: ClosureFn) -> PropProof | OpenClause:
+    """Refute a negation-free DNF clause by clause, left to right.
+
+    Each clause's closure is computed once.  Returns the refutation when
+    every clause is contradictory, else the leftmost open clause.
+    """
+    indices = itertools.count()
+
+    def refute(g: Formula) -> PropProof | OpenClause:
+        if isinstance(g, Or):
+            left = refute(g.left)
+            if isinstance(left, OpenClause):
+                return left
+            right = refute(g.right)
+            return right if isinstance(right, OpenClause) else DisjE(g.left, g.right, left, right)
+        lits = conj_list(g)
+        leqm = closure_fn(leq1_mapping(lits))
+        index = next(indices)
+        found = contr_list(leqm, lits)
         if found is None:
-            return None
-        return from_conj_prf(found, f)
-    if isinstance(f, Atom):
-        return contr_list([f.lit], closure_fn=closure_fn)
-    raise StructureError(f"not in DNF: {f}")
+            return OpenClause(index, tuple(lits), leqm)
+        return from_conj_prf(found, g)
+
+    return refute(f)
 
 
 @dataclass(frozen=True)
 class Preprocessed:
-    """Conversion pipeline: stages[i] rewrites its formula into the next one."""
+    """The DNF ``result`` and the one conversion that rewrites the input into it."""
 
-    stages: tuple[tuple[Formula, ConvProof], ...]
+    conversion: ConvProof
     result: Formula
 
 
 def preprocess(f: Formula, theory: Theory) -> Preprocessed:
-    """Negation normal form, strict elimination, then DNF, in two stages.
+    """Negation normal form, strict elimination, then DNF, as one conversion.
 
-    The first stage pushes negations into the atoms and then rewrites every
-    literal with the theory's ``deless`` rule; the second distributes the
-    strict-free negation normal form into a DNF.
+    Negations are pushed into the atoms, every literal is rewritten with the
+    theory's ``deless`` rule, and the strict-free negation normal form is
+    distributed into a DNF.  The conversion is AllConv exactly when the
+    result is ``f`` itself.
     """
     if theory is Theory.LINEAR:
         deless, deless_prf = deless_linear, deless_linear_prf
@@ -238,7 +248,7 @@ def preprocess(f: Formula, theory: Theory) -> Preprocessed:
     nnf, p = to_nnf(f)
     delessed = amap_fm(deless, nnf)
     dnf, q = to_dnf(delessed)
-    return Preprocessed(((f, then(p, amap_fm_prf(deless_prf, nnf))), (delessed, q)), dnf)
+    return Preprocessed(then(then(p, amap_fm_prf(deless_prf, nnf)), q), dnf)
 
 
 @dataclass(frozen=True)
@@ -263,12 +273,12 @@ _CLOSURE_ALGORITHMS: dict[str, ClosureFn] = {
 def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
     """Decide satisfiability of ``f`` over the given order theory.
 
-    Unsat verdicts carry a falsity certificate rooted at ``f`` itself; it is
-    re-checked with the trusted kernel before being returned.  Sat verdicts
-    carry a verified finite model of the leftmost non-contradictory clause
-    of ``preprocess(f, theory).result``, the DNF of the strict-free negation
-    normal form, with every variable of ``f`` assigned; ``clause_index`` is
-    that clause's position.
+    Unsat verdicts carry a falsity certificate rooted at ``f``, with at most
+    one ``ConvRule``, at the root; it is re-checked with the trusted kernel.
+    Sat verdicts carry a verified finite model, built from the search's own
+    closure, of the leftmost open clause of ``preprocess(f, theory).result``
+    (the DNF of the strict-free negation normal form), with every variable
+    of ``f`` assigned; ``clause_index`` is that clause's position.
     """
     try:
         closure_fn = _CLOSURE_ALGORITHMS[algorithm]
@@ -276,31 +286,23 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
         raise ValueError(f"unknown closure algorithm {algorithm!r}") from None
 
     prep = preprocess(f, theory)
-    refutation = contr_fm_prf(prep.result, closure_fn=closure_fn)
+    found = contr_fm_prf(prep.result, closure_fn=closure_fn)
 
-    if refutation is not None:
-        certificate = refutation
-        for source, conversion in reversed(prep.stages):
-            certificate = ConvRule(source, conversion, certificate)
-        verdict = _checked_conclusion(f, certificate)
-        if verdict != FLS_FORMULA:
-            raise InvariantViolation(f"certificate concludes {verdict}, not falsity")
-        return Unsat(certificate)
-
-    all_vars = formula_vars(f)
-    for index, clause in enumerate(disj_clauses(prep.result)):
-        lits = conj_list(clause)
-        if contr_list(lits, closure_fn=closure_fn) is not None:
-            continue
-        extra = all_vars - literal_vars(lits)
-        if theory is Theory.LINEAR:
-            m = build_linear_model(lits, extra_vars=extra)
-        else:
-            m = build_partial_model(lits, extra_vars=extra)
+    if isinstance(found, OpenClause):
+        lits = found.literals
+        extra = formula_vars(f) - literal_vars(lits)
+        build = build_linear_model if theory is Theory.LINEAR else build_partial_model
+        m = build(lits, found.closure.keys(), extra_vars=extra)
         if not verify_model(m, lits):
             raise InvariantViolation("model failed verification")
-        return Sat(m, index)
-    raise InvariantViolation("no refutation found, yet every clause is contradictory")
+        return Sat(m, found.index)
+
+    conversion = prep.conversion
+    certificate = found if isinstance(conversion, AllConv) else ConvRule(f, conversion, found)
+    verdict = _checked_conclusion(f, certificate)
+    if verdict != FLS_FORMULA:
+        raise InvariantViolation(f"certificate concludes {verdict}, not falsity")
+    return Unsat(certificate)
 
 
 def _checked_conclusion(goal: Formula, certificate: PropProof) -> Formula:

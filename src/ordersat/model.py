@@ -1,20 +1,19 @@
 """Finite model construction for satisfiable clauses.
 
-A non-contradictory clause is satisfied by quotienting its variables: the
-positive literals induce a preorder, variables related both ways collapse
-into one equivalence class, and the class with the smallest variable id
-names each class.  For linear orders the quotient is then extended to a
-total order by topological sorting with a smallest-id tie-break, a finite
-stand-in for the classical order-extension theorem.
+A non-contradictory clause is satisfied by quotienting its variables by the
+transitive closure the search computed for it: variables related both ways
+collapse into one equivalence class, and the smallest variable id names each
+class.  For linear orders the quotient is then extended to a total order by
+topological sorting with a smallest-id tie-break, a finite stand-in for the
+classical order-extension theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .core import (
-    EQ,
     LE,
     LT,
     EvaluationError,
@@ -36,25 +35,10 @@ class Model:
     theory: Theory
 
 
-def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Transitive closure by one breadth-first search per source."""
-    succ: dict[int, list[int]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, []).append(b)
-    closed: set[tuple[int, int]] = set()
-    for a, out in succ.items():
-        reached = set(out)
-        queue = list(out)
-        for b in queue:  # grows while it is walked
-            for c in succ.get(b, ()):
-                if c not in reached:
-                    reached.add(c)
-                    queue.append(c)
-        closed.update((a, b) for b in reached)
-    return closed
+Pair = tuple[VarId, VarId]
 
 
-def sym_classes(leq_keys: set[tuple[VarId, VarId]], vars: set[VarId]) -> dict[VarId, VarId]:
+def sym_classes(leq_keys: AbstractSet[Pair], vars: set[VarId]) -> dict[VarId, VarId]:
     """Map each variable to its class representative (the minimal id).
 
     Two variables share a class when the given closure relates them in both
@@ -67,31 +51,23 @@ def sym_classes(leq_keys: set[tuple[VarId, VarId]], vars: set[VarId]) -> dict[Va
     return rep
 
 
-def build_partial_model(clause: Sequence[Literal], extra_vars: Iterable[VarId] = ()) -> Model:
+def build_partial_model(
+    clause: Sequence[Literal], leq: AbstractSet[Pair], extra_vars: Iterable[VarId] = ()
+) -> Model:
     """Quotient model of a strict-free, non-contradictory clause.
 
-    ``extra_vars`` become isolated singleton classes so that the assignment
-    also covers variables the clause does not mention.  Raises
-    InvariantViolation when the clause contains a strict atom or turns out
-    to be contradictory (the built candidate fails verification).
+    ``leq`` is the closed pair set of the clause's positive literals, the
+    keys of the search's closure map.  ``extra_vars`` become isolated
+    singleton classes so that the assignment also covers variables the
+    clause does not mention.  Raises InvariantViolation when the clause
+    contains a strict atom or turns out to be contradictory (the built
+    candidate fails verification).
     """
     lits = list(clause)
     for lit in lits:
         if lit.atom.kind == LT:
             raise InvariantViolation(f"strict literal {lit} reached the model builder")
     vars = literal_vars(lits) | set(extra_vars)
-
-    base: set[tuple[VarId, VarId]] = set()
-    for lit in lits:
-        if not lit.pos:
-            continue
-        a = lit.atom
-        if a.kind == LE:
-            base.add((a.x, a.y))
-        elif a.kind == EQ:
-            base.add((a.x, a.y))
-            base.add((a.y, a.x))
-    leq = _transitive_closure(base)
 
     rep = sym_classes(leq, vars)
     carrier = set(rep.values())
@@ -135,7 +111,9 @@ def linear_extension(r: Relation) -> Relation:
     return Relation.make(r.carrier, pairs)
 
 
-def build_linear_model(clause: Sequence[Literal], extra_vars: Iterable[VarId] = ()) -> Model:
+def build_linear_model(
+    clause: Sequence[Literal], leq: AbstractSet[Pair], extra_vars: Iterable[VarId] = ()
+) -> Model:
     """Quotient model followed by a linear extension.
 
     The clause must be free of strict atoms and of negated <= literals;
@@ -145,7 +123,7 @@ def build_linear_model(clause: Sequence[Literal], extra_vars: Iterable[VarId] = 
     for lit in lits:
         if lit.atom.kind == LT or (lit.atom.kind == LE and not lit.pos):
             raise InvariantViolation(f"literal {lit} is not supported in linear model clauses")
-    base = build_partial_model(lits, extra_vars)
+    base = build_partial_model(lits, leq, extra_vars)
     m = Model(linear_extension(base.relation), base.assignment, Theory.LINEAR)
     if not verify_model(m, lits):
         raise InvariantViolation("clause admits no linear-order model")

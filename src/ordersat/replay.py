@@ -83,6 +83,14 @@ class ExportError(OrderSatError):
 class GTrm:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        """Core syntax when the term decodes, else its s-expression spine."""
+        try:
+            value = decode_term(self)
+        except ReplayError:
+            return _sexp(self)
+        return f"v{value}" if isinstance(value, int) else str(value)
+
 
 @dataclass(frozen=True)
 class ConstT(GTrm):
@@ -152,10 +160,16 @@ class MetaProp:
 class LitP(MetaProp):
     lit: Literal
 
+    def __str__(self) -> str:
+        return str(self.lit)
+
 
 @dataclass(frozen=True)
 class FmP(MetaProp):
     formula: Formula
+
+    def __str__(self) -> str:
+        return str(self.formula)
 
 
 @dataclass(frozen=True)
@@ -163,11 +177,18 @@ class Implies(MetaProp):
     hyp: MetaProp
     concl: MetaProp
 
+    def __str__(self) -> str:
+        hyp = f"({self.hyp})" if isinstance(self.hyp, (Implies, All)) else str(self.hyp)
+        return f"{hyp} => {self.concl}"
+
 
 @dataclass(frozen=True)
 class All(MetaProp):
     binder: VarId
     body: MetaProp
+
+    def __str__(self) -> str:
+        return f"!v{self.binder}. {self.body}"
 
 
 @dataclass(frozen=True)
@@ -175,6 +196,9 @@ class FmHole(Formula):
     """Formula placeholder; occurs only inside axiom schemas."""
 
     hole: VarId
+
+    def __str__(self) -> str:
+        return f"v{self.hole}"
 
 
 def _fmp(f: Formula) -> MetaProp:
@@ -216,16 +240,23 @@ def _spine(t: GTrm) -> tuple[GTrm, list[GTrm]]:
     return t, args
 
 
+def _sexp(t: GTrm) -> str:
+    if isinstance(t, AppT):
+        head, args = _spine(t)
+        return "(" + " ".join(map(_sexp, (head, *args))) + ")"
+    return t.name if isinstance(t, ConstT) else f"v{t.var}"
+
+
 @lru_cache(maxsize=1 << 16)
 def decode_term(t: GTrm) -> VarId | Literal | Formula:
     """Interpret a term as a variable, a literal, or a formula."""
     if isinstance(t, VarT):
         if t.var < 0:
-            raise ReplayError(f"negative variable ids are reserved for axiom binders: {t!r}")
+            raise ReplayError(f"negative variable ids are reserved for axiom binders: {_sexp(t)}")
         return t.var
     head, args = _spine(t)
     if not isinstance(head, ConstT):
-        raise ReplayError(f"term head is not a constant: {t!r}")
+        raise ReplayError(f"term head is not a constant: {_sexp(t)}")
     name = head.name
     if name == "fls":
         if args:
@@ -236,7 +267,7 @@ def decode_term(t: GTrm) -> VarId | Literal | Formula:
             raise ReplayError(f"{name} takes two variables")
         x, y = (decode_term(a) for a in args)
         if not isinstance(x, int) or not isinstance(y, int):
-            raise ReplayError(f"{name} takes variables, got {t!r}")
+            raise ReplayError(f"{name} takes variables, got {_sexp(t)}")
         return Literal(True, OrderAtom(name, x, y))
     if name == "not":
         if len(args) != 1:
@@ -397,7 +428,7 @@ def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
         return Or(_subst_fm(f.left, binder, value), _subst_fm(f.right, binder, value))
     if isinstance(f, Neg):
         return Neg(_subst_fm(f.arg, binder, value))
-    raise ReplayError(f"not a formula: {f!r}")
+    raise ReplayError(f"not a formula: {f}")
 
 
 def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
@@ -420,7 +451,7 @@ def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
         if prop.binder == binder:
             return prop
         return All(prop.binder, _subst(prop.body, binder, value))
-    raise ReplayError(f"not a proposition: {prop!r}")
+    raise ReplayError(f"not a proposition: {prop}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +477,7 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
     if isinstance(proof, Bound):
         prop = context.get(proof.term)
         if prop is None:
-            raise ReplayError(f"unbound hypothesis {proof.term!r}")
+            raise ReplayError(f"unbound hypothesis {proof.term}")
         return prop
     if isinstance(proof, AbsP):
         hyp = decode_prop(proof.hyp)
@@ -457,16 +488,16 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
         fn = replay(context, proof.fn)
         arg = replay(context, proof.arg)
         if not isinstance(fn, Implies):
-            raise ReplayError(f"proof application needs an implication, got {fn!r}")
+            raise ReplayError(f"proof application needs an implication, got {fn}")
         if fn.hyp != arg:
             raise ReplayError(
-                f"proof application mismatch: expected {fn.hyp!r}, got {arg!r}"
+                f"proof application mismatch: expected {fn.hyp}, got {arg}"
             )
         return fn.concl
     if isinstance(proof, Appt):
         target = replay(context, proof.proof)
         if not isinstance(target, All):
-            raise ReplayError(f"term application needs a quantified proposition, got {target!r}")
+            raise ReplayError(f"term application needs a quantified proposition, got {target}")
         value = decode_term(proof.term)
         if isinstance(value, Literal):
             raise ReplayError("cannot instantiate with a bare literal term")
@@ -474,7 +505,7 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
     if isinstance(proof, ConvP):
         prop = context.get(proof.source)
         if prop is None:
-            raise ReplayError(f"conversion source {proof.source!r} is not in the context")
+            raise ReplayError(f"conversion source {proof.source} is not in the context")
         if isinstance(prop, LitP):
             formula: Formula = Atom(prop.lit)
         elif isinstance(prop, FmP):

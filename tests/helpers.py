@@ -53,7 +53,7 @@ from ordersat.certs import (
     ThenConv,
     TransP,
 )
-from ordersat.closure import ProofMap
+from ordersat.closure import ProofMap, leq1_mapping
 
 
 def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -93,6 +93,14 @@ def rounds_closure(mapping: ProofMap) -> ProofMap:
             break
         result.update(added)
     return result
+
+
+def closed(lits: Iterable[Literal]) -> ProofMap:
+    """Closed certificate map of a clause's positive literals, by the oracle.
+
+    What the search hands ``contr_list`` and the model builders.
+    """
+    return rounds_closure(leq1_mapping(list(lits)))
 
 
 def random_formula(rng: random.Random, max_depth: int = 4, num_vars: int = 4) -> Formula:

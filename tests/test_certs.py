@@ -25,7 +25,9 @@ from ordersat.certs import (
     FLS,
     FLS_FORMULA,
     AllConv,
+    AndOrLConv,
     AntisymP,
+    ArgConv,
     AssmP,
     AtomConv,
     BinopConv,
@@ -40,11 +42,14 @@ from ordersat.certs import (
     Lift,
     NegAndConv,
     NegAtomConv,
+    NegNegConv,
+    NlessLe,
     ProofError,
     ReflP,
     ThenConv,
     TransP,
     apply_conv,
+    cert_size,
     check_atom_proof,
     check_prop_proof,
     is_refutation,
@@ -309,3 +314,30 @@ def test_mutation_robustness_small():
                 rejected += 1
     assert total > 100
     assert rejected / total >= 0.95
+
+
+def test_cert_size_counts_proof_nodes_and_no_formulas():
+    a, b = pos(le(0, 1)), pos(le(1, 2))
+    x, y = Atom(a), Atom(b)
+    cases = [
+        (AssmP(a), 1),
+        (ReflP(0), 1),
+        (TransP(AssmP(a), AssmP(b)), 3),
+        (AntisymP(AssmP(a), ReflP(1)), 3),
+        (EQE1P(pos(eq(0, 1))), 1),
+        (EQE2P(pos(eq(0, 1))), 1),
+        (ContrP(neg(le(0, 1)), AssmP(a)), 2),
+        (LessLe(), 1),
+        (AtomConv(NlessLe()), 2),
+        (ArgConv(NegAtomConv()), 2),
+        (BinopConv(AllConv(), AtomConv(LessLe())), 4),
+        (ThenConv(NegNegConv(), AndOrLConv()), 3),
+        (Lift(ReflP(0)), 2),
+        (ConjE(x, y, Lift(ReflP(0))), 3),
+        (DisjE(And(x, y), y, Lift(ReflP(0)), Lift(TransP(ReflP(0), ReflP(0)))), 7),
+        (ConvRule(And(x, y), ThenConv(AllConv(), LessLe()), Lift(ReflP(0))), 6),
+    ]
+    for node, size in cases:
+        assert cert_size(node) == size, node
+    with pytest.raises(ValueError):
+        cert_size(x)

@@ -183,6 +183,7 @@ def test_check_replay_reports_the_kernel_reason(tmp_path, capsys):
     assert run(["check", str(cert), "--goal", str(source), "--kernel", "replay"]) == 3
     out = capsys.readouterr().out
     assert out.startswith("rejected: ") and "unbound hypothesis" in out
+    assert "v1 <= v0" in out and "AppT(" not in out
 
 
 def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys):

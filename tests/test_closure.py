@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordersat import selfcheck
+from ordersat import closure, selfcheck
 from ordersat.core import (
     And,
     Atom,
@@ -12,7 +13,9 @@ from ordersat.core import (
     Relation,
     Theory,
     eq,
+    formula_vars,
     le,
+    literal_vars,
     lt,
     neg,
     pos,
@@ -23,16 +26,19 @@ from ordersat.certs import (
     AssmP,
     ConjE,
     ContrP,
+    ConvRule,
     DisjE,
     EQE1P,
     EQE2P,
     Lift,
+    PropProof,
     ReflP,
     TransP,
     check_atom_proof,
     check_prop_proof,
 )
 from ordersat.closure import (
+    OpenClause,
     Sat,
     Unsat,
     contr1_list,
@@ -44,14 +50,15 @@ from ordersat.closure import (
     is_in_leq,
     leq1_mapping,
     leq1_member_list,
+    preprocess,
     trancl_floyd_warshall,
     trancl_mapping,
 )
-from ordersat.model import Model
+from ordersat.model import Model, build_linear_model, build_partial_model
 from ordersat.oracle import brute_sat
-from ordersat.rewrite import StructureError
+from ordersat.rewrite import StructureError, conj_list, disj_clauses
 
-from helpers import naive_closure, random_formula, rounds_closure
+from helpers import closed, naive_closure, random_formula, rounds_closure
 
 
 def test_leq1_member_list():
@@ -177,7 +184,7 @@ def test_contr_list_antisym_certificate():
             AntisymP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 0)))),
         )
     )
-    assert contr_list(lits) == expected
+    assert contr_list(closed(lits), lits) == expected
     assert check_prop_proof({Atom(l) for l in lits}, expected) == FLS_FORMULA
 
 
@@ -189,17 +196,18 @@ def test_contr_list_trans_certificate():
             TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2)))),
         )
     )
-    assert contr_list(lits) == expected
+    assert contr_list(closed(lits), lits) == expected
 
 
 def test_contr_list_no_contradiction():
-    assert contr_list([pos(le(0, 1))]) is None
-    assert contr_list([]) is None
+    lits = [pos(le(0, 1))]
+    assert contr_list(closed(lits), lits) is None
+    assert contr_list({}, []) is None
 
 
 def test_contr_list_first_hit_wins():
     lits = [neg(eq(0, 0)), neg(le(1, 1))]
-    found = contr_list(lits)
+    found = contr_list(closed(lits), lits)
     assert isinstance(found, Lift)
     assert found.proof.lit == neg(eq(0, 0))
 
@@ -219,16 +227,18 @@ def test_contr_fm_prf_examples():
     c1 = And(Atom(pos(le(0, 1))), Atom(neg(le(0, 1))))
     c2 = Atom(neg(eq(0, 0)))
     both = Or(c1, c2)
-    found = contr_fm_prf(both)
+    found = contr_fm_prf(both, closure_fn=trancl_mapping)
     assert isinstance(found, DisjE)
     assert (found.left, found.right) == (c1, c2)
     assert check_prop_proof({both}, found) == FLS_FORMULA
 
     satisfiable = Or(c1, Atom(pos(le(0, 1))))
-    assert contr_fm_prf(satisfiable) is None
+    assert contr_fm_prf(satisfiable, closure_fn=trancl_mapping) == OpenClause(
+        1, (pos(le(0, 1)),), {(0, 1): AssmP(pos(le(0, 1)))}
+    )
 
     diagonal = Atom(neg(eq(0, 0)))
-    assert contr_fm_prf(diagonal) is not None
+    assert isinstance(contr_fm_prf(diagonal, closure_fn=trancl_mapping), Lift)
 
 
 def test_decide_motivating_example_unsat():
@@ -271,6 +281,93 @@ def test_decide_algorithms_agree():
             assert isinstance(naive, Unsat) == isinstance(fw, Unsat)
 
 
+def _two_pass_answer(f, theory):
+    """Leftmost open clause of the DNF and its model, clause by clause."""
+    for index, clause in enumerate(disj_clauses(preprocess(f, theory).result)):
+        lits = conj_list(clause)
+        leq = closed(lits)
+        if contr_list(leq, lits) is None:
+            extra = formula_vars(f) - literal_vars(lits)
+            build = build_linear_model if theory is Theory.LINEAR else build_partial_model
+            return index, build(lits, leq, extra_vars=extra)
+    return None
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_decide_sat_answer_matches_the_two_pass_search(seed):
+    f = random_formula(random.Random(seed), 4, 4)
+    for theory in Theory:
+        verdict = decide(f, theory)
+        expected = _two_pass_answer(f, theory)
+        if expected is None:
+            assert isinstance(verdict, Unsat)
+        else:
+            assert isinstance(verdict, Sat)
+            assert (verdict.clause_index, verdict.model) == expected
+
+
+def test_decide_closes_each_clause_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(mapping):
+        calls.append(mapping)
+        return trancl_mapping(mapping)
+
+    monkeypatch.setitem(closure._CLOSURE_ALGORITHMS, "naive", counting)
+    rng = random.Random(11)
+    for _ in range(200):
+        f = random_formula(rng, 4, 4)
+        for theory in Theory:
+            calls.clear()
+            verdict = decide(f, theory)
+            if isinstance(verdict, Sat):
+                assert len(calls) == verdict.clause_index + 1
+            else:
+                assert len(calls) == len(disj_clauses(preprocess(f, theory).result))
+
+
+def _conv_rules(proof: PropProof) -> list[ConvRule]:
+    found = [proof] if isinstance(proof, ConvRule) else []
+    for field in dataclasses.fields(proof):
+        child = getattr(proof, field.name)
+        if isinstance(child, PropProof):
+            found += _conv_rules(child)
+    return found
+
+
+def test_certificates_have_at_most_one_conv_node_at_the_root():
+    rng = random.Random(23)
+    unsat = 0
+    for _ in range(300):
+        f = random_formula(rng, 4, 4)
+        for theory in Theory:
+            verdict = decide(f, theory)
+            if isinstance(verdict, Unsat):
+                unsat += 1
+                cert = verdict.certificate
+                assert _conv_rules(cert) in ([], [cert])
+                if isinstance(cert, ConvRule):
+                    assert cert.source == f
+    assert unsat > 20
+
+
+def test_a_goal_already_in_dnf_gets_no_conv_node():
+    x, y, z = 0, 1, 2
+    goal = Or(
+        And(And(Atom(pos(le(x, y))), Atom(pos(le(y, x)))), Atom(neg(eq(x, y)))),
+        And(Atom(pos(eq(y, z))), Atom(neg(eq(z, y)))),
+    )
+    for theory in Theory:
+        verdict = decide(goal, theory)
+        assert isinstance(verdict, Unsat)
+        assert _conv_rules(verdict.certificate) == []
+    # A negated <= is rewritten only over linear orders.
+    clash = And(Atom(pos(le(x, y))), Atom(neg(le(x, y))))
+    assert _conv_rules(decide(clash, Theory.PARTIAL).certificate) == []
+    assert len(_conv_rules(decide(clash, Theory.LINEAR).certificate)) == 1
+
+
 def test_contr_list_complete_on_strict_free_clauses():
     # Every contradictory strict-free clause yields a kernel-accepted
     # certificate; every other one yields None.
@@ -282,7 +379,7 @@ def test_contr_list_complete_on_strict_free_clauses():
         if any(l.atom.kind == "lt" for l in lits):
             continue
         f = clause_formula(lits)
-        found = contr_list(lits)
+        found = contr_list(closed(lits), lits)
         if brute_sat(f, Theory.PARTIAL):
             assert found is None
         else:

@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ordersat.core import (
     InvariantViolation,
@@ -16,7 +15,6 @@ from ordersat.core import (
 )
 from ordersat.closure import contr_list
 from ordersat.model import (
-    _transitive_closure,
     build_linear_model,
     build_partial_model,
     linear_extension,
@@ -25,13 +23,7 @@ from ordersat.model import (
 )
 from ordersat.selfcheck import iter_clauses
 
-from helpers import naive_closure
-
-
-@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
-@settings(max_examples=300, deadline=None)
-def test_transitive_closure_matches_fixpoint_oracle(pairs):
-    assert _transitive_closure(pairs) == naive_closure(pairs)
+from helpers import closed, naive_closure
 
 
 def test_sym_classes_examples():
@@ -43,24 +35,26 @@ def test_sym_classes_examples():
 
 
 def test_build_partial_model_examples():
-    m = build_partial_model([pos(le(0, 1))])
+    clause = [pos(le(0, 1))]
+    m = build_partial_model(clause, closed(clause))
     assert m.assignment == {0: 0, 1: 1}
     assert m.relation == Relation.make({0, 1}, {(0, 0), (1, 1), (0, 1)})
 
-    collapsed = build_partial_model([pos(le(0, 1)), pos(le(1, 0))])
+    cycle = [pos(le(0, 1)), pos(le(1, 0))]
+    collapsed = build_partial_model(cycle, closed(cycle))
     assert collapsed.assignment == {0: 0, 1: 0}
     assert collapsed.relation == Relation.make({0}, {(0, 0)})
 
-    distinct = build_partial_model([neg(eq(0, 1))])
+    distinct = build_partial_model([neg(eq(0, 1))], closed([]))
     assert distinct.assignment == {0: 0, 1: 1}
     assert distinct.relation == Relation.make({0, 1}, {(0, 0), (1, 1)})
 
 
 def test_build_partial_model_rejects_strict_and_contradictory():
     with pytest.raises(InvariantViolation):
-        build_partial_model([pos(lt(0, 1))])
+        build_partial_model([pos(lt(0, 1))], closed([]))
     with pytest.raises(InvariantViolation):
-        build_partial_model([pos(le(0, 1)), neg(le(0, 1))])
+        build_partial_model([pos(le(0, 1)), neg(le(0, 1))], closed([pos(le(0, 1))]))
 
 
 def test_linear_extension_examples():
@@ -103,36 +97,38 @@ def test_linear_extension_properties_random():
 
 
 def test_build_linear_model_examples():
-    m = build_linear_model([pos(le(0, 1)), neg(eq(0, 1))])
+    m = build_linear_model([pos(le(0, 1)), neg(eq(0, 1))], closed([pos(le(0, 1))]))
     assert m.assignment[0] != m.assignment[1]
     assert (m.assignment[0], m.assignment[1]) in m.relation.pairs
 
-    merged = build_linear_model([pos(eq(0, 1))])
+    merged = build_linear_model([pos(eq(0, 1))], closed([pos(eq(0, 1))]))
     assert merged.assignment[0] == merged.assignment[1]
 
-    chain = build_linear_model([pos(le(0, 1)), pos(le(1, 2))])
+    path = [pos(le(0, 1)), pos(le(1, 2))]
+    chain = build_linear_model(path, closed(path))
     assert (chain.assignment[0], chain.assignment[1]) in chain.relation.pairs
     assert (chain.assignment[1], chain.assignment[2]) in chain.relation.pairs
 
 
 def test_build_linear_model_rejects_unsupported_literals():
     with pytest.raises(InvariantViolation):
-        build_linear_model([neg(le(0, 1))])
+        build_linear_model([neg(le(0, 1))], closed([]))
     with pytest.raises(InvariantViolation):
-        build_linear_model([pos(lt(0, 1))])
+        build_linear_model([pos(lt(0, 1))], closed([]))
 
 
 def test_extra_vars_become_singletons():
-    m = build_partial_model([pos(le(0, 1))], extra_vars={5})
+    clause = [pos(le(0, 1))]
+    m = build_partial_model(clause, closed(clause), extra_vars={5})
     assert m.assignment[5] == 5
     assert (5, 5) in m.relation.pairs
-    lm = build_linear_model([pos(le(0, 1))], extra_vars={5})
+    lm = build_linear_model(clause, closed(clause), extra_vars={5})
     assert relation_props(lm.relation).total
 
 
 def test_verify_model_examples():
     clause = [pos(le(0, 1))]
-    m = build_partial_model(clause)
+    m = build_partial_model(clause, closed(clause))
     assert verify_model(m, clause)
 
     from ordersat.model import Model
@@ -140,7 +136,7 @@ def test_verify_model_examples():
     broken = Model(Relation.make({0, 1}, {(0, 1)}), {0: 0, 1: 1}, Theory.PARTIAL)
     assert not verify_model(broken, clause)
 
-    lm = build_linear_model(clause)
+    lm = build_linear_model(clause, closed(clause))
     partial_view = Model(lm.relation, lm.assignment, Theory.PARTIAL)
     assert verify_model(partial_view, clause)
 
@@ -153,7 +149,7 @@ def test_quotient_matches_closure_on_clause_vars():
         for _ in range(rng.randrange(1, 5)):
             a, b = rng.randrange(3), rng.randrange(3)
             lits.append(pos(le(a, b)) if rng.random() < 0.7 else pos(eq(a, b)))
-        m = build_partial_model(lits)
+        m = build_partial_model(lits, closed(lits))
         vars = sorted(m.assignment)
         pairs = set()
         for lit in lits:
@@ -162,18 +158,19 @@ def test_quotient_matches_closure_on_clause_vars():
             else:
                 pairs.add((lit.atom.x, lit.atom.y))
                 pairs.add((lit.atom.y, lit.atom.x))
-        closed = naive_closure(pairs) | {(v, v) for v in vars}
+        preorder = naive_closure(pairs) | {(v, v) for v in vars}
         for x in vars:
             for y in vars:
-                assert ((x, y) in closed) == (
+                assert ((x, y) in preorder) == (
                     (m.assignment[x], m.assignment[y]) in m.relation.pairs
                 )
 
 
 def test_models_are_deterministic():
     clause = [pos(le(2, 0)), pos(eq(0, 1)), neg(eq(2, 1))]
-    assert build_partial_model(clause) == build_partial_model(clause)
-    assert build_linear_model([pos(le(2, 0))]) == build_linear_model([pos(le(2, 0))])
+    assert build_partial_model(clause, closed(clause)) == build_partial_model(clause, closed(clause))
+    single = [pos(le(2, 0))]
+    assert build_linear_model(single, closed(single)) == build_linear_model(single, closed(single))
 
 
 def test_partial_completeness_small_clauses():
@@ -183,9 +180,10 @@ def test_partial_completeness_small_clauses():
     for clause in iter_clauses(3, 2):
         if any(l.atom.kind == "lt" for l in clause):
             continue
-        if contr_list(list(clause)) is not None:
+        leq = closed(clause)
+        if contr_list(leq, list(clause)) is not None:
             continue
-        m = build_partial_model(list(clause))
+        m = build_partial_model(list(clause), leq)
         assert verify_model(m, list(clause))
         checked += 1
     assert checked > 100

@@ -230,16 +230,12 @@ def test_preprocess_eliminates_negated_strict_atoms_once():
 
 
 @given(formulas)
-def test_preprocess_has_two_stages_that_apply(f):
+def test_preprocess_has_one_conversion_that_applies(f):
     for theory in Theory:
         prep = preprocess(f, theory)
-        assert len(prep.stages) == 2
-        current = f
-        for source, conversion in prep.stages:
-            assert source == current
-            current = apply_conv(conversion, source)
-        assert current == prep.result
+        assert apply_conv(prep.conversion, f) == prep.result
         assert is_dnf(prep.result)
+        assert isinstance(prep.conversion, AllConv) == (prep.result == f)
 
 
 @given(formulas)
