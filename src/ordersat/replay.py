@@ -18,7 +18,8 @@ Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
 negative variable in any term, so no instantiation value can mention a
 bound id.  Substitution therefore replaces binders only: it never captures
 a variable, never renames, and never touches ``v0``, the variable of
-falsity ``v0 != v0``.
+falsity ``v0 != v0``.  An ``appt`` spine instantiates its binders together,
+in one walk of the schema, so a value is placed once and never walked again.
 """
 
 from __future__ import annotations
@@ -398,59 +399,49 @@ _CONVERSION_COMBINATORS = {"atom": AtomConv, "arg": ArgConv, "binop": BinopConv,
 # Substitution
 
 SubstValue = VarId | Formula
+Env = Mapping[VarId, SubstValue]
 
 
-def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
+def _subst_lit(lit: Literal, env: Env) -> Literal:
     a = lit.atom
-    x = new if a.x == old else a.x
-    y = new if a.y == old else a.y
-    if x == a.x and y == a.y:
-        return lit
+    x, y = env.get(a.x, a.x), env.get(a.y, a.y)
+    if not isinstance(x, int) or not isinstance(y, int):
+        raise ReplayError("cannot substitute a formula for a variable position")
     return Literal(lit.pos, OrderAtom(a.kind, x, y))
 
 
-def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
+def _subst_fm(f: Formula, env: Env) -> Formula:
     if isinstance(f, FmHole):
-        if f.hole != binder:
-            return f
+        value = env.get(f.hole, f)
         if isinstance(value, Formula):
             return value
         raise ReplayError("cannot fill a formula position with a variable")
     if isinstance(f, Atom):
-        if isinstance(value, int):
-            return Atom(_rename_lit(f.lit, binder, value))
-        if binder in (f.lit.atom.x, f.lit.atom.y):
-            raise ReplayError("cannot substitute a formula for a variable position")
-        return f
+        return Atom(_subst_lit(f.lit, env))
     if isinstance(f, And):
-        return And(_subst_fm(f.left, binder, value), _subst_fm(f.right, binder, value))
+        return And(_subst_fm(f.left, env), _subst_fm(f.right, env))
     if isinstance(f, Or):
-        return Or(_subst_fm(f.left, binder, value), _subst_fm(f.right, binder, value))
+        return Or(_subst_fm(f.left, env), _subst_fm(f.right, env))
     if isinstance(f, Neg):
-        return Neg(_subst_fm(f.arg, binder, value))
+        return Neg(_subst_fm(f.arg, env))
     raise ReplayError(f"not a formula: {f}")
 
 
-def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
-    """Instantiate ``binder`` with ``value``.
+def _subst(prop: MetaProp, env: Env) -> MetaProp:
+    """Instantiate the binders in ``env`` together, in one walk of ``prop``.
 
+    A value is placed at a hole or variable position and never walked again.
     Values come from decode_term, which rejects the negative binder ids, so
     no value can be captured by an inner quantifier.
     """
     if isinstance(prop, LitP):
-        if isinstance(value, int):
-            return LitP(_rename_lit(prop.lit, binder, value))
-        if binder in (prop.lit.atom.x, prop.lit.atom.y):
-            raise ReplayError("cannot substitute a formula for a variable position")
-        return prop
+        return LitP(_subst_lit(prop.lit, env))
     if isinstance(prop, FmP):
-        return _fmp(_subst_fm(prop.formula, binder, value))
+        return _fmp(_subst_fm(prop.formula, env))
     if isinstance(prop, Implies):
-        return Implies(_subst(prop.hyp, binder, value), _subst(prop.concl, binder, value))
+        return Implies(_subst(prop.hyp, env), _subst(prop.concl, env))
     if isinstance(prop, All):
-        if prop.binder == binder:
-            return prop
-        return All(prop.binder, _subst(prop.body, binder, value))
+        return All(prop.binder, _subst(prop.body, {b: v for b, v in env.items() if b != prop.binder}))
     raise ReplayError(f"not a proposition: {prop}")
 
 
@@ -495,13 +486,22 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
             )
         return fn.concl
     if isinstance(proof, Appt):
-        target = replay(context, proof.proof)
-        if not isinstance(target, All):
-            raise ReplayError(f"term application needs a quantified proposition, got {target}")
-        value = decode_term(proof.term)
-        if isinstance(value, Literal):
-            raise ReplayError("cannot instantiate with a bare literal term")
-        return _subst(target.body, target.binder, value)
+        terms: list[GTrm] = []
+        while isinstance(proof, Appt):
+            terms.append(proof.term)
+            proof = proof.proof
+        target = replay(context, proof)
+        env: dict[VarId, SubstValue] = {}
+        for term in reversed(terms):
+            if not isinstance(target, All):
+                got = _subst(target, env)
+                raise ReplayError(f"term application needs a quantified proposition, got {got}")
+            value = decode_term(term)
+            if isinstance(value, Literal):
+                raise ReplayError("cannot instantiate with a bare literal term")
+            env[target.binder] = value
+            target = target.body
+        return _subst(target, env)
     if isinstance(proof, ConvP):
         prop = context.get(proof.source)
         if prop is None:

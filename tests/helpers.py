@@ -54,6 +54,20 @@ from ordersat.certs import (
     TransP,
 )
 from ordersat.closure import ProofMap, leq1_mapping
+from ordersat.replay import (
+    All,
+    FmHole,
+    FmP,
+    GPrf,
+    GTrm,
+    Implies,
+    LitP,
+    MetaProp,
+    ReplayError,
+    SubstValue,
+    decode_term,
+    replay,
+)
 
 
 def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -101,6 +115,86 @@ def closed(lits: Iterable[Literal]) -> ProofMap:
     What the search hands ``contr_list`` and the model builders.
     """
     return rounds_closure(leq1_mapping(list(lits)))
+
+
+# ---------------------------------------------------------------------------
+# Sequential instantiation, the oracle for the replay kernel's ``appt`` spines
+#
+# One binder per ``appt`` node, each step walking the whole partial instance:
+# the replay kernel's earlier substitution, kept verbatim as the reference.
+
+
+def _fmp(f: Formula) -> MetaProp:
+    if isinstance(f, Atom):
+        return LitP(f.lit)
+    return FmP(f)
+
+
+def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
+    a = lit.atom
+    x = new if a.x == old else a.x
+    y = new if a.y == old else a.y
+    if x == a.x and y == a.y:
+        return lit
+    return Literal(lit.pos, OrderAtom(a.kind, x, y))
+
+
+def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
+    if isinstance(f, FmHole):
+        if f.hole != binder:
+            return f
+        if isinstance(value, Formula):
+            return value
+        raise ReplayError("cannot fill a formula position with a variable")
+    if isinstance(f, Atom):
+        if isinstance(value, int):
+            return Atom(_rename_lit(f.lit, binder, value))
+        if binder in (f.lit.atom.x, f.lit.atom.y):
+            raise ReplayError("cannot substitute a formula for a variable position")
+        return f
+    if isinstance(f, And):
+        return And(_subst_fm(f.left, binder, value), _subst_fm(f.right, binder, value))
+    if isinstance(f, Or):
+        return Or(_subst_fm(f.left, binder, value), _subst_fm(f.right, binder, value))
+    if isinstance(f, Neg):
+        return Neg(_subst_fm(f.arg, binder, value))
+    raise ReplayError(f"not a formula: {f}")
+
+
+def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
+    """Instantiate ``binder`` with ``value``.
+
+    Values come from decode_term, which rejects the negative binder ids, so
+    no value can be captured by an inner quantifier.
+    """
+    if isinstance(prop, LitP):
+        if isinstance(value, int):
+            return LitP(_rename_lit(prop.lit, binder, value))
+        if binder in (prop.lit.atom.x, prop.lit.atom.y):
+            raise ReplayError("cannot substitute a formula for a variable position")
+        return prop
+    if isinstance(prop, FmP):
+        return _fmp(_subst_fm(prop.formula, binder, value))
+    if isinstance(prop, Implies):
+        return Implies(_subst(prop.hyp, binder, value), _subst(prop.concl, binder, value))
+    if isinstance(prop, All):
+        if prop.binder == binder:
+            return prop
+        return All(prop.binder, _subst(prop.body, binder, value))
+    raise ReplayError(f"not a proposition: {prop}")
+
+
+def sequential_instance(head: GPrf, terms: list[GTrm]) -> MetaProp:
+    """The ``appt`` spine ``head terms[0] … terms[-1]``, instantiated one binder at a time."""
+    target = replay({}, head)
+    for term in terms:
+        if not isinstance(target, All):
+            raise ReplayError(f"term application needs a quantified proposition, got {target}")
+        value = decode_term(term)
+        if isinstance(value, Literal):
+            raise ReplayError("cannot instantiate with a bare literal term")
+        target = _subst(target.body, target.binder, value)
+    return target
 
 
 def random_formula(rng: random.Random, max_depth: int = 4, num_vars: int = 4) -> Formula:

@@ -1,13 +1,21 @@
+import importlib
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersat.core import (
+    ATOM_KINDS,
     And,
     Atom,
+    Formula,
+    Literal,
     Neg,
     Or,
+    OrderAtom,
     Theory,
     eq,
     eval_formula,
@@ -16,6 +24,7 @@ from ordersat.core import (
     le,
     lt,
     neg,
+    parse_input,
     pos,
 )
 from ordersat.certs import (
@@ -26,6 +35,7 @@ from ordersat.certs import (
     NegAtomConv,
     ReflP,
     apply_conv,
+    cert_size,
     is_refutation,
 )
 from ordersat.closure import Unsat, decide
@@ -57,7 +67,13 @@ from ordersat.replay import (
 )
 from ordersat.selfcheck import clause_formula, iter_clauses
 
-from helpers import mutate_cert
+from helpers import mutate_cert, sequential_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import chain_text, ladder_text  # noqa: E402
+
+# The package re-exports the function ``replay`` under the module's name.
+kernel = importlib.import_module("ordersat.replay")
 
 
 def test_sigma_names():
@@ -177,6 +193,75 @@ def test_formula_instantiation_avoids_capture():
     )
 
 
+_atoms = st.builds(OrderAtom, st.sampled_from(ATOM_KINDS), st.integers(0, 3), st.integers(0, 3))
+_literals = st.builds(Literal, st.booleans(), _atoms)
+# Formulas over v0..v3, so v1..v3 collide with the binder magnitudes.
+_formulas = st.recursive(
+    st.builds(Atom, _literals),
+    lambda children: st.one_of(
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Neg, children),
+    ),
+    max_leaves=6,
+)
+_terms = st.one_of(
+    st.builds(VarT, st.integers(0, 5)),
+    _formulas.map(encode_formula),
+    _literals.map(encode_literal),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SIGMA)), st.lists(_terms, max_size=4))
+def test_spine_instantiation_matches_the_sequential_oracle(name, terms):
+    spine = PThm(name)
+    for term in terms:
+        spine = Appt(spine, term)
+    try:
+        expected = sequential_instance(PThm(name), terms)
+    except ReplayError:
+        with pytest.raises(ReplayError):
+            replay({}, spine)
+    else:
+        assert replay({}, spine) == expected
+
+
+def _schema_formula_nodes():
+    nodes, stack = set(), list(SIGMA.values())
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Formula):
+            nodes.add(node)
+        if isinstance(node, (Implies, All, FmP, And, Or, Neg)):
+            stack.extend(getattr(node, name) for name in node.__dataclass_fields__)
+    return nodes
+
+
+@pytest.mark.parametrize(
+    "make, size, theory", [(chain_text, 60, Theory.PARTIAL), (ladder_text, 5, Theory.LINEAR)]
+)
+def test_instantiation_walks_only_schema_nodes(monkeypatch, make, size, theory):
+    # A value is placed once and never walked again, so replay stays linear
+    # in the certificate even where conje restates a long conjunction.
+    f, _ = parse_input(make(random.Random(1), size))
+    verdict = decide(f, theory)
+    assert isinstance(verdict, Unsat)
+    proof = export(verdict.certificate, f)
+    walked = []
+    subst_fm = kernel._subst_fm
+
+    def recording(node, *args):
+        walked.append(node)
+        return subst_fm(node, *args)
+
+    monkeypatch.setattr(kernel, "_subst_fm", recording)
+    assert replay_refutation(proof, f)
+    assert walked
+    assert set(walked) <= _schema_formula_nodes()
+    assert len(walked) <= 4 * cert_size(verdict.certificate)
+
+
 def test_rpc_examples():
     strict = Atom(pos(lt(0, 1)))
     assert rpc(PThm("lessle"))(strict) == apply_conv(LessLe(), strict)
@@ -274,7 +359,7 @@ def _prop_holds(prop, rel, valuation, pool):
     if isinstance(prop, All):
         if _has_hole(prop.body, prop.binder):
             return all(
-                _prop_holds(_subst(prop.body, prop.binder, f), rel, valuation, pool)
+                _prop_holds(_subst(prop.body, {prop.binder: f}), rel, valuation, pool)
                 for f in pool
             )
         return all(
