@@ -16,12 +16,15 @@ on the core types, never on the solver, so a bug in the search can at worst
 produce a certificate that fails to check, not an accepted falsehood.
 Falsity is the distinguished literal ``FLS``, the always-false ``v0 != v0``.
 
-Certificates are read in one pass over their tokens.  Elimination nodes
-restate subformulas of the formulas above them, so the reader hash-conses
-formulas by their token span: a restated formula is skipped without being
-read again and is the same object as its first occurrence, which both
-kernels then compare by identity first.  The writer builds each formula's
-text once per call.
+Elimination nodes restate subformulas of the formulas above them, so the
+text states each formula once: the writer labels the first occurrence of a
+formula object that recurs ``#n=`` and writes ``#n#`` wherever it recurs.
+The reader, in one pass over the tokens, hash-conses every formula it
+builds, so equal formulas are one object however the text states them, and
+both kernels compare them by identity first.  It refuses a formula with
+more nodes than the text has tokens, which only labels could name, so a
+kernel that prints or walks a formula the text states does work in
+proportion to the text, not to the formula's exponentially larger tree.
 """
 
 from __future__ import annotations
@@ -444,28 +447,6 @@ def serialize_literal(lit: Literal) -> str:
     return f"({sign} {a.kind} v{a.x} v{a.y})"
 
 
-def _formula_text(f: Formula, texts: dict[int, str]) -> str:
-    """Text of ``f``, built once per formula object and kept in ``texts``.
-
-    Keys are object ids, which stay unique while the certificate being
-    written holds every formula in it.
-    """
-    text = texts.get(id(f))
-    if text is None:
-        if isinstance(f, Atom):
-            text = f"(atom {serialize_literal(f.lit)})"
-        elif isinstance(f, And):
-            text = f"(and {_formula_text(f.left, texts)} {_formula_text(f.right, texts)})"
-        elif isinstance(f, Or):
-            text = f"(or {_formula_text(f.left, texts)} {_formula_text(f.right, texts)})"
-        elif isinstance(f, Neg):
-            text = f"(neg {_formula_text(f.arg, texts)})"
-        else:
-            raise ValueError(f"not a formula node: {f!r}")
-        texts[id(f)] = text
-    return text
-
-
 # A proof node other than a niladic conversion is written
 # ``(head field ...)`` with its fields in declaration order.
 _HEADS: dict[type, str] = {
@@ -502,71 +483,118 @@ def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
     return 1 + sum(cert_size(v) for v in values if isinstance(v, (PropProof, CertProof, ConvProof)))
 
 
-def _write(node: PropProof | CertProof | ConvProof, out: list[str], texts: dict[int, str]) -> None:
-    name = CONVERSION_NAME.get(type(node))
-    if name is not None:
-        out.append(name)
-        return
-    head = _HEADS.get(type(node))
-    if head is None:
-        raise ValueError(f"not a certificate node: {node!r}")
-    out += ("(", head)
-    for field in _FIELDS[type(node)]:
-        value = getattr(node, field)
-        out.append(" ")
-        if isinstance(value, Formula):
-            out.append(_formula_text(value, texts))
-        elif isinstance(value, Literal):
-            out.append(serialize_literal(value))
-        elif isinstance(value, int):
-            out.append(f"v{value}")
-        else:
-            _write(value, out, texts)
-    out.append(")")
+class _Writer:
+    """The parts of one certificate text, each formula object written once.
+
+    An empty part is reserved before the text of every formula object.  When
+    the same object comes up again, that part becomes ``#n=`` and this and
+    every later occurrence is written ``#n#``, so one pass labels exactly the
+    objects that recur.  Keys are object ids, which stay unique while the
+    certificate being written holds every formula in it.
+    """
+
+    __slots__ = ("out", "seen", "labels")
+
+    def __init__(self) -> None:
+        self.out: list[str] = []
+        # id of a formula written so far: its reserved part's index, or its label.
+        self.seen: dict[int, int | str] = {}
+        self.labels = 0
+
+    def formula(self, f: Formula) -> None:
+        out, key = self.out, id(f)
+        mark = self.seen.get(key)
+        if mark is None:
+            self.seen[key] = len(out)
+            out.append("")
+            if isinstance(f, Atom):
+                out.append(f"(atom {serialize_literal(f.lit)})")
+            elif isinstance(f, (And, Or)):
+                out.append("(and " if isinstance(f, And) else "(or ")
+                self.formula(f.left)
+                out.append(" ")
+                self.formula(f.right)
+                out.append(")")
+            elif isinstance(f, Neg):
+                out.append("(neg ")
+                self.formula(f.arg)
+                out.append(")")
+            else:
+                raise ValueError(f"not a formula node: {f!r}")
+            return
+        if isinstance(mark, int):
+            out[mark] = f"#{self.labels}="
+            mark = self.seen[key] = f"#{self.labels}#"
+            self.labels += 1
+        out.append(mark)
+
+    def node(self, node: PropProof | CertProof | ConvProof) -> None:
+        out = self.out
+        name = CONVERSION_NAME.get(type(node))
+        if name is not None:
+            out.append(name)
+            return
+        head = _HEADS.get(type(node))
+        if head is None:
+            raise ValueError(f"not a certificate node: {node!r}")
+        out += ("(", head)
+        for field in _FIELDS[type(node)]:
+            value = getattr(node, field)
+            out.append(" ")
+            if isinstance(value, Formula):
+                self.formula(value)
+            elif isinstance(value, Literal):
+                out.append(serialize_literal(value))
+            elif isinstance(value, int):
+                out.append(f"v{value}")
+            else:
+                self.node(value)
+        out.append(")")
 
 
 def serialize_cert(p: PropProof) -> str:
-    """Certificate text, written as one list of parts joined once.
+    """Certificate text, written in one pass as a list of parts joined once.
 
-    The text of each formula is built once per call and reused wherever the
-    formula is restated.
+    Each formula object is written in full once; an object that recurs is
+    labelled ``#n=`` where it is first written and is ``#n#`` wherever it
+    recurs.  Below ten million labels, ``#n=`` and ``#n#`` together are
+    shorter than the smallest formula text, so labelling never lengthens the
+    text.
     """
-    out: list[str] = []
-    _write(p, out, {})
-    return "".join(out)
+    w = _Writer()
+    w.node(p)
+    return "".join(w.out)
 
 
 # ---------------------------------------------------------------------------
 # Reading
 
 
-# A lookup by span copies and hashes the span.  Lookups that miss may copy
-# this many tokens per token of the text; after that, formulas are read
-# without lookups.  Certificates that ``decide`` writes for chains of up to
-# 140 variables or for ladders spend less than two.
-_LOOKUP_BUDGET = 4
-
-
 class _Reader:
     """Cursor over the tokens of one certificate text.
 
-    Formulas are hash-consed by their token span: a span that has been read
-    once yields the same ``Formula`` object wherever it recurs, without being
-    read again.  A hit costs no more than the tokens it skips, and misses
-    are charged to the lookup budget, so reading stays linear in the text
-    however deep its formulas nest.  The table belongs to the reader, so
-    nothing is kept from one ``parse_cert`` call to the next.
+    Formulas are hash-consed as they are built: a node is keyed by its head
+    and the objects of its children, an atom by its literal, so equal
+    formulas are one object wherever the text states them, and both kernels
+    compare them by identity first.  ``#n=`` binds label ``n`` to the
+    formula after it once that formula closes, and ``#n#`` yields that same
+    object.  With labels a short text could name a formula whose tree is
+    exponentially larger, which would take as long to print, so no formula
+    may have more nodes than the text has tokens, as none stated without
+    labels does.  The tables belong to the reader, so nothing is kept from
+    one ``parse_cert`` call to the next.
     """
 
-    __slots__ = ("text", "tokens", "depths", "pos", "formulas", "budget")
+    __slots__ = ("text", "tokens", "pos", "formulas", "labels")
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = sexpr.tokenize(text)
-        self.depths = sexpr.depths(self.tokens)
         self.pos = 0
-        self.formulas: dict[tuple[str, ...], Formula] = {}
-        self.budget = _LOOKUP_BUDGET * len(self.tokens)
+        # A node's key to the node and the number of nodes in its tree.
+        self.formulas: dict[tuple, tuple[Formula, int]] = {}
+        # A label's digits to its formula, or to None while that formula is read.
+        self.labels: dict[str, tuple[Formula, int] | None] = {}
 
     def next(self, expected: str | None = None) -> str:
         pos = self.pos
@@ -577,16 +605,6 @@ class _Reader:
         if expected is not None and tok != expected:
             raise self.error(f"expected {expected!r}, got {tok!r}", pos)
         return tok
-
-    def span_end(self, start: int) -> int:
-        """Index just past the ``)`` that closes the ``(`` at ``start``, else ``start``.
-
-        The search takes time in proportion to the span it finds.
-        """
-        try:
-            return self.depths.index(self.depths[start] - 1, start) + 1
-        except (IndexError, ValueError):
-            return start
 
     def error(self, message: str, k: int | None = None) -> ParseError:
         """``message`` at token ``k``, by default the token read last."""
@@ -602,7 +620,7 @@ def _parse_var(r: _Reader) -> VarId:
     return int(digits)
 
 
-def _parse_literal(r: _Reader) -> Literal:
+def _literal_fields(r: _Reader) -> tuple[bool, str, VarId, VarId]:
     r.next("(")
     sign = r.next()
     if sign not in ("+", "-"):
@@ -613,38 +631,68 @@ def _parse_literal(r: _Reader) -> Literal:
     x = _parse_var(r)
     y = _parse_var(r)
     r.next(")")
-    return Literal(sign == "+", OrderAtom(kind, x, y))
+    return sign == "+", kind, x, y
 
 
-def _parse_formula(r: _Reader) -> Formula:
-    # A formula that reads without error ends at the ``)`` matching its
-    # first ``(`` and depends on no token outside, so a span met again reads
-    # to the same formula; a span that fails to read never enters the table.
-    span = None
-    if r.budget > 0:
-        start = r.pos
-        span = tuple(r.tokens[start : r.span_end(start)])
-        f = r.formulas.get(span)
-        if f is not None:
-            r.pos += len(span)
-            return f
-        r.budget -= len(span)
-    r.next("(")
+def _parse_literal(r: _Reader) -> Literal:
+    sign, kind, x, y = _literal_fields(r)
+    return Literal(sign, OrderAtom(kind, x, y))
+
+
+def _parse_formula(r: _Reader) -> tuple[Formula, int]:
+    """The next formula, hash-consed, and the number of nodes in its tree."""
+    tok = r.next()
+    if tok != "(":
+        if tok[0] == "#":
+            return _parse_label(r, tok)
+        raise r.error(f"expected '(', got {tok!r}")
     head = r.next()
     if head == "atom":
-        f = Atom(_parse_literal(r))
+        key: tuple = _literal_fields(r)
+        size = 1
     elif head in ("and", "or"):
         left = _parse_formula(r)
         right = _parse_formula(r)
-        f = And(left, right) if head == "and" else Or(left, right)
+        key = (head, id(left[0]), id(right[0]))
+        size = 1 + left[1] + right[1]
     elif head == "neg":
-        f = Neg(_parse_formula(r))
+        arg = _parse_formula(r)
+        key = (head, id(arg[0]))
+        size = 1 + arg[1]
     else:
         raise r.error(f"expected a formula head, got {head!r}")
     r.next(")")
-    if span is not None:
-        r.formulas[span] = f
-    return f
+    node = r.formulas.get(key)
+    if node is None:
+        if size > len(r.tokens):
+            raise r.error(f"formula of {size} nodes is larger than the text of {len(r.tokens)} tokens")
+        if head == "atom":
+            f: Formula = Atom(Literal(key[0], OrderAtom(key[1], key[2], key[3])))
+        elif head == "neg":
+            f = Neg(arg[0])
+        else:
+            f = (And if head == "and" else Or)(left[0], right[0])
+        node = r.formulas[key] = f, size
+    return node
+
+
+def _parse_label(r: _Reader, tok: str) -> tuple[Formula, int]:
+    # ``tok`` was read last.  A label binds only once its formula closes,
+    # so a formula cannot refer to itself and no cycle can form.
+    digits, mark = tok[1:-1], tok[-1]
+    if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
+        raise r.error(f"expected a formula or a label, got {tok!r}")
+    labels = r.labels
+    if mark == "#":
+        node = labels.get(digits)
+        if node is None:
+            raise r.error(f"undefined label {tok!r}")
+        return node
+    if digits in labels:
+        raise r.error(f"label {tok!r} is defined twice")
+    labels[digits] = None
+    labels[digits] = node = _parse_formula(r)
+    return node
 
 
 def _parse_atom_proof(r: _Reader) -> CertProof:
@@ -701,11 +749,11 @@ def _parse_cert(r: _Reader) -> PropProof:
     if name == "lift":
         node: PropProof = Lift(_parse_atom_proof(r))
     elif name == "conje":
-        node = ConjE(_parse_formula(r), _parse_formula(r), _parse_cert(r))
+        node = ConjE(_parse_formula(r)[0], _parse_formula(r)[0], _parse_cert(r))
     elif name == "disje":
-        node = DisjE(_parse_formula(r), _parse_formula(r), _parse_cert(r), _parse_cert(r))
+        node = DisjE(_parse_formula(r)[0], _parse_formula(r)[0], _parse_cert(r), _parse_cert(r))
     elif name == "conv":
-        node = ConvRule(_parse_formula(r), _parse_conv_proof(r), _parse_cert(r))
+        node = ConvRule(_parse_formula(r)[0], _parse_conv_proof(r), _parse_cert(r))
     else:
         raise r.error(f"expected a certificate head, got {name!r}")
     r.next(")")
@@ -715,8 +763,8 @@ def _parse_cert(r: _Reader) -> PropProof:
 def parse_cert(text: str) -> PropProof:
     """Inverse of serialize_cert, in one pass over the tokens of ``text``.
 
-    A formula text read before is skipped and yields the same object.  A
-    ParseError names the offset of the offending token.
+    Equal formulas read to one object, and ``#n#`` to the object labelled
+    ``#n=``.  A ParseError names the offset of the offending token.
     """
     r = _Reader(text)
     cert = _parse_cert(r)

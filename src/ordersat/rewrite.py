@@ -6,6 +6,10 @@ two in lock-step (no simplification, no clause deduplication) means a
 produced certificate always applies to exactly the formula the solver went
 on to analyse.  The solver applies them in the order ``to_nnf``, one
 ``amap_fm`` pass of a ``deless`` rewrite, then ``to_dnf``.
+
+Every transformation returns its input object for a subtree it leaves
+unchanged, so the clauses of a DNF are, by identity, subterms of the formula
+they came from, and a certificate that states both writes each once.
 """
 
 from __future__ import annotations
@@ -95,15 +99,18 @@ def deless_linear_prf(lit: Literal) -> ConvProof:
 
 
 def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:
-    """Replace every atom leaf of ``f`` by ``fn(leaf)``, keeping connectives."""
+    """Replace every atom leaf of ``f`` by ``fn(leaf)``, keeping connectives.
+
+    An atom that ``fn`` maps to an equal atom is kept as it is.
+    """
     if isinstance(f, Atom):
-        return fn(f.lit)
-    if isinstance(f, And):
-        return And(amap_fm(fn, f.left), amap_fm(fn, f.right))
-    if isinstance(f, Or):
-        return Or(amap_fm(fn, f.left), amap_fm(fn, f.right))
+        g = fn(f.lit)
+        return f if g == f else g
+    if isinstance(f, (And, Or)):
+        return _rebuilt(f, amap_fm(fn, f.left), amap_fm(fn, f.right))
     if isinstance(f, Neg):
-        return Neg(amap_fm(fn, f.arg))
+        arg = amap_fm(fn, f.arg)
+        return f if arg is f.arg else Neg(arg)
     raise StructureError(f"not a formula node: {f!r}")
 
 
@@ -138,24 +145,28 @@ def _binop(left: ConvProof, right: ConvProof) -> ConvProof:
     return BinopConv(left, right)
 
 
+def _rebuilt(f: And | Or, left: Formula, right: Formula) -> Formula:
+    """``f`` itself if both children are its own, else a node of its kind over them."""
+    if left is f.left and right is f.right:
+        return f
+    return type(f)(left, right)
+
+
 def to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
     """Push every negation into the atoms, with a conversion certificate.
 
     The result contains no Neg node: a negated atom becomes the atom of the
     negated literal, double negations cancel and De Morgan's laws swap And
-    and Or.  On a formula that is already negation-free the result is equal
-    to the input and the certificate is AllConv.
+    and Or.  Negation-free subtrees are kept as they are: on a formula that
+    is already negation-free the result is the input and the certificate is
+    AllConv.
     """
     if isinstance(f, Atom):
         return f, AllConv()
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
         left, pl = to_nnf(f.left)
         right, pr = to_nnf(f.right)
-        return And(left, right), _binop(pl, pr)
-    if isinstance(f, Or):
-        left, pl = to_nnf(f.left)
-        right, pr = to_nnf(f.right)
-        return Or(left, right), _binop(pl, pr)
+        return _rebuilt(f, left, right), _binop(pl, pr)
     if isinstance(f, Neg):
         inner = f.arg
         if isinstance(inner, Atom):
@@ -190,15 +201,13 @@ def _dist_and(left: Formula, right: Formula) -> tuple[Formula, ConvProof]:
 def _dist(f: Formula) -> tuple[Formula, ConvProof]:
     if isinstance(f, Atom):
         return f, AllConv()
-    if isinstance(f, Or):
+    if isinstance(f, (And, Or)):
         left, pl = _dist(f.left)
         right, pr = _dist(f.right)
-        return Or(left, right), _binop(pl, pr)
-    if isinstance(f, And):
-        left, pl = _dist(f.left)
-        right, pr = _dist(f.right)
-        result, pd = _dist_and(left, right)
-        return result, then(_binop(pl, pr), pd)
+        if isinstance(f, And) and (isinstance(left, Or) or isinstance(right, Or)):
+            result, pd = _dist_and(left, right)
+            return result, then(_binop(pl, pr), pd)
+        return _rebuilt(f, left, right), _binop(pl, pr)
     raise StructureError(f"negation survived NNF: {f!r}")
 
 

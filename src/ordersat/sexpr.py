@@ -9,10 +9,6 @@ certificates are).
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-
-_STEP = {"(": 1, ")": -1}
-
 
 def tokenize(text: str) -> list[str]:
     """The tokens of ``text``, in order; whitespace is any ``str.isspace`` character."""
@@ -32,7 +28,3 @@ def offset_of(text: str, tokens: list[str], k: int) -> int:
         pos = text.find(tok, pos) + len(tok)
     return text.find(tokens[k], pos)
 
-
-def depths(tokens: list[str]) -> list[int]:
-    """Nesting depth after each token: ``(`` counts one up, ``)`` one down."""
-    return list(accumulate(map(_STEP.get, tokens, repeat(0))))

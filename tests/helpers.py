@@ -23,6 +23,7 @@ from ordersat.core import (
     VarId,
 )
 from ordersat.certs import (
+    CONVERSION_NAME,
     AllConv,
     AndOrLConv,
     AndOrRConv,
@@ -52,6 +53,7 @@ from ordersat.certs import (
     ReflP,
     ThenConv,
     TransP,
+    serialize_literal,
 )
 from ordersat.closure import ProofMap, leq1_mapping
 from ordersat.replay import (
@@ -195,6 +197,88 @@ def sequential_instance(head: GPrf, terms: list[GTrm]) -> MetaProp:
             raise ReplayError("cannot instantiate with a bare literal term")
         target = _subst(target.body, target.binder, value)
     return target
+
+
+# ---------------------------------------------------------------------------
+# The plain certificate writer, the oracle for the labelled one
+#
+# Every formula written out in full wherever it occurs: the writer's earlier
+# output, kept verbatim as the reference for what labels save.
+
+
+def _formula_text(f: Formula, texts: dict[int, str]) -> str:
+    text = texts.get(id(f))
+    if text is None:
+        if isinstance(f, Atom):
+            text = f"(atom {serialize_literal(f.lit)})"
+        elif isinstance(f, And):
+            text = f"(and {_formula_text(f.left, texts)} {_formula_text(f.right, texts)})"
+        elif isinstance(f, Or):
+            text = f"(or {_formula_text(f.left, texts)} {_formula_text(f.right, texts)})"
+        elif isinstance(f, Neg):
+            text = f"(neg {_formula_text(f.arg, texts)})"
+        else:
+            raise ValueError(f"not a formula node: {f!r}")
+        texts[id(f)] = text
+    return text
+
+
+_HEADS: dict[type, str] = {
+    AssmP: "assm",
+    ReflP: "refl",
+    TransP: "trans",
+    AntisymP: "antisym",
+    EQE1P: "eqe1",
+    EQE2P: "eqe2",
+    ContrP: "contr",
+    AtomConv: "atom",
+    ArgConv: "arg",
+    BinopConv: "binop",
+    ThenConv: "then",
+    Lift: "lift",
+    ConjE: "conje",
+    DisjE: "disje",
+    ConvRule: "conv",
+}
+
+
+def _write(node, out: list[str], texts: dict[int, str]) -> None:
+    name = CONVERSION_NAME.get(type(node))
+    if name is not None:
+        out.append(name)
+        return
+    out += ("(", _HEADS[type(node)])
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        out.append(" ")
+        if isinstance(value, Formula):
+            out.append(_formula_text(value, texts))
+        elif isinstance(value, Literal):
+            out.append(serialize_literal(value))
+        elif isinstance(value, int):
+            out.append(f"v{value}")
+        else:
+            _write(value, out, texts)
+    out.append(")")
+
+
+def plain_serialize_cert(p: PropProof) -> str:
+    """Certificate text without labels, every formula restated in full."""
+    out: list[str] = []
+    _write(p, out, {})
+    return "".join(out)
+
+
+def doubling_cert(levels: int) -> str:
+    """A certificate whose label ``i`` names two copies of label ``i - 1``.
+
+    Its last formula has ``2 ** (levels + 1) - 1`` nodes, stated in about
+    four tokens per level.
+    """
+    text = "#0=(atom (+ le v0 v1))"
+    for i in range(1, levels + 1):
+        text = f"#{i}=(and {text} #{i - 1}#)"
+    return f"(conv {text} allconv (lift (refl v0)))"
 
 
 def random_formula(rng: random.Random, max_depth: int = 4, num_vars: int = 4) -> Formula:

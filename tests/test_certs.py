@@ -1,7 +1,10 @@
+import functools
 import random
 import re
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,9 +61,14 @@ from ordersat.certs import (
 )
 from ordersat.closure import Unsat, decide
 from ordersat.oracle import brute_sat
+from ordersat.replay import ExportError, LitP, ReplayError, export, initial_context, replay
 from ordersat.selfcheck import clause_formula, iter_clauses
+from ordersat.sexpr import tokenize
 
-from helpers import mutate_cert, random_formula
+from helpers import doubling_cert, mutate_cert, plain_serialize_cert, random_formula
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import chain_text, ladder_text  # noqa: E402
 
 
 def test_check_atom_proof_examples():
@@ -227,11 +235,26 @@ def test_tokens_split_on_unicode_whitespace():
 
 
 def test_writer_output_reads_back_to_the_same_text():
+    # The writer labels formula objects that recur, and the reader makes
+    # equal formulas one object.  A certificate that holds two equal but
+    # distinct objects, like the two halves of ``~(x <= x) & ~(x <= x)``,
+    # reads back with one of them, so its text gains a label once and then
+    # reads back to itself.
+    goal, _ = parse_input("~(x <= x) & ~(x <= x)")
     rng = random.Random(5)
     for theory in Theory:
-        for cert in _unsat_certificates(rng, 30, theory):
+        for cert in [decide(goal, theory).certificate, *_unsat_certificates(rng, 30, theory)]:
             text = serialize_cert(cert)
-            assert serialize_cert(parse_cert(text)) == text
+            again = serialize_cert(parse_cert(text))
+            assert len(again) <= len(text)
+            assert parse_cert(again) == cert
+            assert serialize_cert(parse_cert(again)) == again
+    text = serialize_cert(decide(goal, Theory.PARTIAL).certificate)
+    assert "#" not in text
+    assert serialize_cert(parse_cert(text)) == (
+        "(conv (and #0=(neg (atom (+ le v0 v0))) #0#) (binop negatom negatom) "
+        "(conje #1=(atom (- le v0 v0)) #1# (lift (contr (- le v0 v0) (refl v0)))))"
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,7 +264,117 @@ def test_parse_inverts_serialize_on_certificates_and_mutants(seed, theory, mutat
     [cert] = _unsat_certificates(rng, 1, theory)
     for _ in range(mutations):
         cert = mutate_cert(rng, cert)
-    assert parse_cert(serialize_cert(cert)) == cert
+    labelled, plain = serialize_cert(cert), plain_serialize_cert(cert)
+    assert len(labelled) <= len(plain)
+    assert parse_cert(labelled) == parse_cert(plain) == cert
+
+
+def test_labels_state_each_formula_of_a_chain_once():
+    f, _ = parse_input(chain_text(random.Random(1), 40))
+    cert = decide(f, Theory.PARTIAL).certificate
+    labelled, plain = serialize_cert(cert), plain_serialize_cert(cert)
+    assert len(labelled) * 5 < len(plain)
+    assert parse_cert(labelled) == parse_cert(plain) == cert
+    assert serialize_cert(parse_cert(labelled)) == labelled
+    assert serialize_cert(parse_cert(plain)) == labelled
+
+
+NOT_A_FORMULA = "expected a formula or a label, got "
+
+
+# ``^`` marks the offending token and is removed before parsing.
+@pytest.mark.parametrize(
+    "marked, message",
+    [
+        # A label used before its definition, and one used inside its own
+        # formula: a label binds only once its formula closes.
+        ("(conje ^#0# (atom (+ le v0 v1)) (lift (refl v0)))", "undefined label '#0#'"),
+        ("(conje #3=(and (atom (+ le v0 v1)) ^#3#) #3# (lift (refl v0)))", "undefined label '#3#'"),
+        (
+            "(conje #0=(atom (+ le v0 v1)) ^#0=(atom (+ le v0 v1)) (lift (refl v0)))",
+            "label '#0=' is defined twice",
+        ),
+        (
+            "(conje #1=(and ^#1=(atom (+ le v0 v1)) (atom (+ le v0 v1))) #1# (lift (refl v0)))",
+            "label '#1=' is defined twice",
+        ),
+        # str.isdigit accepts superscripts and other scripts' digits.
+        ("(conje ^#\u0661=(atom (+ le v0 v1)) #\u0661# (lift (refl v0)))", NOT_A_FORMULA + "'#\u0661='"),
+        ("(conje #0=(atom (+ le v0 v1)) ^#\u00b2# (lift (refl v0)))", NOT_A_FORMULA + "'#\u00b2#'"),
+        ("(conje ^#0 (atom (+ le v0 v1)) (lift (refl v0)))", NOT_A_FORMULA + "'#0'"),
+        ("(conje ^# (atom (+ le v0 v1)) (lift (refl v0)))", NOT_A_FORMULA + "'#'"),
+        ("(conje ^#x# (atom (+ le v0 v1)) (lift (refl v0)))", NOT_A_FORMULA + "'#x#'"),
+        # Labels stand only where a formula may.
+        ("(conje #0=(atom (+ le v0 v1)) #0# ^#0#)", "expected '(', got '#0#'"),
+        ("(conje #0=(atom (+ le v0 v1)) #0# (lift ^#0#))", "expected '(', got '#0#'"),
+        ("(conv #0=(atom (+ lt v0 v1)) ^#0# (lift (refl v0)))", "unknown conversion '#0#'"),
+        ("(conje (atom ^#0=(+ le v0 v1)) (atom (+ le v0 v1)) (lift (refl v0)))", "expected '(', got '#0='"),
+        ("(conje #0=(atom (+ le v0 v1)) (atom (+ le v0 ^#0#)) (lift (refl v0)))", "expected a variable"),
+        ("^#0=(lift (refl v0))", "expected '(', got '#0='"),
+    ],
+)
+def test_label_errors_report_the_offset_of_the_label(marked, message):
+    offset = marked.index("^")
+    with pytest.raises(ParseError, match=f"^syntax error at offset {offset}: {re.escape(message)}"):
+        parse_cert(marked.replace("^", "", 1))
+
+
+@functools.cache
+def _labelled_chain_and_ladder_tokens():
+    out = []
+    for make, size in ((chain_text, 12), (ladder_text, 3)):
+        for theory in Theory:
+            goal, _ = parse_input(make(random.Random(size), size))
+            text = serialize_cert(decide(goal, theory).certificate)
+            assert "#" in text
+            out.append((goal, tuple(tokenize(text))))
+    return out
+
+
+def _kernel_verdicts(goal, cert):
+    try:
+        structured = check_prop_proof({goal}, cert) == FLS_FORMULA
+    except (ProofError, ConversionError):
+        structured = False
+    try:
+        replayed = replay(initial_context(goal), export(cert, goal)) == LitP(FLS)
+    except (ExportError, ReplayError):
+        replayed = False
+    return structured, replayed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(
+        st.tuples(st.sampled_from(["delete", "duplicate", "renumber"]), st.integers(0, 2**32)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_corrupted_labels_give_a_parse_error_or_a_verdict(which, edits):
+    goal, tokens = _labelled_chain_and_ladder_tokens()[which]
+    tokens = list(tokens)
+    for op, seed in edits:
+        rng = random.Random(seed)
+        labels = [k for k, tok in enumerate(tokens) if tok[0] == "#"]
+        if op == "renumber" or rng.random() < 0.5:
+            k = rng.choice(labels)
+        else:
+            k = rng.randrange(len(tokens))
+        if op == "delete":
+            del tokens[k]
+        elif op == "duplicate":
+            tokens.insert(k, tokens[k])
+        else:
+            defined = [tok[1:-1] for tok in tokens if tok[0] == "#" and tok[-1] == "="]
+            mark = tokens[k][-1] if rng.random() < 0.75 else rng.choice("=#")
+            tokens[k] = f"#{rng.choice(defined)}{mark}"
+    try:
+        cert = parse_cert(" ".join(tokens))
+    except ParseError:
+        return
+    _kernel_verdicts(goal, cert)
 
 
 def test_repeated_formula_text_parses_to_one_object():
@@ -255,26 +388,65 @@ def test_repeated_formula_text_parses_to_one_object():
     assert conje.left is cert.source.left
     assert conje.right is cert.source.right
     assert conje.proof.left is conje.proof.right is conje.right.left
-    assert serialize_cert(cert) == text
+    assert serialize_cert(cert) == (
+        f"(conv (and #1={a} #2=(or #0={b} #0#)) allconv (conje #1# #2# "
+        f"(disje #0# #0# (lift (refl v0)) (lift (refl v0)))))"
+    )
 
 
 def test_deep_formula_reads_in_linear_time_and_memory():
     # The first conv node states the goal, a 3,000-deep neg chain that no
-    # later node restates.  Keying every level of it by its whole span would
-    # copy some 13 million tokens and keep about 110 MB of keys.
+    # later node restates.  Keying every level of it by its whole text would
+    # copy some 13 million tokens and keep about 110 MB of keys; the reader
+    # keys each node by its head and its children's objects instead.
     goal, _ = parse_input("~" * 3000 + "x <= y & ~(x <= y)")
-    text = serialize_cert(decide(goal, Theory.PARTIAL).certificate)
+    cert = decide(goal, Theory.PARTIAL).certificate
+    text = serialize_cert(cert)
+    readings = []
+    for source in (text, plain_serialize_cert(cert)):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            readings.append(parse_cert(source))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0
+        assert peak < 16_000_000
+    labelled, plain = readings
+    assert labelled.source == goal
+    assert plain == labelled
+    again = serialize_cert(labelled)
+    assert len(again) <= len(text)
+    assert serialize_cert(parse_cert(again)) == again
+
+
+def test_equal_formulas_read_to_one_object_however_they_are_stated():
+    a = "(atom (+ le v0 v1))"
+    cert = parse_cert(f"(conje #0=(and {a} #1=(neg {a})) (and #2={a} (neg #2#)) (lift (refl v0)))")
+    assert cert.left is cert.right
+    assert cert.left.left is cert.left.right.arg
+
+
+@pytest.mark.parametrize("levels", [18, 400])
+def test_labels_cannot_name_a_formula_larger_than_the_text(levels):
+    text = doubling_cert(levels)
+    tokens = len(tokenize(text))
+    # The first level with more nodes than the text has tokens is refused
+    # at the ``)`` that closes it.
+    level = next(i for i in range(levels + 1) if 2 ** (i + 1) - 1 > tokens)
+    offset = text.index(f" #{level - 1}#)") + len(f" #{level - 1}#")
+    message = f"formula of {2 ** (level + 1) - 1} nodes is larger than the text of {tokens} tokens"
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        cert = parse_cert(text)
+        with pytest.raises(ParseError, match=f"^syntax error at offset {offset}: {message}$"):
+            parse_cert(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - start < 2.0
-    assert peak < 16_000_000
-    assert cert.source == goal
-    assert serialize_cert(cert) == text
+    assert time.perf_counter() - start < 0.5
+    assert peak < 2_000_000
 
 
 def _unsat_corpus(max_literals=3, num_vars=2):

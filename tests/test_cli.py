@@ -13,7 +13,7 @@ from ordersat.cli import format_model, parse_input, run
 from ordersat.closure import Sat, Unsat, decide
 from ordersat.core import Theory
 
-from helpers import mutate_cert
+from helpers import doubling_cert, mutate_cert
 
 MOTIVATING_EXAMPLE = "~(x < y) & x = y & ~(x <= y)\n"
 
@@ -64,8 +64,9 @@ def test_solve_unsat_with_certificate(tmp_path, capsys):
     code = run(["solve", str(source), "--theory", "partial", "--cert", str(cert)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "unsat"
-    parsed = parse_cert(cert.read_text())
-    assert serialize_cert(parsed) == cert.read_text().strip()
+    expected = decide(parse_input(MOTIVATING_EXAMPLE)[0], Theory.PARTIAL).certificate
+    assert cert.read_text().strip() == serialize_cert(expected)
+    assert parse_cert(cert.read_text()) == expected
 
     code = run(["check", str(cert), "--goal", str(source)])
     assert code == 0
@@ -169,6 +170,18 @@ def test_check_non_ascii_variable_digits_are_a_parse_error(tmp_path, capsys, ker
     cert.write_text("(lift (contr (- le v0 v²) (assm (+ le v0 v1))))\n")
     assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
     assert capsys.readouterr().err.startswith("error: syntax error at offset 22")
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_refuses_labels_that_name_a_huge_formula(tmp_path, capsys, kernel):
+    # Forty labels, each naming two copies of the one before, would name a
+    # formula of 2 ** 41 - 1 nodes in a text of 2 KB.
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y\n")
+    cert = tmp_path / "huge.cert"
+    cert.write_text(doubling_cert(40))
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
+    assert "nodes is larger than the text" in capsys.readouterr().err
 
 
 def test_check_replay_reports_the_kernel_reason(tmp_path, capsys):
