@@ -422,8 +422,7 @@ def is_refutation(goal: Formula, proof: PropProof) -> bool:
 # ---------------------------------------------------------------------------
 # Writing (whitespace-separated ASCII s-expressions)
 
-# The one table of niladic conversion names, shared with the replay kernel,
-# where the same names are its conversion proof constants.
+# The one table of niladic conversion names.
 NILADIC_CONVERSIONS: dict[str, ConvProof] = {
     "lessle": LessLe(),
     "nlessle": NlessLe(),
@@ -720,8 +719,6 @@ def _parse_atom_proof(r: _Reader) -> CertProof:
 
 
 def _parse_conv_proof(r: _Reader) -> ConvProof:
-    if r.pos == len(r.tokens):
-        raise ParseError("syntax error: unexpected end of input in conversion")
     tok = r.next()
     if tok != "(":
         rule = NILADIC_CONVERSIONS.get(tok)

@@ -5,7 +5,10 @@ small lambda-free proof-term language (constants, proof application, proof
 abstraction, term application, conversions) and replayed against an axiom
 environment ``SIGMA``.  Hypotheses are referenced by their encoding as a
 term rather than by de Bruijn indices, so contexts are plain maps from
-terms to propositions.
+terms to propositions.  A conversion step carries the certificate's own
+conversion and applies it with the structured checker's ``apply_conv``, so
+each conversion rule is stated once; conversion names are not proof
+constants.
 
 Propositions are literal or formula judgements closed under implication
 and universal quantification over variable ids.  The schemas for the two
@@ -24,9 +27,9 @@ in one walk of the schema, so a value is placed once and never walked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .core import (
     And,
@@ -43,14 +46,9 @@ from .core import (
     le,
 )
 from .certs import (
-    CONVERSION_NAME,
     FLS,
-    NILADIC_CONVERSIONS,
     AntisymP,
-    ArgConv,
     AssmP,
-    AtomConv,
-    BinopConv,
     CertProof,
     ConjE,
     ContrP,
@@ -63,7 +61,6 @@ from .certs import (
     Lift,
     PropProof,
     ReflP,
-    ThenConv,
     TransP,
     apply_conv,
 )
@@ -145,7 +142,7 @@ class Appt(GPrf):
 @dataclass(frozen=True)
 class ConvP(GPrf):
     source: GTrm
-    conversion: GPrf
+    conversion: ConvProof
     proof: GPrf
 
 
@@ -392,8 +389,6 @@ SIGMA: dict[str, MetaProp] = {
     ),
 }
 
-_CONVERSION_COMBINATORS = {"atom": AtomConv, "arg": ArgConv, "binop": BinopConv, "then": ThenConv}
-
 
 # ---------------------------------------------------------------------------
 # Substitution
@@ -462,8 +457,6 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
         prop = SIGMA.get(proof.name)
         if prop is not None:
             return prop
-        if proof.name in NILADIC_CONVERSIONS or proof.name in _CONVERSION_COMBINATORS:
-            raise ReplayError(f"conversion constant {proof.name!r} used as a proposition")
         raise ReplayError(f"unknown proof constant {proof.name!r}")
     if isinstance(proof, Bound):
         prop = context.get(proof.term)
@@ -512,46 +505,14 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
             formula = prop.formula
         else:
             raise ReplayError("conversion source must be a literal or formula judgement")
-        rewriter = rpc(proof.conversion)
         try:
-            result = rewriter(formula)
+            result = apply_conv(proof.conversion, formula)
         except ConversionError as exc:
             raise ReplayError(f"conversion failed: {exc}") from exc
         extended = dict(context)
         extended[encode_formula(result)] = _fmp(result)
         return replay(extended, proof.proof)
     raise ReplayError(f"unknown proof term {proof!r}")
-
-
-def rpc(conversion: GPrf) -> Callable[[Formula], Formula]:
-    """Interpret a proof term built from conversion constants as a rewriter."""
-    conv = _conv_of_gprf(conversion)
-    return lambda formula: apply_conv(conv, formula)
-
-
-def _conv_of_gprf(proof: GPrf) -> ConvProof:
-    if isinstance(proof, PThm):
-        conv = NILADIC_CONVERSIONS.get(proof.name)
-        if conv is not None:
-            return conv
-        if proof.name in _CONVERSION_COMBINATORS:
-            raise ReplayError(f"conversion combinator {proof.name!r} needs arguments")
-        raise ReplayError(f"not a conversion constant: {proof.name!r}")
-    if isinstance(proof, AppP):
-        head = proof
-        args: list[GPrf] = []
-        while isinstance(head, AppP):
-            args.append(head.arg)
-            head = head.fn
-        args.reverse()
-        if not isinstance(head, PThm) or head.name not in _CONVERSION_COMBINATORS:
-            raise ReplayError(f"not a conversion combinator application: {proof!r}")
-        combinator = _CONVERSION_COMBINATORS[head.name]
-        arity = len(fields(combinator))
-        if len(args) != arity:
-            raise ReplayError(f"conversion {head.name!r} takes {arity} arguments, got {len(args)}")
-        return combinator(*(_conv_of_gprf(a) for a in args))
-    raise ReplayError(f"not a conversion proof term: {proof!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,25 +592,8 @@ def _export_prop(proof: PropProof) -> GPrf:
         right_case = AbsP(right, _export_prop(proof.right_proof))
         return AppP(AppP(AppP(head, disjunction), left_case), right_case)
     if isinstance(proof, ConvRule):
-        return ConvP(
-            encode_formula(proof.source),
-            _conv_to_gprf(proof.conversion),
-            _export_prop(proof.proof),
-        )
+        return ConvP(encode_formula(proof.source), proof.conversion, _export_prop(proof.proof))
     raise ExportError(f"unknown propositional proof node {proof!r}")
-
-
-def _conv_to_gprf(conv: ConvProof) -> GPrf:
-    name = CONVERSION_NAME.get(type(conv))
-    if name is not None:
-        return PThm(name)
-    for name, combinator in _CONVERSION_COMBINATORS.items():
-        if type(conv) is combinator:
-            term: GPrf = PThm(name)
-            for field in fields(combinator):
-                term = AppP(term, _conv_to_gprf(getattr(conv, field.name)))
-            return term
-    raise ExportError(f"unknown conversion node {conv!r}")
 
 
 def initial_context(goal: Formula) -> dict[GTrm, MetaProp]:

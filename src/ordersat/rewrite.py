@@ -1,10 +1,12 @@
 """Certified negation normal form, strict-literal elimination and DNF.
 
-Each rewrite comes in two flavours: the plain formula transformation and a
-companion that emits the conversion certificate replaying it.  Keeping the
-two in lock-step (no simplification, no clause deduplication) means a
-produced certificate always applies to exactly the formula the solver went
-on to analyse.  The solver applies them in the order ``to_nnf``, one
+Every rewrite emits the conversion certificate that replays it, and a
+produced certificate applies to exactly the formula the solver goes on to
+analyse.  Strict elimination states each rule once, as a certificate: the
+rewrite of an atom is the checker's own ``apply_conv`` of its rule, so the
+two agree by construction.  ``to_nnf`` and ``to_dnf`` build the formula and
+its certificate together, in one walk, with no simplification and no clause
+deduplication.  The solver applies them in the order ``to_nnf``, one
 ``amap_fm`` pass of a ``deless`` rewrite, then ``to_dnf``.
 
 Every transformation returns its input object for a subtree it leaves
@@ -26,8 +28,6 @@ from .core import (
     Neg,
     Or,
     OrderSatError,
-    eq,
-    le,
 )
 from .certs import (
     AllConv,
@@ -46,6 +46,7 @@ from .certs import (
     NlessConv,
     NlessLe,
     ThenConv,
+    apply_conv,
 )
 
 
@@ -53,49 +54,39 @@ class StructureError(OrderSatError):
     """A formula did not have the shape an operation requires."""
 
 
-def deless_partial(lit: Literal) -> Formula:
-    """Eliminate strict atoms over a partial order.
+def deless_partial_prf(lit: Literal) -> ConvProof:
+    """The rule that eliminates a strict atom over a partial order.
 
     ``x < y`` becomes ``x <= y and x != y``; its negation becomes
     ``not x <= y or x = y``; every other literal is kept as an atom.
     """
-    a = lit.atom
-    if a.kind == LT:
-        if lit.pos:
-            return And(Atom(Literal(True, le(a.x, a.y))), Atom(Literal(False, eq(a.x, a.y))))
-        return Or(Atom(Literal(False, le(a.x, a.y))), Atom(Literal(True, eq(a.x, a.y))))
-    return Atom(lit)
-
-
-def deless_partial_prf(lit: Literal) -> ConvProof:
     if lit.atom.kind == LT:
         return LessLe() if lit.pos else NlessLe()
     return AllConv()
 
 
-def deless_linear(lit: Literal) -> Formula:
-    """Eliminate strict atoms and negated <= over a linear order.
+def deless_partial(lit: Literal) -> Formula:
+    """``Atom(lit)`` rewritten by its partial-order rule, as the checker applies it."""
+    return apply_conv(deless_partial_prf(lit), Atom(lit))
+
+
+def deless_linear_prf(lit: Literal) -> ConvProof:
+    """The rule that eliminates a strict atom or a negated <= over a linear order.
 
     Totality additionally turns ``not x <= y`` into ``x != y and y <= x``
     and ``not x < y`` into ``y <= x``.
     """
     a = lit.atom
     if a.kind == LT:
-        if lit.pos:
-            return And(Atom(Literal(True, le(a.x, a.y))), Atom(Literal(False, eq(a.x, a.y))))
-        return Atom(Literal(True, le(a.y, a.x)))
-    if a.kind == LE and not lit.pos:
-        return And(Atom(Literal(False, eq(a.x, a.y))), Atom(Literal(True, le(a.y, a.x))))
-    return Atom(lit)
-
-
-def deless_linear_prf(lit: Literal) -> ConvProof:
-    a = lit.atom
-    if a.kind == LT:
         return LessLe() if lit.pos else NlessConv()
     if a.kind == LE and not lit.pos:
         return NleConv()
     return AllConv()
+
+
+def deless_linear(lit: Literal) -> Formula:
+    """``Atom(lit)`` rewritten by its linear-order rule, as the checker applies it."""
+    return apply_conv(deless_linear_prf(lit), Atom(lit))
 
 
 def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:

@@ -227,6 +227,20 @@ def test_replacing_any_token_reports_its_offset():
                 parse_cert(bad)
 
 
+def test_truncating_after_any_token_reports_the_end_of_input():
+    # Every proper prefix that ends with a token, inside a conversion too,
+    # reports the offset where the text ends.
+    rng = random.Random(4)
+    for theory in Theory:
+        for cert in _unsat_certificates(rng, 20, theory):
+            text = serialize_cert(cert)
+            for m in list(re.finditer(r"[()]|[^\s()]+", text))[:-1]:
+                prefix = text[: m.end()]
+                message = f"^syntax error at offset {len(prefix)}: unexpected end of input$"
+                with pytest.raises(ParseError, match=message):
+                    parse_cert(prefix)
+
+
 def test_tokens_split_on_unicode_whitespace():
     text = "(lift\x1c(refl\u3000v0)\u2028)\x85"
     assert parse_cert(text) == Lift(ReflP(0))

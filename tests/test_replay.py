@@ -33,6 +33,7 @@ from ordersat.certs import (
     LessLe,
     Lift,
     NegAtomConv,
+    NlessLe,
     ReflP,
     apply_conv,
     cert_size,
@@ -47,6 +48,7 @@ from ordersat.replay import (
     Appt,
     Bound,
     ConstT,
+    ConvP,
     ExportError,
     FmHole,
     FmP,
@@ -63,7 +65,6 @@ from ordersat.replay import (
     initial_context,
     replay,
     replay_refutation,
-    rpc,
 )
 from ordersat.selfcheck import clause_formula, iter_clauses
 
@@ -94,7 +95,8 @@ def test_replay_axiom_lookup():
     assert replay({}, PThm("refl")) == All(-1, LitP(pos(le(-1, -1))))
     with pytest.raises(ReplayError, match="unknown proof constant"):
         replay({}, PThm("modus_ponens"))
-    with pytest.raises(ReplayError, match="conversion constant"):
+    # Conversions are certificate nodes inside convp, not proof constants.
+    with pytest.raises(ReplayError, match="unknown proof constant 'lessle'"):
         replay({}, PThm("lessle"))
 
 
@@ -262,20 +264,26 @@ def test_instantiation_walks_only_schema_nodes(monkeypatch, make, size, theory):
     assert len(walked) <= 4 * cert_size(verdict.certificate)
 
 
-def test_rpc_examples():
+def test_convp_applies_the_certificate_conversion():
+    # A conversion that applies adds its result to the context.
     strict = Atom(pos(lt(0, 1)))
-    assert rpc(PThm("lessle"))(strict) == apply_conv(LessLe(), strict)
-    f = Or(Atom(pos(le(0, 1))), Atom(neg(eq(0, 1))))
-    assert rpc(PThm("allconv"))(f) == f
-    composite = AppP(AppP(PThm("binop"), PThm("negatom")), PThm("negatom"))
-    target = Or(Neg(Atom(pos(le(0, 1)))), Neg(Atom(pos(eq(0, 1)))))
-    assert rpc(composite)(target) == apply_conv(
-        BinopConv(NegAtomConv(), NegAtomConv()), target
-    )
-    with pytest.raises(ReplayError, match="not a conversion constant"):
-        rpc(PThm("trans"))
-    with pytest.raises(ReplayError, match="needs arguments"):
-        rpc(PThm("binop"))
+    source = encode_formula(strict)
+    context = {source: LitP(strict.lit)}
+    rewritten = apply_conv(LessLe(), strict)
+    proof = ConvP(source, LessLe(), Bound(encode_formula(rewritten)))
+    assert replay(context, proof) == FmP(rewritten)
+    f = Or(Neg(Atom(pos(le(0, 1)))), Neg(Atom(pos(eq(0, 1)))))
+    both = BinopConv(NegAtomConv(), NegAtomConv())
+    result = Or(Atom(neg(le(0, 1))), Atom(neg(eq(0, 1))))
+    proof = ConvP(encode_formula(f), both, Bound(encode_formula(result)))
+    assert replay(initial_context(f), proof) == FmP(result)
+    # One that does not apply is a replay error, as is a source not assumed.
+    with pytest.raises(ReplayError, match="^conversion failed: NlessLe does not apply to v0 < v1$"):
+        replay(context, ConvP(source, NlessLe(), Bound(source)))
+    with pytest.raises(ReplayError, match="conversion failed: BinopConv needs a binary connective"):
+        replay(context, ConvP(source, both, Bound(source)))
+    with pytest.raises(ReplayError, match="is not in the context"):
+        replay({}, ConvP(source, LessLe(), Bound(source)))
 
 
 def test_decode_encode_round_trip():
@@ -325,26 +333,31 @@ def test_checker_agreement_on_small_corpus():
     assert matched > 200
 
 
+def _replay_accepts(proof, f):
+    try:
+        return replay_refutation(export(proof, f), f)
+    except ExportError:
+        return False
+
+
 def test_rejected_mutants_also_rejected_by_replay():
+    # The two kernels accept exactly the same mutants, in both theories.
     rng = random.Random(99)
     clauses = [c for c in iter_clauses(3, 2)]
-    spot_checked = 0
-    for clause in clauses[::5]:
-        f = clause_formula(clause)
-        verdict = decide(f, Theory.PARTIAL)
-        if not isinstance(verdict, Unsat):
-            continue
-        for _ in range(3):
-            mutant = mutate_cert(rng, verdict.certificate)
-            if mutant == verdict.certificate or is_refutation(f, mutant):
+    checked = {theory: 0 for theory in Theory}
+    for theory in Theory:
+        for clause in clauses[::5]:
+            f = clause_formula(clause)
+            verdict = decide(f, theory)
+            if not isinstance(verdict, Unsat):
                 continue
-            spot_checked += 1
-            try:
-                accepted = replay_refutation(export(mutant, f), f)
-            except ExportError:
-                accepted = False
-            assert not accepted
-    assert spot_checked > 100
+            for _ in range(3):
+                mutant = mutate_cert(rng, verdict.certificate)
+                if mutant == verdict.certificate:
+                    continue
+                checked[theory] += 1
+                assert is_refutation(f, mutant) == _replay_accepts(mutant, f), (theory, f, mutant)
+    assert min(checked.values()) > 100
 
 
 def _prop_holds(prop, rel, valuation, pool):
