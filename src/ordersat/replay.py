@@ -1,14 +1,14 @@
-"""Generic replay kernel: simple terms, proof terms, and the axiom table.
+"""Generic replay kernel: proof terms and the axiom table.
 
 A second, structure-agnostic checker.  Certificates are compiled into a
 small lambda-free proof-term language (constants, proof application, proof
 abstraction, term application, conversions) and replayed against an axiom
-environment ``SIGMA``.  Hypotheses are referenced by their encoding as a
-term rather than by de Bruijn indices, so contexts are plain maps from
-terms to propositions.  A conversion step carries the certificate's own
-conversion and applies it with the structured checker's ``apply_conv``, so
-each conversion rule is stated once; conversion names are not proof
-constants.
+environment ``SIGMA``.  The terms of that language are the certificate's
+own variable ids and formulas.  A hypothesis is named by the formula it
+assumes rather than by a de Bruijn index, so a context is a set of
+formulas.  A conversion step carries the certificate's own conversion and
+applies it with the structured checker's ``apply_conv``, so each conversion
+rule is stated once; conversion names are not proof constants.
 
 Propositions are literal or formula judgements closed under implication
 and universal quantification over variable ids.  The schemas for the two
@@ -18,18 +18,19 @@ A literal judgement and the judgement of its atomic formula are identified
 (``FmP(Atom(l))`` normalizes to ``LitP(l)``).
 
 Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
-negative variable in any term, so no instantiation value can mention a
-bound id.  Substitution therefore replaces binders only: it never captures
-a variable, never renames, and never touches ``v0``, the variable of
-falsity ``v0 != v0``.  An ``appt`` spine instantiates its binders together,
-in one walk of the schema, so a value is placed once and never walked again.
+negative variable id as a term, so no instantiation value can be a bound
+id.  A formula value is never walked: formula binders occur only as holes
+of ``conje`` and ``disje``, which bind no variables.  Substitution
+therefore replaces binders only: it never captures a variable, never
+renames, and never touches ``v0``, the variable of falsity ``v0 != v0``.
+An ``appt`` spine instantiates its binders together, in one walk of the
+schema, so a value is placed once and never walked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .core import (
     And,
@@ -41,7 +42,6 @@ from .core import (
     OrderAtom,
     OrderSatError,
     VarId,
-    cache_hash,
     eq,
     le,
 )
@@ -75,36 +75,7 @@ class ExportError(OrderSatError):
 
 
 # ---------------------------------------------------------------------------
-# Terms and proof terms
-
-
-class GTrm:
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        """Core syntax when the term decodes, else its s-expression spine."""
-        try:
-            value = decode_term(self)
-        except ReplayError:
-            return _sexp(self)
-        return f"v{value}" if isinstance(value, int) else str(value)
-
-
-@dataclass(frozen=True)
-class ConstT(GTrm):
-    name: str
-
-
-@cache_hash
-@dataclass(frozen=True)
-class AppT(GTrm):
-    fn: GTrm
-    arg: GTrm
-
-
-@dataclass(frozen=True)
-class VarT(GTrm):
-    var: VarId
+# Proof terms
 
 
 class GPrf:
@@ -118,7 +89,7 @@ class PThm(GPrf):
 
 @dataclass(frozen=True)
 class Bound(GPrf):
-    term: GTrm
+    hyp: Formula
 
 
 @dataclass(frozen=True)
@@ -129,19 +100,19 @@ class AppP(GPrf):
 
 @dataclass(frozen=True)
 class AbsP(GPrf):
-    hyp: GTrm
+    hyp: Formula
     body: GPrf
 
 
 @dataclass(frozen=True)
 class Appt(GPrf):
     proof: GPrf
-    term: GTrm
+    term: VarId | Formula
 
 
 @dataclass(frozen=True)
 class ConvP(GPrf):
-    source: GTrm
+    source: Formula
     conversion: ConvProof
     proof: GPrf
 
@@ -203,105 +174,6 @@ def _fmp(f: Formula) -> MetaProp:
     if isinstance(f, Atom):
         return LitP(f.lit)
     return FmP(f)
-
-
-# ---------------------------------------------------------------------------
-# Encoding between core syntax and terms
-
-@lru_cache(maxsize=1 << 16)
-def encode_literal(lit: Literal) -> GTrm:
-    atom = AppT(AppT(ConstT(lit.atom.kind), VarT(lit.atom.x)), VarT(lit.atom.y))
-    if lit.pos:
-        return atom
-    return AppT(ConstT("not"), atom)
-
-
-@lru_cache(maxsize=1 << 16)
-def encode_formula(f: Formula) -> GTrm:
-    if isinstance(f, Atom):
-        return AppT(ConstT("atom"), encode_literal(f.lit))
-    if isinstance(f, And):
-        return AppT(AppT(ConstT("and"), encode_formula(f.left)), encode_formula(f.right))
-    if isinstance(f, Or):
-        return AppT(AppT(ConstT("or"), encode_formula(f.left)), encode_formula(f.right))
-    if isinstance(f, Neg):
-        return AppT(ConstT("not"), encode_formula(f.arg))
-    raise ValueError(f"not an encodable formula: {f!r}")
-
-
-def _spine(t: GTrm) -> tuple[GTrm, list[GTrm]]:
-    args: list[GTrm] = []
-    while isinstance(t, AppT):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
-def _sexp(t: GTrm) -> str:
-    if isinstance(t, AppT):
-        head, args = _spine(t)
-        return "(" + " ".join(map(_sexp, (head, *args))) + ")"
-    return t.name if isinstance(t, ConstT) else f"v{t.var}"
-
-
-@lru_cache(maxsize=1 << 16)
-def decode_term(t: GTrm) -> VarId | Literal | Formula:
-    """Interpret a term as a variable, a literal, or a formula."""
-    if isinstance(t, VarT):
-        if t.var < 0:
-            raise ReplayError(f"negative variable ids are reserved for axiom binders: {_sexp(t)}")
-        return t.var
-    head, args = _spine(t)
-    if not isinstance(head, ConstT):
-        raise ReplayError(f"term head is not a constant: {_sexp(t)}")
-    name = head.name
-    if name == "fls":
-        if args:
-            raise ReplayError("fls takes no arguments")
-        return FLS
-    if name in ("le", "lt", "eq"):
-        if len(args) != 2:
-            raise ReplayError(f"{name} takes two variables")
-        x, y = (decode_term(a) for a in args)
-        if not isinstance(x, int) or not isinstance(y, int):
-            raise ReplayError(f"{name} takes variables, got {_sexp(t)}")
-        return Literal(True, OrderAtom(name, x, y))
-    if name == "not":
-        if len(args) != 1:
-            raise ReplayError("not takes one argument")
-        inner = decode_term(args[0])
-        if isinstance(inner, Literal):
-            if not inner.pos:
-                raise ReplayError("cannot negate a negative literal term")
-            return inner.negate()
-        if isinstance(inner, Formula):
-            return Neg(inner)
-        raise ReplayError("not applied to a bare variable")
-    if name == "atom":
-        if len(args) != 1:
-            raise ReplayError("atom takes one argument")
-        inner = decode_term(args[0])
-        if not isinstance(inner, Literal):
-            raise ReplayError("atom takes a literal term")
-        return Atom(inner)
-    if name in ("and", "or"):
-        if len(args) != 2:
-            raise ReplayError(f"{name} takes two formulas")
-        left, right = (decode_term(a) for a in args)
-        if not isinstance(left, Formula) or not isinstance(right, Formula):
-            raise ReplayError(f"{name} takes formula terms")
-        return And(left, right) if name == "and" else Or(left, right)
-    raise ReplayError(f"unknown term constant {name!r}")
-
-
-def decode_prop(t: GTrm) -> MetaProp:
-    value = decode_term(t)
-    if isinstance(value, Literal):
-        return LitP(value)
-    if isinstance(value, Formula):
-        return _fmp(value)
-    raise ReplayError("a bare variable is not a proposition")
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +298,9 @@ def _subst(prop: MetaProp, env: Env) -> MetaProp:
     """Instantiate the binders in ``env`` together, in one walk of ``prop``.
 
     A value is placed at a hole or variable position and never walked again.
-    Values come from decode_term, which rejects the negative binder ids, so
-    no value can be captured by an inner quantifier.
+    Values are the certificate's own variable ids and formulas; replay
+    rejects the negative binder ids, so no value can be captured by an
+    inner quantifier.
     """
     if isinstance(prop, LitP):
         return LitP(_subst_lit(prop.lit, env))
@@ -443,7 +316,7 @@ def _subst(prop: MetaProp, env: Env) -> MetaProp:
 # ---------------------------------------------------------------------------
 # Replay
 
-Context = Mapping[GTrm, MetaProp]
+Context = AbstractSet[Formula]
 
 
 def replay(context: Context, proof: GPrf) -> MetaProp:
@@ -459,15 +332,11 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
             return prop
         raise ReplayError(f"unknown proof constant {proof.name!r}")
     if isinstance(proof, Bound):
-        prop = context.get(proof.term)
-        if prop is None:
-            raise ReplayError(f"unbound hypothesis {proof.term}")
-        return prop
+        if proof.hyp not in context:
+            raise ReplayError(f"unbound hypothesis {proof.hyp}")
+        return _fmp(proof.hyp)
     if isinstance(proof, AbsP):
-        hyp = decode_prop(proof.hyp)
-        extended = dict(context)
-        extended[proof.hyp] = hyp
-        return Implies(hyp, replay(extended, proof.body))
+        return Implies(_fmp(proof.hyp), replay(context | {proof.hyp}, proof.body))
     if isinstance(proof, AppP):
         fn = replay(context, proof.fn)
         arg = replay(context, proof.arg)
@@ -479,7 +348,7 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
             )
         return fn.concl
     if isinstance(proof, Appt):
-        terms: list[GTrm] = []
+        terms: list[SubstValue] = []
         while isinstance(proof, Appt):
             terms.append(proof.term)
             proof = proof.proof
@@ -489,38 +358,26 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
             if not isinstance(target, All):
                 got = _subst(target, env)
                 raise ReplayError(f"term application needs a quantified proposition, got {got}")
-            value = decode_term(term)
-            if isinstance(value, Literal):
+            if isinstance(term, int) and term < 0:
+                raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
+            if isinstance(term, Literal):
                 raise ReplayError("cannot instantiate with a bare literal term")
-            env[target.binder] = value
+            env[target.binder] = term
             target = target.body
         return _subst(target, env)
     if isinstance(proof, ConvP):
-        prop = context.get(proof.source)
-        if prop is None:
+        if proof.source not in context:
             raise ReplayError(f"conversion source {proof.source} is not in the context")
-        if isinstance(prop, LitP):
-            formula: Formula = Atom(prop.lit)
-        elif isinstance(prop, FmP):
-            formula = prop.formula
-        else:
-            raise ReplayError("conversion source must be a literal or formula judgement")
         try:
-            result = apply_conv(proof.conversion, formula)
+            result = apply_conv(proof.conversion, proof.source)
         except ConversionError as exc:
             raise ReplayError(f"conversion failed: {exc}") from exc
-        extended = dict(context)
-        extended[encode_formula(result)] = _fmp(result)
-        return replay(extended, proof.proof)
+        return replay(context | {result}, proof.proof)
     raise ReplayError(f"unknown proof term {proof!r}")
 
 
 # ---------------------------------------------------------------------------
 # Export from structured certificates
-
-
-def _hyp(lit: Literal) -> GPrf:
-    return Bound(encode_formula(Atom(lit)))
 
 
 def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
@@ -529,29 +386,29 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
     The conclusion is structural; replay re-validates it.
     """
     if isinstance(proof, AssmP):
-        return _hyp(proof.lit), proof.lit
+        return Bound(Atom(proof.lit)), proof.lit
     if isinstance(proof, ReflP):
-        return Appt(PThm("refl"), VarT(proof.var)), Literal(True, le(proof.var, proof.var))
+        return Appt(PThm("refl"), proof.var), Literal(True, le(proof.var, proof.var))
     if isinstance(proof, TransP):
         left, c1 = _export_atom(proof.left)
         right, c2 = _export_atom(proof.right)
         x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
-        head = Appt(Appt(Appt(PThm("trans"), VarT(x)), VarT(y)), VarT(z))
+        head = Appt(Appt(Appt(PThm("trans"), x), y), z)
         return AppP(AppP(head, left), right), Literal(True, le(x, z))
     if isinstance(proof, AntisymP):
         left, c1 = _export_atom(proof.left)
         right, _ = _export_atom(proof.right)
         x, y = c1.atom.x, c1.atom.y
-        head = Appt(Appt(PThm("antisym"), VarT(x)), VarT(y))
+        head = Appt(Appt(PThm("antisym"), x), y)
         return AppP(AppP(head, left), right), Literal(True, eq(x, y))
     if isinstance(proof, EQE1P):
         a = proof.lit.atom
-        head = Appt(Appt(PThm("eqe1"), VarT(a.x)), VarT(a.y))
-        return AppP(head, _hyp(proof.lit)), Literal(True, le(a.x, a.y))
+        head = Appt(Appt(PThm("eqe1"), a.x), a.y)
+        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.x, a.y))
     if isinstance(proof, EQE2P):
         a = proof.lit.atom
-        head = Appt(Appt(PThm("eqe2"), VarT(a.x)), VarT(a.y))
-        return AppP(head, _hyp(proof.lit)), Literal(True, le(a.y, a.x))
+        head = Appt(Appt(PThm("eqe2"), a.x), a.y)
+        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.y, a.x))
     if isinstance(proof, ContrP):
         a = proof.lit.atom
         if a.kind == "le":
@@ -560,8 +417,8 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
             axiom = "contr_eq"
         else:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = Appt(Appt(PThm(axiom), VarT(a.x)), VarT(a.y))
-        return AppP(AppP(head, _hyp(proof.lit)), _export_atom(proof.proof)[0]), FLS
+        head = Appt(Appt(PThm(axiom), a.x), a.y)
+        return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), FLS
     raise ExportError(f"unknown atom proof node {proof!r}")
 
 
@@ -569,8 +426,10 @@ def export(proof: PropProof, goal: Formula) -> GPrf:
     """Compile a structured refutation of ``goal`` into a proof term.
 
     The result replays to falsity in the context that assumes only the
-    encoded goal (see initial_context).  The compilation is structural and
-    performs no checking of its own; replaying is what validates it.
+    goal (see initial_context).  Its terms are the certificate's own
+    variable ids and formulas, passed through as they are.  The compilation
+    is structural and performs no checking of its own; replaying is what
+    validates it.
     """
     del goal  # the goal only matters when the result is replayed
     return _export_prop(proof)
@@ -580,25 +439,24 @@ def _export_prop(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
         return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
-        left, right = encode_formula(proof.left), encode_formula(proof.right)
-        head = Appt(Appt(PThm("conje"), left), right)
-        conjunction = Bound(encode_formula(And(proof.left, proof.right)))
-        return AppP(AppP(head, conjunction), AbsP(left, AbsP(right, _export_prop(proof.proof))))
+        head = Appt(Appt(PThm("conje"), proof.left), proof.right)
+        conjunction = Bound(And(proof.left, proof.right))
+        body = AbsP(proof.left, AbsP(proof.right, _export_prop(proof.proof)))
+        return AppP(AppP(head, conjunction), body)
     if isinstance(proof, DisjE):
-        left, right = encode_formula(proof.left), encode_formula(proof.right)
-        head = Appt(Appt(PThm("disje"), left), right)
-        disjunction = Bound(encode_formula(Or(proof.left, proof.right)))
-        left_case = AbsP(left, _export_prop(proof.left_proof))
-        right_case = AbsP(right, _export_prop(proof.right_proof))
+        head = Appt(Appt(PThm("disje"), proof.left), proof.right)
+        disjunction = Bound(Or(proof.left, proof.right))
+        left_case = AbsP(proof.left, _export_prop(proof.left_proof))
+        right_case = AbsP(proof.right, _export_prop(proof.right_proof))
         return AppP(AppP(AppP(head, disjunction), left_case), right_case)
     if isinstance(proof, ConvRule):
-        return ConvP(encode_formula(proof.source), proof.conversion, _export_prop(proof.proof))
+        return ConvP(proof.source, proof.conversion, _export_prop(proof.proof))
     raise ExportError(f"unknown propositional proof node {proof!r}")
 
 
-def initial_context(goal: Formula) -> dict[GTrm, MetaProp]:
+def initial_context(goal: Formula) -> frozenset[Formula]:
     """The replay context assuming only the goal formula."""
-    return {encode_formula(goal): _fmp(goal)}
+    return frozenset({goal})
 
 
 def replay_refutation(proof: GPrf, goal: Formula) -> bool:

@@ -61,13 +61,11 @@ from ordersat.replay import (
     FmHole,
     FmP,
     GPrf,
-    GTrm,
     Implies,
     LitP,
     MetaProp,
     ReplayError,
     SubstValue,
-    decode_term,
     replay,
 )
 
@@ -166,8 +164,9 @@ def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
 def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
     """Instantiate ``binder`` with ``value``.
 
-    Values come from decode_term, which rejects the negative binder ids, so
-    no value can be captured by an inner quantifier.
+    Values are the certificate's own variable ids and formulas, and the
+    negative binder ids are rejected, so no value can be captured by an
+    inner quantifier.
     """
     if isinstance(prop, LitP):
         if isinstance(value, int):
@@ -186,16 +185,17 @@ def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
     raise ReplayError(f"not a proposition: {prop}")
 
 
-def sequential_instance(head: GPrf, terms: list[GTrm]) -> MetaProp:
+def sequential_instance(head: GPrf, terms: list[SubstValue | Literal]) -> MetaProp:
     """The ``appt`` spine ``head terms[0] … terms[-1]``, instantiated one binder at a time."""
-    target = replay({}, head)
+    target = replay(frozenset(), head)
     for term in terms:
         if not isinstance(target, All):
             raise ReplayError(f"term application needs a quantified proposition, got {target}")
-        value = decode_term(term)
-        if isinstance(value, Literal):
+        if isinstance(term, int) and term < 0:
+            raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
+        if isinstance(term, Literal):
             raise ReplayError("cannot instantiate with a bare literal term")
-        target = _subst(target.body, target.binder, value)
+        target = _subst(target.body, target.binder, term)
     return target
 
 

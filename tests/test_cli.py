@@ -194,9 +194,7 @@ def test_check_replay_reports_the_kernel_reason(tmp_path, capsys):
     assert "(assm (+ le v0 v1))" in text
     cert.write_text(text.replace("(assm (+ le v0 v1))", "(assm (+ le v1 v0))"))
     assert run(["check", str(cert), "--goal", str(source), "--kernel", "replay"]) == 3
-    out = capsys.readouterr().out
-    assert out.startswith("rejected: ") and "unbound hypothesis" in out
-    assert "v1 <= v0" in out and "AppT(" not in out
+    assert capsys.readouterr().out == "rejected: unbound hypothesis v1 <= v0\n"
 
 
 def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import gc
 import importlib
 import itertools
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from ordersat.core import (
 from ordersat.certs import (
     FLS,
     BinopConv,
+    ConvRule,
     LessLe,
     Lift,
     NegAtomConv,
@@ -38,6 +41,8 @@ from ordersat.certs import (
     apply_conv,
     cert_size,
     is_refutation,
+    parse_cert,
+    serialize_cert,
 )
 from ordersat.closure import Unsat, decide
 from ordersat.oracle import enumerate_posets
@@ -47,7 +52,6 @@ from ordersat.replay import (
     AppP,
     Appt,
     Bound,
-    ConstT,
     ConvP,
     ExportError,
     FmHole,
@@ -56,11 +60,7 @@ from ordersat.replay import (
     LitP,
     PThm,
     ReplayError,
-    VarT,
     _subst,
-    decode_term,
-    encode_formula,
-    encode_literal,
     export,
     initial_context,
     replay,
@@ -92,22 +92,22 @@ def test_sigma_names():
 
 
 def test_replay_axiom_lookup():
-    assert replay({}, PThm("refl")) == All(-1, LitP(pos(le(-1, -1))))
+    assert replay(frozenset(), PThm("refl")) == All(-1, LitP(pos(le(-1, -1))))
     with pytest.raises(ReplayError, match="unknown proof constant"):
-        replay({}, PThm("modus_ponens"))
+        replay(frozenset(), PThm("modus_ponens"))
     # Conversions are certificate nodes inside convp, not proof constants.
     with pytest.raises(ReplayError, match="unknown proof constant 'lessle'"):
-        replay({}, PThm("lessle"))
+        replay(frozenset(), PThm("lessle"))
 
 
 def test_replay_trans_by_hand():
     x, y, z = 4, 5, 6
-    hyp_xy = encode_literal(pos(le(x, y)))
-    hyp_yz = encode_literal(pos(le(y, z)))
-    context = {hyp_xy: LitP(pos(le(x, y))), hyp_yz: LitP(pos(le(y, z)))}
+    hyp_xy = Atom(pos(le(x, y)))
+    hyp_yz = Atom(pos(le(y, z)))
+    context = frozenset({hyp_xy, hyp_yz})
     proof = AppP(
         AppP(
-            Appt(Appt(Appt(PThm("trans"), VarT(x)), VarT(y)), VarT(z)),
+            Appt(Appt(Appt(PThm("trans"), x), y), z),
             Bound(hyp_xy),
         ),
         Bound(hyp_yz),
@@ -117,35 +117,35 @@ def test_replay_trans_by_hand():
 
 def test_replay_bound_requires_context():
     with pytest.raises(ReplayError, match="unbound"):
-        replay({}, Bound(encode_literal(pos(le(0, 1)))))
+        replay(frozenset(), Bound(Atom(pos(le(0, 1)))))
 
 
 def test_replay_appp_mismatch():
     proof = AppP(
-        Appt(Appt(PThm("eqe1"), VarT(0)), VarT(1)),
-        Appt(PThm("refl"), VarT(0)),
+        Appt(Appt(PThm("eqe1"), 0), 1),
+        Appt(PThm("refl"), 0),
     )
     with pytest.raises(ReplayError, match="mismatch"):
-        replay({}, proof)
+        replay(frozenset(), proof)
 
 
 def test_replay_appt_needs_quantifier():
     with pytest.raises(ReplayError, match="quantified"):
-        replay({}, Appt(Appt(PThm("refl"), VarT(0)), VarT(1)))
+        replay(frozenset(), Appt(Appt(PThm("refl"), 0), 1))
 
 
 def test_substitution_matches_direct_instantiation():
     # Instantiating trans at every triple equals writing the instance down.
     for x, y, z in itertools.product(range(4), repeat=3):
-        proof = Appt(Appt(Appt(PThm("trans"), VarT(x)), VarT(y)), VarT(z))
+        proof = Appt(Appt(Appt(PThm("trans"), x), y), z)
         expected = Implies(
             LitP(pos(le(x, y))),
             Implies(LitP(pos(le(y, z))), LitP(pos(le(x, z)))),
         )
-        assert replay({}, proof) == expected
+        assert replay(frozenset(), proof) == expected
     # Same for the one-binder axiom.
     for x in range(4):
-        assert replay({}, Appt(PThm("refl"), VarT(x))) == LitP(pos(le(x, x)))
+        assert replay(frozenset(), Appt(PThm("refl"), x)) == LitP(pos(le(x, x)))
     # And for every two-binder literal axiom.
     instances = {
         "antisym": lambda x, y: Implies(
@@ -162,33 +162,33 @@ def test_substitution_matches_direct_instantiation():
     }
     for name, instance in instances.items():
         for x, y in itertools.product(range(4), repeat=2):
-            proof = Appt(Appt(PThm(name), VarT(x)), VarT(y))
-            assert replay({}, proof) == instance(x, y), (name, x, y)
+            proof = Appt(Appt(PThm(name), x), y)
+            assert replay(frozenset(), proof) == instance(x, y), (name, x, y)
 
 
 def test_replay_rejects_binder_ids_in_terms():
     # Negative ids are reserved for axiom binders; no term may mention one.
-    with pytest.raises(ReplayError, match="negative"):
-        replay({}, Appt(PThm("refl"), VarT(-1)))
+    with pytest.raises(ReplayError, match="^negative variable ids are reserved for axiom binders: v-1$"):
+        replay(frozenset(), Appt(PThm("refl"), -1))
 
 
 def test_substitution_avoids_capture():
     # Instantiating x with the ids used by the inner binders must not confuse
     # the later instantiations.
-    proof = Appt(Appt(Appt(PThm("trans"), VarT(2)), VarT(3)), VarT(1))
+    proof = Appt(Appt(Appt(PThm("trans"), 2), 3), 1)
     expected = Implies(
         LitP(pos(le(2, 3))),
         Implies(LitP(pos(le(3, 1))), LitP(pos(le(2, 1)))),
     )
-    assert replay({}, proof) == expected
+    assert replay(frozenset(), proof) == expected
 
 
 def test_formula_instantiation_avoids_capture():
     # conje applied to formulas whose variables collide with the binder ids.
     c = Atom(pos(le(1, 2)))
     d = Atom(neg(eq(2, 2)))
-    proof = Appt(Appt(PThm("conje"), encode_formula(c)), encode_formula(d))
-    prop = replay({}, proof)
+    proof = Appt(Appt(PThm("conje"), c), d)
+    prop = replay(frozenset(), proof)
     assert prop == Implies(
         FmP(And(c, d)),
         Implies(Implies(LitP(c.lit), Implies(LitP(d.lit), LitP(FLS))), LitP(FLS)),
@@ -207,11 +207,7 @@ _formulas = st.recursive(
     ),
     max_leaves=6,
 )
-_terms = st.one_of(
-    st.builds(VarT, st.integers(0, 5)),
-    _formulas.map(encode_formula),
-    _literals.map(encode_literal),
-)
+_terms = st.one_of(st.integers(0, 5), _formulas, _literals)
 
 
 @settings(max_examples=400, deadline=None)
@@ -224,9 +220,9 @@ def test_spine_instantiation_matches_the_sequential_oracle(name, terms):
         expected = sequential_instance(PThm(name), terms)
     except ReplayError:
         with pytest.raises(ReplayError):
-            replay({}, spine)
+            replay(frozenset(), spine)
     else:
-        assert replay({}, spine) == expected
+        assert replay(frozenset(), spine) == expected
 
 
 def _schema_formula_nodes():
@@ -266,16 +262,15 @@ def test_instantiation_walks_only_schema_nodes(monkeypatch, make, size, theory):
 
 def test_convp_applies_the_certificate_conversion():
     # A conversion that applies adds its result to the context.
-    strict = Atom(pos(lt(0, 1)))
-    source = encode_formula(strict)
-    context = {source: LitP(strict.lit)}
-    rewritten = apply_conv(LessLe(), strict)
-    proof = ConvP(source, LessLe(), Bound(encode_formula(rewritten)))
+    source = Atom(pos(lt(0, 1)))
+    context = frozenset({source})
+    rewritten = apply_conv(LessLe(), source)
+    proof = ConvP(source, LessLe(), Bound(rewritten))
     assert replay(context, proof) == FmP(rewritten)
     f = Or(Neg(Atom(pos(le(0, 1)))), Neg(Atom(pos(eq(0, 1)))))
     both = BinopConv(NegAtomConv(), NegAtomConv())
     result = Or(Atom(neg(le(0, 1))), Atom(neg(eq(0, 1))))
-    proof = ConvP(encode_formula(f), both, Bound(encode_formula(result)))
+    proof = ConvP(f, both, Bound(result))
     assert replay(initial_context(f), proof) == FmP(result)
     # One that does not apply is a replay error, as is a source not assumed.
     with pytest.raises(ReplayError, match="^conversion failed: NlessLe does not apply to v0 < v1$"):
@@ -283,16 +278,20 @@ def test_convp_applies_the_certificate_conversion():
     with pytest.raises(ReplayError, match="conversion failed: BinopConv needs a binary connective"):
         replay(context, ConvP(source, both, Bound(source)))
     with pytest.raises(ReplayError, match="is not in the context"):
-        replay({}, ConvP(source, LessLe(), Bound(source)))
+        replay(frozenset(), ConvP(source, LessLe(), Bound(source)))
 
 
-def test_decode_encode_round_trip():
-    lits = [pos(le(0, 1)), neg(eq(2, 2)), pos(lt(1, 0))]
-    for lit in lits:
-        assert decode_term(encode_literal(lit)) == lit
-    f = Or(And(Atom(lits[0]), Neg(Atom(lits[1]))), Atom(lits[2]))
-    assert decode_term(encode_formula(f)) == f
-    assert decode_term(ConstT("fls")) == FLS
+def test_replay_keeps_no_formula_alive_after_the_call():
+    # Terms are the certificate's own formulas, held only while a call runs.
+    f, _ = parse_input("~(p < q) & q = r & r = p & s <= q & ~(p <= q)")
+    verdict = decide(f, Theory.PARTIAL)
+    cert = parse_cert(serialize_cert(verdict.certificate))
+    assert isinstance(cert, ConvRule)
+    assert replay_refutation(export(cert, f), f)
+    source = weakref.ref(cert.source)
+    del f, verdict, cert
+    gc.collect()
+    assert source() is None
 
 
 def test_export_lift_refl():
