@@ -22,7 +22,6 @@ from .core import (
     parse_input,
 )
 from .certs import (
-    FLS,
     FLS_FORMULA,
     ConversionError,
     ProofError,
@@ -33,7 +32,8 @@ from .certs import (
 )
 from .closure import Sat, Unsat, decide
 from .model import Model
-from .replay import ExportError, LitP, ReplayError, export, initial_context, replay
+from .oracle import MAX_CARRIER
+from .replay import ExportError, ReplayError, export, replay
 from .selfcheck import run_agreement
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -151,17 +151,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         if args.kernel == "structured":
             conclusion = check_prop_proof({goal}, cert)
-            falsity, what = FLS_FORMULA, "certificate"
+            what = "certificate"
         else:
-            conclusion = replay(initial_context(goal), export(cert, goal))
-            falsity, what = LitP(FLS), "proof term"
+            conclusion = replay(frozenset({goal}), export(cert, goal))
+            what = "proof term"
     except (ProofError, ConversionError, ExportError, ReplayError) as exc:
         print(f"rejected: {exc}")
         return EXIT_REJECTED
     except RecursionError:
         print(f"rejected: certificate nested too deeply for the {args.kernel} kernel")
         return EXIT_REJECTED
-    if conclusion != falsity:
+    if conclusion != FLS_FORMULA:
         print(f"rejected: {what} concludes {conclusion}, not falsity")
         return EXIT_REJECTED
     print("ok")
@@ -169,6 +169,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    # A clause of L literals over K variables mentions up to min(K, 2L) of them.
+    mentioned = min(args.num_vars, 2 * args.max_literals)
+    if min(args.max_literals, args.num_vars) < 1:
+        print("error: --max-literals and --num-vars must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if mentioned > MAX_CARRIER:
+        print(
+            f"error: clauses of {args.max_literals} literals over {args.num_vars} variables can"
+            f" mention {mentioned} variables; the brute-force oracle takes at most {MAX_CARRIER}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     stats = run_agreement(args.max_literals, args.num_vars)
     for line in stats.summary_lines():
         print(line)

@@ -10,12 +10,13 @@ formulas.  A conversion step carries the certificate's own conversion and
 applies it with the structured checker's ``apply_conv``, so each conversion
 rule is stated once; conversion names are not proof constants.
 
-Propositions are literal or formula judgements closed under implication
-and universal quantification over variable ids.  The schemas for the two
-propositional axioms quantify over formulas; a hole node that only ever
-appears inside ``SIGMA`` marks the positions a term application fills in.
-A literal judgement and the judgement of its atomic formula are identified
-(``FmP(Atom(l))`` normalizes to ``LitP(l)``).
+A proposition is a judgement, an implication, or a universal
+quantification over variable ids, and a judgement is one of the
+certificate's own formulas: a hypothesis proves the formula it assumes.
+Falsity is the structured checker's ``FLS_FORMULA``, so both kernels
+conclude the same value.  The schemas for the two propositional axioms
+quantify over formulas; a hole node that only ever appears inside
+``SIGMA`` marks the positions a term application fills in.
 
 Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
 negative variable id as a term, so no instantiation value can be a bound
@@ -47,6 +48,7 @@ from .core import (
 )
 from .certs import (
     FLS,
+    FLS_FORMULA,
     AntisymP,
     AssmP,
     CertProof,
@@ -121,30 +123,10 @@ class ConvP(GPrf):
 # Propositions
 
 
-class MetaProp:
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class LitP(MetaProp):
-    lit: Literal
-
-    def __str__(self) -> str:
-        return str(self.lit)
-
-
-@dataclass(frozen=True)
-class FmP(MetaProp):
-    formula: Formula
-
-    def __str__(self) -> str:
-        return str(self.formula)
-
-
-@dataclass(frozen=True)
-class Implies(MetaProp):
-    hyp: MetaProp
-    concl: MetaProp
+class Implies:
+    hyp: Prop
+    concl: Prop
 
     def __str__(self) -> str:
         hyp = f"({self.hyp})" if isinstance(self.hyp, (Implies, All)) else str(self.hyp)
@@ -152,12 +134,15 @@ class Implies(MetaProp):
 
 
 @dataclass(frozen=True)
-class All(MetaProp):
+class All:
     binder: VarId
-    body: MetaProp
+    body: Prop
 
     def __str__(self) -> str:
         return f"!v{self.binder}. {self.body}"
+
+
+Prop = Formula | Implies | All
 
 
 @dataclass(frozen=True)
@@ -170,23 +155,17 @@ class FmHole(Formula):
         return f"v{self.hole}"
 
 
-def _fmp(f: Formula) -> MetaProp:
-    if isinstance(f, Atom):
-        return LitP(f.lit)
-    return FmP(f)
-
-
 # ---------------------------------------------------------------------------
 # The axiom environment
 
 _X, _Y, _Z = -1, -2, -3
 
 
-def _lit(pol: bool, atom: OrderAtom) -> MetaProp:
-    return LitP(Literal(pol, atom))
+def _lit(pol: bool, atom: OrderAtom) -> Atom:
+    return Atom(Literal(pol, atom))
 
 
-SIGMA: dict[str, MetaProp] = {
+SIGMA: dict[str, Prop] = {
     "refl": All(_X, _lit(True, le(_X, _X))),
     "trans": All(
         _X,
@@ -219,7 +198,7 @@ SIGMA: dict[str, MetaProp] = {
             _Y,
             Implies(
                 _lit(False, le(_X, _Y)),
-                Implies(_lit(True, le(_X, _Y)), LitP(FLS)),
+                Implies(_lit(True, le(_X, _Y)), FLS_FORMULA),
             ),
         ),
     ),
@@ -229,7 +208,7 @@ SIGMA: dict[str, MetaProp] = {
             _Y,
             Implies(
                 _lit(False, eq(_X, _Y)),
-                Implies(_lit(True, eq(_X, _Y)), LitP(FLS)),
+                Implies(_lit(True, eq(_X, _Y)), FLS_FORMULA),
             ),
         ),
     ),
@@ -238,10 +217,10 @@ SIGMA: dict[str, MetaProp] = {
         All(
             _Y,
             Implies(
-                FmP(And(FmHole(_X), FmHole(_Y))),
+                And(FmHole(_X), FmHole(_Y)),
                 Implies(
-                    Implies(FmP(FmHole(_X)), Implies(FmP(FmHole(_Y)), LitP(FLS))),
-                    LitP(FLS),
+                    Implies(FmHole(_X), Implies(FmHole(_Y), FLS_FORMULA)),
+                    FLS_FORMULA,
                 ),
             ),
         ),
@@ -251,10 +230,10 @@ SIGMA: dict[str, MetaProp] = {
         All(
             _Y,
             Implies(
-                FmP(Or(FmHole(_X), FmHole(_Y))),
+                Or(FmHole(_X), FmHole(_Y)),
                 Implies(
-                    Implies(FmP(FmHole(_X)), LitP(FLS)),
-                    Implies(Implies(FmP(FmHole(_Y)), LitP(FLS)), LitP(FLS)),
+                    Implies(FmHole(_X), FLS_FORMULA),
+                    Implies(Implies(FmHole(_Y), FLS_FORMULA), FLS_FORMULA),
                 ),
             ),
         ),
@@ -294,7 +273,7 @@ def _subst_fm(f: Formula, env: Env) -> Formula:
     raise ReplayError(f"not a formula: {f}")
 
 
-def _subst(prop: MetaProp, env: Env) -> MetaProp:
+def _subst(prop: Prop, env: Env) -> Prop:
     """Instantiate the binders in ``env`` together, in one walk of ``prop``.
 
     A value is placed at a hole or variable position and never walked again.
@@ -302,10 +281,8 @@ def _subst(prop: MetaProp, env: Env) -> MetaProp:
     rejects the negative binder ids, so no value can be captured by an
     inner quantifier.
     """
-    if isinstance(prop, LitP):
-        return LitP(_subst_lit(prop.lit, env))
-    if isinstance(prop, FmP):
-        return _fmp(_subst_fm(prop.formula, env))
+    if isinstance(prop, Formula):
+        return _subst_fm(prop, env)
     if isinstance(prop, Implies):
         return Implies(_subst(prop.hyp, env), _subst(prop.concl, env))
     if isinstance(prop, All):
@@ -319,7 +296,7 @@ def _subst(prop: MetaProp, env: Env) -> MetaProp:
 Context = AbstractSet[Formula]
 
 
-def replay(context: Context, proof: GPrf) -> MetaProp:
+def replay(context: Context, proof: GPrf) -> Prop:
     """Return the proposition proved by ``proof`` in ``context``.
 
     Each failure mode is distinct: unknown constants, unbound hypotheses,
@@ -334,9 +311,9 @@ def replay(context: Context, proof: GPrf) -> MetaProp:
     if isinstance(proof, Bound):
         if proof.hyp not in context:
             raise ReplayError(f"unbound hypothesis {proof.hyp}")
-        return _fmp(proof.hyp)
+        return proof.hyp
     if isinstance(proof, AbsP):
-        return Implies(_fmp(proof.hyp), replay(context | {proof.hyp}, proof.body))
+        return Implies(proof.hyp, replay(context | {proof.hyp}, proof.body))
     if isinstance(proof, AppP):
         fn = replay(context, proof.fn)
         arg = replay(context, proof.arg)
@@ -425,8 +402,8 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
 def export(proof: PropProof, goal: Formula) -> GPrf:
     """Compile a structured refutation of ``goal`` into a proof term.
 
-    The result replays to falsity in the context that assumes only the
-    goal (see initial_context).  Its terms are the certificate's own
+    The result replays to falsity in the context ``frozenset({goal})``,
+    which assumes only the goal.  Its terms are the certificate's own
     variable ids and formulas, passed through as they are.  The compilation
     is structural and performs no checking of its own; replaying is what
     validates it.
@@ -454,14 +431,9 @@ def _export_prop(proof: PropProof) -> GPrf:
     raise ExportError(f"unknown propositional proof node {proof!r}")
 
 
-def initial_context(goal: Formula) -> frozenset[Formula]:
-    """The replay context assuming only the goal formula."""
-    return frozenset({goal})
-
-
 def replay_refutation(proof: GPrf, goal: Formula) -> bool:
     """True iff ``proof`` replays to falsity assuming only ``goal``."""
     try:
-        return replay(initial_context(goal), proof) == LitP(FLS)
+        return replay(frozenset({goal}), proof) == FLS_FORMULA
     except ReplayError:
         return False

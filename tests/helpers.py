@@ -59,11 +59,9 @@ from ordersat.closure import ProofMap, leq1_mapping
 from ordersat.replay import (
     All,
     FmHole,
-    FmP,
     GPrf,
     Implies,
-    LitP,
-    MetaProp,
+    Prop,
     ReplayError,
     SubstValue,
     replay,
@@ -124,12 +122,6 @@ def closed(lits: Iterable[Literal]) -> ProofMap:
 # the replay kernel's earlier substitution, kept verbatim as the reference.
 
 
-def _fmp(f: Formula) -> MetaProp:
-    if isinstance(f, Atom):
-        return LitP(f.lit)
-    return FmP(f)
-
-
 def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
     a = lit.atom
     x = new if a.x == old else a.x
@@ -161,21 +153,15 @@ def _subst_fm(f: Formula, binder: VarId, value: SubstValue) -> Formula:
     raise ReplayError(f"not a formula: {f}")
 
 
-def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
+def _subst(prop: Prop, binder: VarId, value: SubstValue) -> Prop:
     """Instantiate ``binder`` with ``value``.
 
     Values are the certificate's own variable ids and formulas, and the
     negative binder ids are rejected, so no value can be captured by an
     inner quantifier.
     """
-    if isinstance(prop, LitP):
-        if isinstance(value, int):
-            return LitP(_rename_lit(prop.lit, binder, value))
-        if binder in (prop.lit.atom.x, prop.lit.atom.y):
-            raise ReplayError("cannot substitute a formula for a variable position")
-        return prop
-    if isinstance(prop, FmP):
-        return _fmp(_subst_fm(prop.formula, binder, value))
+    if isinstance(prop, Formula):
+        return _subst_fm(prop, binder, value)
     if isinstance(prop, Implies):
         return Implies(_subst(prop.hyp, binder, value), _subst(prop.concl, binder, value))
     if isinstance(prop, All):
@@ -185,7 +171,7 @@ def _subst(prop: MetaProp, binder: VarId, value: SubstValue) -> MetaProp:
     raise ReplayError(f"not a proposition: {prop}")
 
 
-def sequential_instance(head: GPrf, terms: list[SubstValue | Literal]) -> MetaProp:
+def sequential_instance(head: GPrf, terms: list[SubstValue | Literal]) -> Prop:
     """The ``appt`` spine ``head terms[0] … terms[-1]``, instantiated one binder at a time."""
     target = replay(frozenset(), head)
     for term in terms:

@@ -61,7 +61,7 @@ from ordersat.certs import (
 )
 from ordersat.closure import Unsat, decide
 from ordersat.oracle import brute_sat
-from ordersat.replay import ExportError, LitP, ReplayError, export, initial_context, replay
+from ordersat.replay import ExportError, ReplayError, export, replay
 from ordersat.selfcheck import clause_formula, iter_clauses
 from ordersat.sexpr import tokenize
 
@@ -351,7 +351,7 @@ def _kernel_verdicts(goal, cert):
     except (ProofError, ConversionError):
         structured = False
     try:
-        replayed = replay(initial_context(goal), export(cert, goal)) == LitP(FLS)
+        replayed = replay(frozenset({goal}), export(cert, goal)) == FLS_FORMULA
     except (ExportError, ReplayError):
         replayed = False
     return structured, replayed

@@ -197,16 +197,32 @@ def test_check_replay_reports_the_kernel_reason(tmp_path, capsys):
     assert capsys.readouterr().out == "rejected: unbound hypothesis v1 <= v0\n"
 
 
-def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys):
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys, kernel):
+    what = {"structured": "certificate", "replay": "proof term"}[kernel]
     source = tmp_path / "goal.txt"
     source.write_text("x <= y\n")
     cert = tmp_path / "proof.cert"
     cert.write_text("(lift (refl v0))\n")
-    assert run(["check", str(cert), "--goal", str(source), "--kernel", "replay"]) == 3
-    out = capsys.readouterr().out
-    assert out.startswith("rejected: proof term concludes ") and out.rstrip().endswith(
-        "not falsity"
-    )
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 3
+    assert capsys.readouterr().out == f"rejected: {what} concludes v0 <= v0, not falsity\n"
+
+
+@pytest.mark.parametrize("role", ["formula", "certificate", "goal"])
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, role):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"x <= y\xff\n")
+    goal = tmp_path / "goal.txt"
+    goal.write_text("x <= y\n")
+    cert = tmp_path / "proof.cert"
+    cert.write_text("(lift (refl v0))\n")
+    argv = {
+        "formula": ["solve", str(bad), "--theory", "partial"],
+        "certificate": ["check", str(bad), "--goal", str(goal)],
+        "goal": ["check", str(cert), "--goal", str(bad)],
+    }[role]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
 
 
 # Before Python 3.11 every Python call also takes C stack, so 50,000 nested
@@ -309,6 +325,31 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert "selftest ok" in out
     assert "disagreements: 0" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--max-literals", "3", "--num-vars", "5"],
+            "error: clauses of 3 literals over 5 variables can mention 5 variables;"
+            " the brute-force oracle takes at most 4\n",
+        ),
+        (["--max-literals", "0"], "error: --max-literals and --num-vars must be at least 1\n"),
+        (["--num-vars", "0"], "error: --max-literals and --num-vars must be at least 1\n"),
+    ],
+)
+def test_selftest_out_of_range_is_a_usage_error(capsys, argv, message):
+    assert run(["selftest", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_selftest_reaches_the_oracle_limit(capsys):
+    # Two literals mention at most four of the five variables.
+    assert run(["selftest", "--max-literals", "2", "--num-vars", "5"]) == 0
+    assert "selftest ok" in capsys.readouterr().out
 
 
 def test_format_model_sorted():

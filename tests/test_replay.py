@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordersat import certs
 from ordersat.core import (
     ATOM_KINDS,
     And,
@@ -21,7 +22,6 @@ from ordersat.core import (
     Theory,
     eq,
     eval_formula,
-    eval_literal,
     iter_valuations,
     le,
     lt,
@@ -30,7 +30,8 @@ from ordersat.core import (
     pos,
 )
 from ordersat.certs import (
-    FLS,
+    FLS_FORMULA,
+    NleConv,
     BinopConv,
     ConvRule,
     LessLe,
@@ -40,6 +41,7 @@ from ordersat.certs import (
     ReflP,
     apply_conv,
     cert_size,
+    check_prop_proof,
     is_refutation,
     parse_cert,
     serialize_cert,
@@ -55,20 +57,17 @@ from ordersat.replay import (
     ConvP,
     ExportError,
     FmHole,
-    FmP,
     Implies,
-    LitP,
     PThm,
     ReplayError,
     _subst,
     export,
-    initial_context,
     replay,
     replay_refutation,
 )
 from ordersat.selfcheck import clause_formula, iter_clauses
 
-from helpers import mutate_cert, sequential_instance
+from helpers import mutate_cert, random_formula, sequential_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import chain_text, ladder_text  # noqa: E402
@@ -92,7 +91,7 @@ def test_sigma_names():
 
 
 def test_replay_axiom_lookup():
-    assert replay(frozenset(), PThm("refl")) == All(-1, LitP(pos(le(-1, -1))))
+    assert replay(frozenset(), PThm("refl")) == All(-1, Atom(pos(le(-1, -1))))
     with pytest.raises(ReplayError, match="unknown proof constant"):
         replay(frozenset(), PThm("modus_ponens"))
     # Conversions are certificate nodes inside convp, not proof constants.
@@ -112,7 +111,7 @@ def test_replay_trans_by_hand():
         ),
         Bound(hyp_yz),
     )
-    assert replay(context, proof) == LitP(pos(le(x, z)))
+    assert replay(context, proof) == Atom(pos(le(x, z)))
 
 
 def test_replay_bound_requires_context():
@@ -139,25 +138,25 @@ def test_substitution_matches_direct_instantiation():
     for x, y, z in itertools.product(range(4), repeat=3):
         proof = Appt(Appt(Appt(PThm("trans"), x), y), z)
         expected = Implies(
-            LitP(pos(le(x, y))),
-            Implies(LitP(pos(le(y, z))), LitP(pos(le(x, z)))),
+            Atom(pos(le(x, y))),
+            Implies(Atom(pos(le(y, z))), Atom(pos(le(x, z)))),
         )
         assert replay(frozenset(), proof) == expected
     # Same for the one-binder axiom.
     for x in range(4):
-        assert replay(frozenset(), Appt(PThm("refl"), x)) == LitP(pos(le(x, x)))
+        assert replay(frozenset(), Appt(PThm("refl"), x)) == Atom(pos(le(x, x)))
     # And for every two-binder literal axiom.
     instances = {
         "antisym": lambda x, y: Implies(
-            LitP(pos(le(x, y))), Implies(LitP(pos(le(y, x))), LitP(pos(eq(x, y))))
+            Atom(pos(le(x, y))), Implies(Atom(pos(le(y, x))), Atom(pos(eq(x, y))))
         ),
-        "eqe1": lambda x, y: Implies(LitP(pos(eq(x, y))), LitP(pos(le(x, y)))),
-        "eqe2": lambda x, y: Implies(LitP(pos(eq(x, y))), LitP(pos(le(y, x)))),
+        "eqe1": lambda x, y: Implies(Atom(pos(eq(x, y))), Atom(pos(le(x, y)))),
+        "eqe2": lambda x, y: Implies(Atom(pos(eq(x, y))), Atom(pos(le(y, x)))),
         "contr_le": lambda x, y: Implies(
-            LitP(neg(le(x, y))), Implies(LitP(pos(le(x, y))), LitP(FLS))
+            Atom(neg(le(x, y))), Implies(Atom(pos(le(x, y))), FLS_FORMULA)
         ),
         "contr_eq": lambda x, y: Implies(
-            LitP(neg(eq(x, y))), Implies(LitP(pos(eq(x, y))), LitP(FLS))
+            Atom(neg(eq(x, y))), Implies(Atom(pos(eq(x, y))), FLS_FORMULA)
         ),
     }
     for name, instance in instances.items():
@@ -177,8 +176,8 @@ def test_substitution_avoids_capture():
     # the later instantiations.
     proof = Appt(Appt(Appt(PThm("trans"), 2), 3), 1)
     expected = Implies(
-        LitP(pos(le(2, 3))),
-        Implies(LitP(pos(le(3, 1))), LitP(pos(le(2, 1)))),
+        Atom(pos(le(2, 3))),
+        Implies(Atom(pos(le(3, 1))), Atom(pos(le(2, 1)))),
     )
     assert replay(frozenset(), proof) == expected
 
@@ -190,8 +189,8 @@ def test_formula_instantiation_avoids_capture():
     proof = Appt(Appt(PThm("conje"), c), d)
     prop = replay(frozenset(), proof)
     assert prop == Implies(
-        FmP(And(c, d)),
-        Implies(Implies(LitP(c.lit), Implies(LitP(d.lit), LitP(FLS))), LitP(FLS)),
+        And(c, d),
+        Implies(Implies(c, Implies(d, FLS_FORMULA)), FLS_FORMULA),
     )
 
 
@@ -231,7 +230,7 @@ def _schema_formula_nodes():
         node = stack.pop()
         if isinstance(node, Formula):
             nodes.add(node)
-        if isinstance(node, (Implies, All, FmP, And, Or, Neg)):
+        if isinstance(node, (Implies, All, And, Or, Neg)):
             stack.extend(getattr(node, name) for name in node.__dataclass_fields__)
     return nodes
 
@@ -266,12 +265,12 @@ def test_convp_applies_the_certificate_conversion():
     context = frozenset({source})
     rewritten = apply_conv(LessLe(), source)
     proof = ConvP(source, LessLe(), Bound(rewritten))
-    assert replay(context, proof) == FmP(rewritten)
+    assert replay(context, proof) == rewritten
     f = Or(Neg(Atom(pos(le(0, 1)))), Neg(Atom(pos(eq(0, 1)))))
     both = BinopConv(NegAtomConv(), NegAtomConv())
     result = Or(Atom(neg(le(0, 1))), Atom(neg(eq(0, 1))))
     proof = ConvP(f, both, Bound(result))
-    assert replay(initial_context(f), proof) == FmP(result)
+    assert replay(frozenset({f}), proof) == result
     # One that does not apply is a replay error, as is a source not assumed.
     with pytest.raises(ReplayError, match="^conversion failed: NlessLe does not apply to v0 < v1$"):
         replay(context, ConvP(source, NlessLe(), Bound(source)))
@@ -297,7 +296,7 @@ def test_replay_keeps_no_formula_alive_after_the_call():
 def test_export_lift_refl():
     root = Atom(pos(le(0, 1)))
     proof = export(Lift(ReflP(0)), root)
-    assert replay(initial_context(root), proof) == LitP(pos(le(0, 0)))
+    assert replay(frozenset({root}), proof) == Atom(pos(le(0, 0)))
 
 
 def test_export_motivating_example():
@@ -309,8 +308,65 @@ def test_export_motivating_example():
     verdict = decide(f, Theory.PARTIAL)
     assert isinstance(verdict, Unsat)
     proof = export(verdict.certificate, f)
-    assert replay(initial_context(f), proof) == LitP(FLS)
+    assert replay(frozenset({f}), proof) == FLS_FORMULA
     assert replay_refutation(proof, f)
+
+
+def test_both_kernels_conclude_the_same_falsity():
+    rng = random.Random(11)
+    goals = [
+        parse_input("~(x <= y) & ~(y <= x)")[0],
+        parse_input(chain_text(random.Random(2), 12))[0],
+        parse_input(ladder_text(random.Random(3), 3))[0],
+        *(random_formula(rng) for _ in range(200)),
+    ]
+    concluded = 0
+    for f in goals:
+        for theory in Theory:
+            verdict = decide(f, theory)
+            if not isinstance(verdict, Unsat):
+                continue
+            c = verdict.certificate
+            assert check_prop_proof({f}, c) == replay(frozenset({f}), export(c, f)) == FLS_FORMULA
+            concluded += 1
+    assert concluded > 50
+    # A hypothesis proves the very formula it assumes.
+    h = goals[0]
+    assert replay(frozenset({h}), Bound(h)) is h
+
+
+# ``~(x <= y) & y <= x`` holds in the two-element chain, so no certificate
+# refutes it.  This one claims that ``nle`` turns ``~(x <= y)`` into
+# ``x != y & x <= y``, where the rule gives ``x != y & y <= x``.
+_WRONG_SIDE_CERT = (
+    "(conv #0=(and (neg (atom (+ le v0 v1))) #1=(atom (+ le v1 v0))) (binop (then negatom nle) allconv)"
+    " (conje (and #2=(atom (- eq v0 v1)) #3=(atom (+ le v0 v1))) #1#"
+    " (conje #2# #3# (lift (contr (- eq v0 v1) (antisym (assm (+ le v0 v1)) (assm (+ le v1 v0))))))))"
+)
+
+
+def test_both_kernels_reject_a_wrong_nle_side():
+    f, _ = parse_input("~(x <= y) & y <= x")
+    cert = parse_cert(_WRONG_SIDE_CERT)
+    assert not is_refutation(f, cert)
+    assert not replay_refutation(export(cert, f), f)
+
+
+@pytest.mark.xfail(strict=True, reason="replay applies certs.apply_conv; ROADMAP item 6")
+def test_replay_rejects_a_wrong_nle_side_despite_a_faulty_structured_rule(monkeypatch):
+    # The replay kernel should not share a fault planted in the structured
+    # kernel's conversion rules.
+    rule = certs._apply_atom_rule
+
+    def nle_to_the_wrong_side(conv, lit):
+        if isinstance(conv, NleConv):
+            a = lit.atom
+            return And(Atom(neg(eq(a.x, a.y))), Atom(pos(le(a.x, a.y))))
+        return rule(conv, lit)
+
+    monkeypatch.setattr(certs, "_apply_atom_rule", nle_to_the_wrong_side)
+    f, _ = parse_input("~(x <= y) & y <= x")
+    assert not replay_refutation(export(parse_cert(_WRONG_SIDE_CERT), f), f)
 
 
 def test_export_strict_contradiction_unsupported():
@@ -360,10 +416,8 @@ def test_rejected_mutants_also_rejected_by_replay():
 
 
 def _prop_holds(prop, rel, valuation, pool):
-    if isinstance(prop, LitP):
-        return eval_literal(rel, valuation, prop.lit)
-    if isinstance(prop, FmP):
-        return eval_formula(rel, valuation, prop.formula)
+    if isinstance(prop, Formula):
+        return eval_formula(rel, valuation, prop)
     if isinstance(prop, Implies):
         return (not _prop_holds(prop.hyp, rel, valuation, pool)) or _prop_holds(
             prop.concl, rel, valuation, pool
@@ -382,10 +436,8 @@ def _prop_holds(prop, rel, valuation, pool):
 
 
 def _has_hole(prop, binder):
-    if isinstance(prop, (LitP,)):
-        return False
-    if isinstance(prop, FmP):
-        stack = [prop.formula]
+    if isinstance(prop, Formula):
+        stack = [prop]
         while stack:
             f = stack.pop()
             if isinstance(f, FmHole) and f.hole == binder:
