@@ -1,13 +1,15 @@
 """Proof-carrying transitive closure and the decision pipeline.
 
 The solver side of the artifact: positive literals seed a map from variable
-pairs to atom-level certificates, the map is closed under transitivity by one
-breadth-first search per source, composing the stored certificates into
-shortest ``trans`` chains, and negative literals are searched for a
-contradiction against the closure, clause by clause; the first open clause
-keeps its closure for the model.  ``decide`` glues this to the rewrite passes
-(``preprocess``: negation normal form, strict elimination, DNF, one
-conversion) and re-checks every certificate with the trusted kernel.
+pairs to atom-level certificates, and the map is closed under transitivity
+by one breadth-first search per source.  The closure records each pair it
+adds as a midpoint, not a proof; negative literals are searched for a
+contradiction against it, clause by clause, and ``pair_proof`` builds the
+shortest ``trans`` chain only for a pair a contradiction cites.  The first
+open clause keeps its closure for the model.  ``decide`` glues this to the
+rewrite passes (``preprocess``: negation normal form, strict elimination,
+DNF, one conversion) and re-checks every certificate with the trusted
+kernel.
 """
 
 from __future__ import annotations
@@ -64,7 +66,10 @@ from .rewrite import (
     to_nnf,
 )
 
-ProofMap = dict[Pair, CertProof]
+# A map from variable pairs to what proves them: a base pair's one-step
+# certificate, or, for a pair ``(x, z)`` the closure derived, a midpoint ``y``
+# with ``(x, y)`` and ``(y, z)`` in the map.  ``pair_proof`` builds the rest.
+ProofMap = dict[Pair, CertProof | VarId]
 
 
 def leq1_member_list(lit: Literal) -> list[tuple[Pair, CertProof]]:
@@ -90,66 +95,95 @@ def leq1_mapping(literals: Sequence[Literal]) -> ProofMap:
 
 
 def trancl_mapping(mapping: ProofMap) -> ProofMap:
-    """Transitive closure of the key set, composing certificates.
+    """Transitive closure of the key set, recording midpoints.
 
     One breadth-first search per source over successor lists kept in
-    ``mapping`` order: a pair ``(x, z)`` first reached from ``(x, y)``
-    gets ``TransP(result[(x, y)], mapping[(y, z)])``, so every certificate
-    is a shortest ``trans`` chain.  Cost O(V·(V+E)) dictionary lookups for
-    V variables and E pairs of ``mapping``, plus one ``TransP`` per pair
-    the closure adds.  Existing entries, self-loops included, are never
-    overwritten.
+    ``mapping`` order: a pair ``(x, z)`` first reached from ``(x, y)`` by
+    the base pair ``(y, z)`` is recorded as its midpoint ``y``, so
+    ``pair_proof`` builds every certificate as a shortest ``trans`` chain.
+    Cost O(V·(V+E)) dictionary lookups for V variables and E pairs of
+    ``mapping``, and no certificate is built.  Existing entries, self-loops
+    included, are never overwritten.
     """
     result: ProofMap = dict(mapping)
-    succ: dict[VarId, list[tuple[VarId, CertProof]]] = {}
-    for (x, y), proof in mapping.items():
-        succ.setdefault(x, []).append((y, proof))
+    succ: dict[VarId, list[VarId]] = {}
+    for x, y in mapping:
+        succ.setdefault(x, []).append(y)
     for x, out in succ.items():
-        queue = [y for y, _ in out]
+        queue = list(out)
         for y in queue:  # grows while it is walked: discovery order
-            proof = result[(x, y)]
-            for z, step in succ.get(y, ()):
+            for z in succ.get(y, ()):
                 key = (x, z)
                 if key not in result:
-                    result[key] = TransP(proof, step)
+                    result[key] = y
                     queue.append(z)
     return result
 
 
 def trancl_floyd_warshall(mapping: ProofMap) -> ProofMap:
-    """Same contract as trancl_mapping via the cubic all-pairs scheme."""
+    """Same contract as trancl_mapping via the cubic all-pairs scheme.
+
+    A pair ``(i, j)`` first found through ``k`` is recorded as the midpoint
+    ``k``: its certificate composes those of ``(i, k)`` and ``(k, j)``.
+    """
     result: ProofMap = dict(mapping)
     vertices = sorted({v for key in mapping for v in key})
     for k in vertices:
         for i in vertices:
-            left = result.get((i, k))
-            if left is None:
+            if (i, k) not in result:
                 continue
             for j in vertices:
-                if (i, j) in result:
-                    continue
-                right = result.get((k, j))
-                if right is not None:
-                    result[(i, j)] = TransP(left, right)
+                if (k, j) in result and (i, j) not in result:
+                    result[(i, j)] = k
     return result
+
+
+def pair_proof(leqm: ProofMap, x: VarId, z: VarId) -> CertProof | None:
+    """Certificate for the pair ``(x, z)`` of a closed map, if it is in it.
+
+    A base pair's certificate is stored; a derived pair's is
+    ``TransP(proof(x, y), proof(y, z))`` for its midpoint ``y``, built here
+    with an explicit stack, each pair of the tree once.
+    """
+    top = leqm.get((x, z))
+    if not isinstance(top, int):
+        return top
+    built: dict[Pair, CertProof] = {}
+
+    def ready(key: Pair) -> CertProof | None:
+        value = leqm[key]
+        return built.get(key) if isinstance(value, int) else value
+
+    stack = [(x, z)]
+    while stack:
+        a, c = key = stack[-1]
+        b = leqm[key]
+        left, right = ready((a, b)), ready((b, c))
+        if left is None:
+            stack.append((a, b))
+        elif right is None:
+            stack.append((b, c))
+        else:
+            built[key] = TransP(left, right)
+            stack.pop()
+    return built[(x, z)]
 
 
 def is_in_leq(leqm: ProofMap, x: VarId, y: VarId) -> CertProof | None:
     """Certificate for x <= y under the closed map, if the pair is in it."""
     if x == y:
         return ReflP(x)
-    return leqm.get((x, y))
+    return pair_proof(leqm, x, y)
 
 
 def is_in_eq(leqm: ProofMap, x: VarId, y: VarId) -> CertProof | None:
-    """Certificate for x = y: both directions of <= combined antisymmetrically."""
-    p1 = is_in_leq(leqm, x, y)
-    if p1 is None:
+    """Certificate for x = y: both directions of <= combined antisymmetrically.
+
+    Neither direction is built unless both are in the map.
+    """
+    if x != y and ((x, y) not in leqm or (y, x) not in leqm):
         return None
-    p2 = is_in_leq(leqm, y, x)
-    if p2 is None:
-        return None
-    return AntisymP(p1, p2)
+    return AntisymP(is_in_leq(leqm, x, y), is_in_leq(leqm, y, x))
 
 
 def contr1_list(leqm: ProofMap, lit: Literal) -> PropProof | None:

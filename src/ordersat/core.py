@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 VarId = int
 
@@ -88,19 +88,58 @@ def neg(atom: OrderAtom) -> Literal:
     return Literal(False, atom)
 
 
+# The dataclass-generated hash of each class ``cache_hash`` decorates.
+_GENERATED_HASH: dict[type, Callable[[object], int]] = {}
+# Levels of a formula hashed by plain recursion before an explicit stack takes
+# over: a walk on the stack costs more per node, and 100 Python frames fit
+# in the C stack on every supported version.
+_RECURSIVE_LEVELS = 100
+
+
 def cache_hash(cls):
-    """Memoize the generated hash; recursive trees are hashed constantly."""
-    computed = cls.__hash__
+    """Memoize the generated hash; recursive trees are hashed constantly.
+
+    A missing hash is computed children first, so the generated hash only
+    ever meets children whose hash is cached and no ``hash()`` recurses.
+    Below ``_RECURSIVE_LEVELS`` levels the walk continues on an explicit
+    stack, so a formula of any depth is hashed.
+    """
+    _GENERATED_HASH[cls] = cls.__hash__
 
     def __hash__(self):
         value = self.__dict__.get("_hash")
         if value is None:
-            value = computed(self)
-            object.__setattr__(self, "_hash", value)
+            value = _hash_children_first(self, _RECURSIVE_LEVELS)
         return value
 
     cls.__hash__ = __hash__
     return cls
+
+
+def _hash_children_first(node, levels: int) -> int:
+    for child in node.__dict__.values():
+        if type(child) in _GENERATED_HASH and "_hash" not in child.__dict__:
+            if levels:
+                _hash_children_first(child, levels - 1)
+            else:
+                _hash_on_a_stack(child)
+    value = node.__dict__["_hash"] = _GENERATED_HASH[type(node)](node)
+    return value
+
+
+def _hash_on_a_stack(root) -> None:
+    # Each entry is a node and the iterator over its fields still to be
+    # searched for an uncached child; the node is hashed once it runs out.
+    stack = [(root, iter(root.__dict__.values()))]
+    while stack:
+        node, fields = stack[-1]
+        for child in fields:
+            if type(child) in _GENERATED_HASH and "_hash" not in child.__dict__:
+                stack.append((child, iter(child.__dict__.values())))
+                break
+        else:
+            stack.pop()
+            node.__dict__["_hash"] = _GENERATED_HASH[type(node)](node)
 
 
 class Formula:

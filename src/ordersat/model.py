@@ -10,6 +10,7 @@ classical order-extension theorem.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -83,31 +84,30 @@ def build_partial_model(
 def linear_extension(r: Relation) -> Relation:
     """Deterministic total order on the same carrier containing ``r``.
 
-    Kahn's algorithm over the strict part, always emitting the smallest
-    available element, then the chain induced by the resulting sequence.
+    Kahn's algorithm over the strict part with a min-heap of the elements
+    whose predecessors are all emitted, so the smallest available element
+    comes first, then the chain induced by the resulting sequence.
     """
     props = relation_props(r)
     if not (props.refl and props.trans and props.antisym):
         raise ValueError("linear_extension needs a partial order as input")
-    remaining = sorted(r.carrier)
-    preds: dict[int, set[int]] = {c: set() for c in remaining}
+    indegree = dict.fromkeys(r.carrier, 0)
+    succ: dict[int, list[int]] = {c: [] for c in r.carrier}
     for a, b in r.pairs:
         if a != b:
-            preds[b].add(a)
+            succ[a].append(b)
+            indegree[b] += 1
+    ready = [c for c, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
     sequence: list[int] = []
-    while remaining:
-        ready = next(c for c in remaining if not preds[c])
-        sequence.append(ready)
-        remaining.remove(ready)
-        for c in remaining:
-            preds[c].discard(ready)
-    position = {c: i for i, c in enumerate(sequence)}
-    pairs = {
-        (a, b)
-        for a in sequence
-        for b in sequence
-        if position[a] <= position[b]
-    }
+    while ready:
+        c = heapq.heappop(ready)
+        sequence.append(c)
+        for b in succ[c]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                heapq.heappush(ready, b)
+    pairs = {(a, b) for i, a in enumerate(sequence) for b in sequence[i:]}
     return Relation.make(r.carrier, pairs)
 
 

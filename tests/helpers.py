@@ -20,6 +20,7 @@ from ordersat.core import (
     Neg,
     Or,
     OrderAtom,
+    Relation,
     VarId,
 )
 from ordersat.certs import (
@@ -113,6 +114,47 @@ def closed(lits: Iterable[Literal]) -> ProofMap:
     What the search hands ``contr_list`` and the model builders.
     """
     return rounds_closure(leq1_mapping(list(lits)))
+
+
+def proof_carrying_floyd_warshall(mapping: ProofMap) -> ProofMap:
+    """``trancl_floyd_warshall`` as it was when it built every pair's proof.
+
+    Kept verbatim as the oracle for the midpoints the closure records now.
+    """
+    result: ProofMap = dict(mapping)
+    vertices = sorted({v for key in mapping for v in key})
+    for k in vertices:
+        for i in vertices:
+            left = result.get((i, k))
+            if left is None:
+                continue
+            for j in vertices:
+                if (i, j) in result:
+                    continue
+                right = result.get((k, j))
+                if right is not None:
+                    result[(i, j)] = TransP(left, right)
+    return result
+
+
+def list_kahn_sequence(r: Relation) -> list[int]:
+    """``model.linear_extension``'s order as its list-based Kahn loop made it.
+
+    Kept verbatim as the oracle for the heap-based loop.
+    """
+    remaining = sorted(r.carrier)
+    preds: dict[int, set[int]] = {c: set() for c in remaining}
+    for a, b in r.pairs:
+        if a != b:
+            preds[b].add(a)
+    sequence: list[int] = []
+    while remaining:
+        ready = next(c for c in remaining if not preds[c])
+        sequence.append(ready)
+        remaining.remove(ready)
+        for c in remaining:
+            preds[c].discard(ready)
+    return sequence
 
 
 # ---------------------------------------------------------------------------

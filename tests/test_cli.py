@@ -252,6 +252,23 @@ def test_check_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys, kern
     assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
 
 
+@needs_stackless_calls
+def test_solve_refutes_a_formula_under_twenty_thousand_negations(tmp_path):
+    # Hashing such a formula once overflowed the C stack (SIGSEGV), so the
+    # CLI runs in a child process.
+    source = tmp_path / "goal.txt"
+    source.write_text("~" * 20_000 + "x <= y & ~(x <= y)\n")
+    package_root = os.path.dirname(os.path.dirname(ordersat.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "ordersat.cli", "solve", str(source), "--theory", "partial"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "unsat\n", "")
+
+
 def _too_deep(*args, **kwargs):
     raise RecursionError("maximum recursion depth exceeded")
 

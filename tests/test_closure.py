@@ -50,6 +50,7 @@ from ordersat.closure import (
     is_in_leq,
     leq1_mapping,
     leq1_member_list,
+    pair_proof,
     preprocess,
     trancl_floyd_warshall,
     trancl_mapping,
@@ -58,7 +59,13 @@ from ordersat.model import Model, build_linear_model, build_partial_model
 from ordersat.oracle import brute_sat
 from ordersat.rewrite import StructureError, conj_list, disj_clauses
 
-from helpers import closed, naive_closure, random_formula, rounds_closure
+from helpers import (
+    closed,
+    naive_closure,
+    proof_carrying_floyd_warshall,
+    random_formula,
+    rounds_closure,
+)
 
 
 def test_leq1_member_list():
@@ -88,7 +95,7 @@ def test_trancl_mapping_examples():
     p, q = AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2)))
     closed = trancl_mapping({(0, 1): p, (1, 2): q})
     assert set(closed) == {(0, 1), (1, 2), (0, 2)}
-    assert closed[(0, 2)] == TransP(p, q)
+    assert pair_proof(closed, 0, 2) == TransP(p, q)
 
     single = {(0, 1): p}
     assert trancl_mapping(single) == single
@@ -125,8 +132,9 @@ def test_trancl_key_set_matches_fixpoint_oracle(m):
 def test_trancl_proofs_check(m):
     assumptions = frozenset(pos(le(*k)) for k in m)
     for closure in (trancl_mapping, trancl_floyd_warshall):
-        for (x, y), proof in closure(m).items():
-            assert check_atom_proof(assumptions, proof) == pos(le(x, y))
+        closed = closure(m)
+        for x, y in closed:
+            assert check_atom_proof(assumptions, pair_proof(closed, x, y)) == pos(le(x, y))
 
 
 # Positive <= and = literals over up to 8 variables: x == y gives self-loops,
@@ -148,13 +156,43 @@ def test_trancl_matches_round_based_closure(literals):
     m = leq1_mapping(literals)
     closed, expected = trancl_mapping(m), rounds_closure(m)
     assert closed.keys() == expected.keys()
-    assert closed == expected
+    assert {key: pair_proof(closed, *key) for key in closed} == expected
+
+
+@given(_positive_literals)
+@settings(max_examples=300, deadline=None)
+def test_floyd_warshall_midpoints_build_the_proof_carrying_certificates(literals):
+    m = leq1_mapping(literals)
+    closed, expected = trancl_floyd_warshall(m), proof_carrying_floyd_warshall(m)
+    assert closed.keys() == expected.keys()
+    assert {key: pair_proof(closed, *key) for key in closed} == expected
+
+
+def test_a_cycle_builds_only_the_chains_its_contradiction_cites(monkeypatch):
+    # x0 <= x1 <= ... <= x(n-1) <= x0 & x0 != x(n-1): the closure has n²
+    # pairs, and the refutation cites two chains of fewer than n steps each.
+    n = 200
+    atoms = [Atom(pos(le(i, (i + 1) % n))) for i in range(n)]
+    goal = Atom(neg(eq(0, n - 1)))
+    for atom in reversed(atoms):
+        goal = And(atom, goal)
+    built = []
+
+    def counting_trans(left, right):
+        built.append(None)
+        return TransP(left, right)
+
+    monkeypatch.setattr(closure, "TransP", counting_trans)
+    verdict = decide(goal, Theory.PARTIAL)
+    assert isinstance(verdict, Unsat)
+    assert 0 < len(built) <= 2 * n
 
 
 def test_is_in_leq_examples():
     closed = trancl_mapping(leq1_mapping([pos(le(0, 1)), pos(le(1, 2))]))
     assert is_in_leq(closed, 3, 3) == ReflP(3)
-    assert is_in_leq(closed, 0, 2) == closed[(0, 2)]
+    assert is_in_leq(closed, 0, 2) == pair_proof(closed, 0, 2)
+    assert is_in_leq(closed, 0, 2) == TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2))))
     assert is_in_leq(closed, 2, 0) is None
 
 

@@ -125,3 +125,25 @@ def test_relation_validates_carrier():
 def test_formula_vars():
     f = And(Atom(pos(le(0, 3))), Neg(Atom(pos(eq(2, 2)))))
     assert formula_vars(f) == {0, 2, 3}
+
+
+def test_a_deep_formula_hashes_as_the_generated_hash_without_a_deep_stack():
+    # Two equal trees, 100,000 negations deep, hashed children first by the
+    # cache; each node's hash is still the dataclass hash of its fields.
+    leaf = Atom(pos(le(0, 1)))
+    trees = []
+    for _ in range(2):
+        f = leaf
+        for _ in range(100_000):
+            f = Neg(f)
+        trees.append(f)
+    first, second = trees
+    assert hash(first) == hash(second) == hash((first.arg,))
+    pair = And(first, Or(leaf, second))
+    assert hash(pair) == hash((first, Or(leaf, second)))
+    # A shared subformula is hashed once: 300 doublings name a tree of 2**300
+    # nodes, on both sides of the switch to the explicit stack.
+    doubled = leaf
+    for _ in range(300):
+        doubled = And(doubled, doubled)
+    assert hash(doubled) == hash((doubled.left, doubled.left))

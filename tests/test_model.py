@@ -23,7 +23,7 @@ from ordersat.model import (
 )
 from ordersat.selfcheck import iter_clauses
 
-from helpers import closed, naive_closure
+from helpers import closed, list_kahn_sequence, naive_closure
 
 
 def test_sym_classes_examples():
@@ -94,6 +94,22 @@ def test_linear_extension_properties_random():
         assert eprops.refl and eprops.trans and eprops.antisym and eprops.total
         assert poset.pairs <= extended.pairs
         assert extended.carrier == poset.carrier
+
+
+def test_linear_extension_emits_what_the_list_based_kahn_loop_did():
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randrange(1, 10)
+        ids = rng.sample(range(30), n)  # sparse ids, in no particular order
+        base = {(a, a) for a in ids}
+        for _ in range(rng.randrange(0, 14)):
+            a, b = rng.choice(ids), rng.choice(ids)
+            if a != b and (b, a) not in naive_closure(base | {(a, b)}):
+                base.add((a, b))
+        poset = Relation.make(ids, naive_closure(base))
+        sequence = list_kahn_sequence(poset)
+        chain = {(a, b) for i, a in enumerate(sequence) for b in sequence[i:]}
+        assert linear_extension(poset) == Relation.make(ids, chain)
 
 
 def test_build_linear_model_examples():
