@@ -90,41 +90,26 @@ def neg(atom: OrderAtom) -> Literal:
 
 # The dataclass-generated hash of each class ``cache_hash`` decorates.
 _GENERATED_HASH: dict[type, Callable[[object], int]] = {}
-# Levels of a formula hashed by plain recursion before an explicit stack takes
-# over: a walk on the stack costs more per node, and 100 Python frames fit
-# in the C stack on every supported version.
-_RECURSIVE_LEVELS = 100
 
 
 def cache_hash(cls):
     """Memoize the generated hash; recursive trees are hashed constantly.
 
-    A missing hash is computed children first, so the generated hash only
-    ever meets children whose hash is cached and no ``hash()`` recurses.
-    Below ``_RECURSIVE_LEVELS`` levels the walk continues on an explicit
-    stack, so a formula of any depth is hashed.
+    A missing hash is computed children first on an explicit stack, so the
+    generated hash only ever meets children whose hash is cached, no
+    ``hash()`` recurses and a formula of any depth is hashed.
     """
     _GENERATED_HASH[cls] = cls.__hash__
 
     def __hash__(self):
         value = self.__dict__.get("_hash")
         if value is None:
-            value = _hash_children_first(self, _RECURSIVE_LEVELS)
+            _hash_on_a_stack(self)
+            value = self.__dict__["_hash"]
         return value
 
     cls.__hash__ = __hash__
     return cls
-
-
-def _hash_children_first(node, levels: int) -> int:
-    for child in node.__dict__.values():
-        if type(child) in _GENERATED_HASH and "_hash" not in child.__dict__:
-            if levels:
-                _hash_children_first(child, levels - 1)
-            else:
-                _hash_on_a_stack(child)
-    value = node.__dict__["_hash"] = _GENERATED_HASH[type(node)](node)
-    return value
 
 
 def _hash_on_a_stack(root) -> None:

@@ -128,8 +128,8 @@ def test_formula_vars():
 
 
 def test_a_deep_formula_hashes_as_the_generated_hash_without_a_deep_stack():
-    # Two equal trees, 100,000 negations deep, hashed children first by the
-    # cache; each node's hash is still the dataclass hash of its fields.
+    # Two equal trees, 100,000 negations deep, hashed children first on an
+    # explicit stack; each node's hash is still the dataclass hash of its fields.
     leaf = Atom(pos(le(0, 1)))
     trees = []
     for _ in range(2):
@@ -142,7 +142,7 @@ def test_a_deep_formula_hashes_as_the_generated_hash_without_a_deep_stack():
     pair = And(first, Or(leaf, second))
     assert hash(pair) == hash((first, Or(leaf, second)))
     # A shared subformula is hashed once: 300 doublings name a tree of 2**300
-    # nodes, on both sides of the switch to the explicit stack.
+    # nodes.
     doubled = leaf
     for _ in range(300):
         doubled = And(doubled, doubled)
