@@ -41,7 +41,7 @@ class InvariantViolation(OrderSatError):
     """An internal self-check failed; indicates a bug rather than bad input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderAtom:
     kind: str
     x: VarId
@@ -67,7 +67,7 @@ def eq(x: VarId, y: VarId) -> OrderAtom:
     return OrderAtom(EQ, x, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     pos: bool
     atom: OrderAtom

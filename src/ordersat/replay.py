@@ -24,6 +24,8 @@ id.  A formula value is never walked: formula binders occur only as holes
 of ``conje`` and ``disje``, which bind no variables.  Substitution
 therefore replaces binders only: it never captures a variable, never
 renames, and never touches ``v0``, the variable of falsity ``v0 != v0``.
+It keeps every binder-free part of a schema as it is, so the falsity of
+each instance is the kernel's own ``FLS_FORMULA``, not a copy.
 An ``appt`` spine instantiates its binders together, in one walk of the
 schema, so a value is placed once and never walked again.
 """
@@ -84,35 +86,35 @@ class GPrf:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PThm(GPrf):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound(GPrf):
     hyp: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppP(GPrf):
     fn: GPrf
     arg: GPrf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsP(GPrf):
     hyp: Formula
     body: GPrf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Appt(GPrf):
     proof: GPrf
     term: VarId | Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvP(GPrf):
     source: Formula
     conversion: ConvProof
@@ -123,7 +125,7 @@ class ConvP(GPrf):
 # Propositions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     hyp: Prop
     concl: Prop
@@ -133,7 +135,7 @@ class Implies:
         return f"{hyp} => {self.concl}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class All:
     binder: VarId
     body: Prop
@@ -145,7 +147,7 @@ class All:
 Prop = Formula | Implies | All
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FmHole(Formula):
     """Formula placeholder; occurs only inside axiom schemas."""
 
@@ -250,6 +252,8 @@ Env = Mapping[VarId, SubstValue]
 
 def _subst_lit(lit: Literal, env: Env) -> Literal:
     a = lit.atom
+    if a.x not in env and a.y not in env:
+        return lit
     x, y = env.get(a.x, a.x), env.get(a.y, a.y)
     if not isinstance(x, int) or not isinstance(y, int):
         raise ReplayError("cannot substitute a formula for a variable position")
@@ -263,20 +267,22 @@ def _subst_fm(f: Formula, env: Env) -> Formula:
             return value
         raise ReplayError("cannot fill a formula position with a variable")
     if isinstance(f, Atom):
-        return Atom(_subst_lit(f.lit, env))
-    if isinstance(f, And):
-        return And(_subst_fm(f.left, env), _subst_fm(f.right, env))
-    if isinstance(f, Or):
-        return Or(_subst_fm(f.left, env), _subst_fm(f.right, env))
+        lit = _subst_lit(f.lit, env)
+        return f if lit is f.lit else Atom(lit)
+    if isinstance(f, (And, Or)):
+        left, right = _subst_fm(f.left, env), _subst_fm(f.right, env)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     if isinstance(f, Neg):
-        return Neg(_subst_fm(f.arg, env))
+        arg = _subst_fm(f.arg, env)
+        return f if arg is f.arg else Neg(arg)
     raise ReplayError(f"not a formula: {f}")
 
 
 def _subst(prop: Prop, env: Env) -> Prop:
     """Instantiate the binders in ``env`` together, in one walk of ``prop``.
 
-    A value is placed at a hole or variable position and never walked again.
+    A value is placed at a hole or variable position and never walked again,
+    and a subtree that holds no binder in ``env`` is returned as it is.
     Values are the certificate's own variable ids and formulas; replay
     rejects the negative binder ids, so no value can be captured by an
     inner quantifier.
@@ -284,7 +290,8 @@ def _subst(prop: Prop, env: Env) -> Prop:
     if isinstance(prop, Formula):
         return _subst_fm(prop, env)
     if isinstance(prop, Implies):
-        return Implies(_subst(prop.hyp, env), _subst(prop.concl, env))
+        hyp, concl = _subst(prop.hyp, env), _subst(prop.concl, env)
+        return prop if hyp is prop.hyp and concl is prop.concl else Implies(hyp, concl)
     if isinstance(prop, All):
         return All(prop.binder, _subst(prop.body, {b: v for b, v in env.items() if b != prop.binder}))
     raise ReplayError(f"not a proposition: {prop}")
@@ -356,6 +363,9 @@ def replay(context: Context, proof: GPrf) -> Prop:
 # ---------------------------------------------------------------------------
 # Export from structured certificates
 
+# One proof constant per axiom, shared by every term ``export`` builds.
+_AXIOM = {name: PThm(name) for name in SIGMA}
+
 
 def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
     """The proof term of an atom proof and the literal it concludes.
@@ -365,26 +375,26 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
     if isinstance(proof, AssmP):
         return Bound(Atom(proof.lit)), proof.lit
     if isinstance(proof, ReflP):
-        return Appt(PThm("refl"), proof.var), Literal(True, le(proof.var, proof.var))
+        return Appt(_AXIOM["refl"], proof.var), Literal(True, le(proof.var, proof.var))
     if isinstance(proof, TransP):
         left, c1 = _export_atom(proof.left)
         right, c2 = _export_atom(proof.right)
         x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
-        head = Appt(Appt(Appt(PThm("trans"), x), y), z)
+        head = Appt(Appt(Appt(_AXIOM["trans"], x), y), z)
         return AppP(AppP(head, left), right), Literal(True, le(x, z))
     if isinstance(proof, AntisymP):
         left, c1 = _export_atom(proof.left)
         right, _ = _export_atom(proof.right)
         x, y = c1.atom.x, c1.atom.y
-        head = Appt(Appt(PThm("antisym"), x), y)
+        head = Appt(Appt(_AXIOM["antisym"], x), y)
         return AppP(AppP(head, left), right), Literal(True, eq(x, y))
     if isinstance(proof, EQE1P):
         a = proof.lit.atom
-        head = Appt(Appt(PThm("eqe1"), a.x), a.y)
+        head = Appt(Appt(_AXIOM["eqe1"], a.x), a.y)
         return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.x, a.y))
     if isinstance(proof, EQE2P):
         a = proof.lit.atom
-        head = Appt(Appt(PThm("eqe2"), a.x), a.y)
+        head = Appt(Appt(_AXIOM["eqe2"], a.x), a.y)
         return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.y, a.x))
     if isinstance(proof, ContrP):
         a = proof.lit.atom
@@ -394,7 +404,7 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
             axiom = "contr_eq"
         else:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = Appt(Appt(PThm(axiom), a.x), a.y)
+        head = Appt(Appt(_AXIOM[axiom], a.x), a.y)
         return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), FLS
     raise ExportError(f"unknown atom proof node {proof!r}")
 
@@ -416,12 +426,12 @@ def _export_prop(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
         return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
-        head = Appt(Appt(PThm("conje"), proof.left), proof.right)
+        head = Appt(Appt(_AXIOM["conje"], proof.left), proof.right)
         conjunction = Bound(And(proof.left, proof.right))
         body = AbsP(proof.left, AbsP(proof.right, _export_prop(proof.proof)))
         return AppP(AppP(head, conjunction), body)
     if isinstance(proof, DisjE):
-        head = Appt(Appt(PThm("disje"), proof.left), proof.right)
+        head = Appt(Appt(_AXIOM["disje"], proof.left), proof.right)
         disjunction = Bound(Or(proof.left, proof.right))
         left_case = AbsP(proof.left, _export_prop(proof.left_proof))
         right_case = AbsP(proof.right, _export_prop(proof.right_proof))

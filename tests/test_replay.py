@@ -50,6 +50,7 @@ from ordersat.closure import Unsat, decide
 from ordersat.oracle import enumerate_posets
 from ordersat.replay import (
     SIGMA,
+    AbsP,
     All,
     AppP,
     Appt,
@@ -57,6 +58,7 @@ from ordersat.replay import (
     ConvP,
     ExportError,
     FmHole,
+    GPrf,
     Implies,
     PThm,
     ReplayError,
@@ -310,6 +312,58 @@ def test_export_motivating_example():
     proof = export(verdict.certificate, f)
     assert replay(frozenset({f}), proof) == FLS_FORMULA
     assert replay_refutation(proof, f)
+
+
+def test_instances_conclude_the_kernels_own_falsity():
+    # Instantiation keeps every binder-free part of a schema as it is.
+    x, m, y = 2, 7, 5
+    hyp, xm, my = Atom(neg(le(x, y))), Atom(pos(le(x, m))), Atom(pos(le(m, y)))
+    chain = AppP(AppP(Appt(Appt(Appt(PThm("trans"), x), m), y), Bound(xm)), Bound(my))
+    proof = AppP(AppP(Appt(Appt(PThm("contr_le"), x), y), Bound(hyp)), chain)
+    assert replay(frozenset({hyp, xm, my}), proof) is FLS_FORMULA
+    c, d = Atom(pos(le(0, 1))), Atom(neg(eq(1, 2)))
+    # conje c d: (c & d) => (c => d => Fls) => Fls
+    instance = replay(frozenset(), Appt(Appt(PThm("conje"), c), d))
+    assert instance.concl.hyp.concl.concl is FLS_FORMULA
+    assert instance.concl.concl is FLS_FORMULA
+
+
+def test_export_shares_one_constant_per_axiom():
+    f, _ = parse_input(chain_text(random.Random(4), 12))
+    verdict = decide(f, Theory.PARTIAL)
+    assert isinstance(verdict, Unsat)
+    constants, stack = [], [export(verdict.certificate, f)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, PThm):
+            constants.append(node)
+        else:
+            children = (getattr(node, name) for name in node.__dataclass_fields__)
+            stack.extend(child for child in children if isinstance(child, GPrf))
+    trans = [c for c in constants if c.name == "trans"]
+    assert len(trans) >= 2
+    assert all(c is trans[0] for c in trans)
+
+
+def test_proof_terms_and_literals_carry_no_instance_dict():
+    lit = pos(le(0, 1))
+    f = Atom(lit)
+    slotted = [
+        lit,
+        lit.atom,
+        PThm("refl"),
+        Bound(f),
+        AppP(PThm("refl"), Bound(f)),
+        AbsP(f, Bound(f)),
+        Appt(PThm("refl"), 0),
+        ConvP(f, LessLe(), Bound(f)),
+        Implies(f, f),
+        All(-1, f),
+        FmHole(-1),
+    ]
+    assert not [node for node in slotted if hasattr(node, "__dict__")]
+    # ``cache_hash`` keeps a formula node's hash in its ``__dict__``.
+    assert all(hasattr(node, "__dict__") for node in (f, And(f, f), Or(f, f), Neg(f)))
 
 
 def test_both_kernels_conclude_the_same_falsity():
