@@ -279,25 +279,20 @@ def _apply_atom_rule(rule: ConvProof, lit: Literal) -> Formula:
         if not lit.pos and a.kind == LT:
             return Atom(Literal(True, le(a.y, a.x)))
         raise ConversionError(f"NlessConv does not apply to {lit}")
-    if isinstance(rule, AllConv):
-        return Atom(lit)
-    raise ConversionError(f"{type(rule).__name__} is not an atom-level rule")
+    return Atom(lit)  # AllConv, the last of _ATOM_RULES
 
 
 def apply_conv(conv: ConvProof, formula: Formula) -> Formula:
     """Apply a conversion to a formula, or raise ConversionError on mismatch."""
     if isinstance(conv, AllConv):
         return formula
-    if isinstance(conv, _ATOM_RULES):
-        if isinstance(formula, Atom):
-            return _apply_atom_rule(conv, formula.lit)
-        raise ConversionError(f"{type(conv).__name__} needs an atom, got {formula}")
-    if isinstance(conv, AtomConv):
+    if isinstance(conv, AtomConv) or isinstance(conv, _ATOM_RULES):
         if not isinstance(formula, Atom):
-            raise ConversionError(f"AtomConv needs an atom, got {formula}")
-        if not isinstance(conv.rule, _ATOM_RULES):
-            raise ConversionError(f"AtomConv carries {type(conv.rule).__name__}, not an atom-level rule")
-        return _apply_atom_rule(conv.rule, formula.lit)
+            raise ConversionError(f"{type(conv).__name__} needs an atom, got {formula}")
+        rule = conv.rule if isinstance(conv, AtomConv) else conv
+        if not isinstance(rule, _ATOM_RULES):
+            raise ConversionError(f"AtomConv carries {type(rule).__name__}, not an atom-level rule")
+        return _apply_atom_rule(rule, formula.lit)
     if isinstance(conv, ArgConv):
         if not isinstance(formula, Neg):
             raise ConversionError(f"ArgConv needs a negation, got {formula}")
@@ -616,7 +611,10 @@ def _parse_var(r: _Reader) -> VarId:
     digits = tok[1:]
     if not tok.startswith("v") or not (digits.isascii() and digits.isdigit()):
         raise r.error(f"expected a variable like v0, got {tok!r}")
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise r.error(f"variable id of {len(digits)} digits is too long") from None
 
 
 def _literal_fields(r: _Reader) -> tuple[bool, str, VarId, VarId]:

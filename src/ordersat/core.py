@@ -5,12 +5,15 @@ An atom relates two variables by ``le``, ``lt`` or ``eq``; a literal attaches
 a polarity; formulas combine literal atoms with And/Or/Neg.  Truth is judged
 against a finite relation together with a valuation mapping variables into
 the relation's carrier.  ``parse_input`` reads the surface syntax of formula
-files into a formula and the SymbolTable that names its variables.
+files into a formula and the SymbolTable that names its variables.  One
+regular expression splits a text into plain-string tokens; the ``line:col``
+of a token is worked out from the text only when an error names it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
@@ -329,109 +332,73 @@ def iter_valuations(vars: Iterable[VarId], carrier: Iterable[int]) -> Iterator[d
 
 _RELOPS = ("<=", ">=", "!=", "<", ">", "=")
 
-
-class _Tokenizer:
-    def __init__(self, text: str) -> None:
-        self.tokens: list[tuple[str, int, int]] = []
-        line, col = 1, 1
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                line += 1
-                col = 1
-                i += 1
-            elif c.isspace():
-                col += 1
-                i += 1
-            elif c == "#":
-                while i < n and text[i] != "\n":
-                    i += 1
-            elif c in "()&|~":
-                self.tokens.append((c, line, col))
-                col += 1
-                i += 1
-            elif text.startswith(("<=", ">=", "!="), i):
-                self.tokens.append((text[i : i + 2], line, col))
-                col += 2
-                i += 2
-            elif c in "<>=":
-                self.tokens.append((c, line, col))
-                col += 1
-                i += 1
-            elif c.isalpha() or c == "_":
-                start = i
-                while i < n and (text[i].isalnum() or text[i] == "_"):
-                    i += 1
-                self.tokens.append((text[start:i], line, col))
-                col += i - start
-            else:
-                raise ParseError(f"{line}:{col}: unexpected character {c!r}")
-        self.pos = 0
-        self.end = (line, col)
-
-    def peek(self) -> tuple[str, int, int] | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def next(self) -> tuple[str, int, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"{self.end[0]}:{self.end[1]}: unexpected end of input")
-        self.pos += 1
-        return tok
+# One match per token: a parenthesis, a connective, a relation or a run of
+# word characters.  A comment, "#" to the end of its line, is one match too,
+# and so is any other character on its own, so that it can be reported.
+# Whitespace, whatever ``str.isspace`` accepts, starts no match and is
+# skipped.  ``\w`` is exactly ``str.isalnum()`` or "_".
+_TOKEN = re.compile(r"#.*|[<>!]=|[()&|~<>=]|\w+|\S")
 
 
 class _Parser:
-    """Grammar: disjunction of conjunctions of ~-prefixed atoms or groups."""
+    """Grammar: disjunction of conjunctions of ~-prefixed atoms or groups.
+
+    Tokens are plain strings, with "" past the last one.  Where a token
+    stands is worked out from the text only when an error is reported.
+    """
 
     def __init__(self, text: str, table: SymbolTable) -> None:
-        self.ts = _Tokenizer(text)
+        self.text = text
         self.table = table
+        tokens = [tok for tok in _TOKEN.findall(text) if not tok.startswith("#")]
+        # A token that is no symbol must be an identifier, which starts with
+        # a letter or "_"; otherwise its first character starts no token.
+        for k, name in enumerate(tokens):
+            if not (name[0].isalpha() or name[0] in "_()&|~<>=" or name == "!="):
+                raise self._error(f"unexpected character {name[0]!r}", k)
+        tokens.append("")
+        self.tokens = tokens
+        self.k = 0
 
     def parse(self) -> Formula:
         f = self._disj()
-        tok = self.ts.peek()
-        if tok is not None:
-            raise ParseError(f"{tok[1]}:{tok[2]}: unexpected {tok[0]!r}")
+        if self.tokens[self.k]:
+            raise self._error(f"unexpected {self.tokens[self.k]!r}", self.k)
         return f
 
     def _disj(self) -> Formula:
         f = self._conj()
-        while self._eat("|"):
+        while self.tokens[self.k] == "|":
+            self.k += 1
             f = Or(f, self._conj())
         return f
 
     def _conj(self) -> Formula:
         f = self._unary()
-        while self._eat("&"):
+        while self.tokens[self.k] == "&":
+            self.k += 1
             f = And(f, self._unary())
         return f
 
     def _unary(self) -> Formula:
-        tok = self.ts.peek()
-        if tok is None:
-            raise ParseError(f"{self.ts.end[0]}:{self.ts.end[1]}: unexpected end of input")
-        if tok[0] == "~":
-            self.ts.next()
+        tok = self.tokens[self.k]
+        if tok == "~":
+            self.k += 1
             return Neg(self._unary())
-        if tok[0] == "(":
-            self.ts.next()
+        if tok == "(":
+            self.k += 1
             f = self._disj()
-            closing = self.ts.next()
-            if closing[0] != ")":
-                raise ParseError(f"{closing[1]}:{closing[2]}: expected ')', got {closing[0]!r}")
+            closing = self._next()
+            if closing != ")":
+                raise self._error(f"expected ')', got {closing!r}")
             return f
         return self._atom()
 
     def _atom(self) -> Formula:
         left = self._ident()
-        op_tok = self.ts.next()
-        op = op_tok[0]
+        op = self._next()
         if op not in _RELOPS:
-            raise ParseError(f"{op_tok[1]}:{op_tok[2]}: expected a relation, got {op!r}")
+            raise self._error(f"expected a relation, got {op!r}")
         right = self._ident()
         x = self.table.intern(left)
         y = self.table.intern(right)
@@ -448,18 +415,40 @@ class _Parser:
         return Atom(Literal(True, OrderAtom("le", y, x)))
 
     def _ident(self) -> str:
-        tok = self.ts.next()
-        name = tok[0]
-        if not (name[0].isalpha() or name[0] == "_") or name in ("&", "|", "~"):
-            raise ParseError(f"{tok[1]}:{tok[2]}: expected an identifier, got {name!r}")
+        name = self._next()
+        if not (name[0].isalpha() or name[0] == "_"):
+            raise self._error(f"expected an identifier, got {name!r}")
         return name
 
-    def _eat(self, text: str) -> bool:
-        tok = self.ts.peek()
-        if tok is not None and tok[0] == text:
-            self.ts.next()
-            return True
-        return False
+    def _next(self) -> str:
+        tok = self.tokens[self.k]
+        if not tok:
+            raise self._error("unexpected end of input", self.k)
+        self.k += 1
+        return tok
+
+    def _error(self, message: str, k: int | None = None) -> ParseError:
+        """``message`` at token ``k``, by default the token read last."""
+        return ParseError(f"{self._where(self.k - 1 if k is None else k)}: {message}")
+
+    def _where(self, k: int) -> str:
+        """``line:col`` of token ``k``, or of the end of the input past the last token.
+
+        Columns count characters from 1, and only "\\n" starts a line.  Comment
+        characters take no column, so the end of a last line that holds a
+        comment is at its first "#".
+        """
+        text = self.text
+        starts = [m.start() for m in _TOKEN.finditer(text) if not m[0].startswith("#")]
+        if k < len(starts):
+            at = starts[k]
+        else:
+            at = text.find("#", text.rfind("\n") + 1)
+            if at < 0:
+                at = len(text)
+        line = text.count("\n", 0, at) + 1
+        column = at - text.rfind("\n", 0, at)
+        return f"{line}:{column}"
 
 
 def parse_input(text: str) -> tuple[Formula, SymbolTable]:

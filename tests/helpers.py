@@ -20,7 +20,9 @@ from ordersat.core import (
     Neg,
     Or,
     OrderAtom,
+    ParseError,
     Relation,
+    SymbolTable,
     VarId,
 )
 from ordersat.certs import (
@@ -445,3 +447,153 @@ def mutate_cert(rng: random.Random, cert: PropProof) -> PropProof:
     target = rng.randrange(_count_nodes(cert))
     mutated, _ = _rebuild(rng, cert, target, 0)
     return mutated
+
+
+# ---------------------------------------------------------------------------
+# The per-character formula reader, the oracle for ``core.parse_input``
+#
+# The hand-written tokenizer that tracked a line and a column for every
+# token, and the parser over its ``(text, line, col)`` tuples: the formula
+# reader's earlier code, kept verbatim as the reference for formulas, names
+# and error messages.
+
+
+_RELOPS = ("<=", ">=", "!=", "<", ">", "=")
+
+
+class _Tokenizer:
+    def __init__(self, text: str) -> None:
+        self.tokens: list[tuple[str, int, int]] = []
+        line, col = 1, 1
+        i = 0
+        n = len(text)
+        while i < n:
+            c = text[i]
+            if c == "\n":
+                line += 1
+                col = 1
+                i += 1
+            elif c.isspace():
+                col += 1
+                i += 1
+            elif c == "#":
+                while i < n and text[i] != "\n":
+                    i += 1
+            elif c in "()&|~":
+                self.tokens.append((c, line, col))
+                col += 1
+                i += 1
+            elif text.startswith(("<=", ">=", "!="), i):
+                self.tokens.append((text[i : i + 2], line, col))
+                col += 2
+                i += 2
+            elif c in "<>=":
+                self.tokens.append((c, line, col))
+                col += 1
+                i += 1
+            elif c.isalpha() or c == "_":
+                start = i
+                while i < n and (text[i].isalnum() or text[i] == "_"):
+                    i += 1
+                self.tokens.append((text[start:i], line, col))
+                col += i - start
+            else:
+                raise ParseError(f"{line}:{col}: unexpected character {c!r}")
+        self.pos = 0
+        self.end = (line, col)
+
+    def peek(self) -> tuple[str, int, int] | None:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return None
+
+    def next(self) -> tuple[str, int, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"{self.end[0]}:{self.end[1]}: unexpected end of input")
+        self.pos += 1
+        return tok
+
+
+class _Parser:
+    """Grammar: disjunction of conjunctions of ~-prefixed atoms or groups."""
+
+    def __init__(self, text: str, table: SymbolTable) -> None:
+        self.ts = _Tokenizer(text)
+        self.table = table
+
+    def parse(self) -> Formula:
+        f = self._disj()
+        tok = self.ts.peek()
+        if tok is not None:
+            raise ParseError(f"{tok[1]}:{tok[2]}: unexpected {tok[0]!r}")
+        return f
+
+    def _disj(self) -> Formula:
+        f = self._conj()
+        while self._eat("|"):
+            f = Or(f, self._conj())
+        return f
+
+    def _conj(self) -> Formula:
+        f = self._unary()
+        while self._eat("&"):
+            f = And(f, self._unary())
+        return f
+
+    def _unary(self) -> Formula:
+        tok = self.ts.peek()
+        if tok is None:
+            raise ParseError(f"{self.ts.end[0]}:{self.ts.end[1]}: unexpected end of input")
+        if tok[0] == "~":
+            self.ts.next()
+            return Neg(self._unary())
+        if tok[0] == "(":
+            self.ts.next()
+            f = self._disj()
+            closing = self.ts.next()
+            if closing[0] != ")":
+                raise ParseError(f"{closing[1]}:{closing[2]}: expected ')', got {closing[0]!r}")
+            return f
+        return self._atom()
+
+    def _atom(self) -> Formula:
+        left = self._ident()
+        op_tok = self.ts.next()
+        op = op_tok[0]
+        if op not in _RELOPS:
+            raise ParseError(f"{op_tok[1]}:{op_tok[2]}: expected a relation, got {op!r}")
+        right = self._ident()
+        x = self.table.intern(left)
+        y = self.table.intern(right)
+        if op == "<=":
+            return Atom(Literal(True, OrderAtom("le", x, y)))
+        if op == "<":
+            return Atom(Literal(True, OrderAtom("lt", x, y)))
+        if op == "=":
+            return Atom(Literal(True, OrderAtom("eq", x, y)))
+        if op == "!=":
+            return Neg(Atom(Literal(True, OrderAtom("eq", x, y))))
+        if op == ">":
+            return Atom(Literal(True, OrderAtom("lt", y, x)))
+        return Atom(Literal(True, OrderAtom("le", y, x)))
+
+    def _ident(self) -> str:
+        tok = self.ts.next()
+        name = tok[0]
+        if not (name[0].isalpha() or name[0] == "_") or name in ("&", "|", "~"):
+            raise ParseError(f"{tok[1]}:{tok[2]}: expected an identifier, got {name!r}")
+        return name
+
+    def _eat(self, text: str) -> bool:
+        tok = self.ts.peek()
+        if tok is not None and tok[0] == text:
+            self.ts.next()
+            return True
+        return False
+
+
+def tokenizer_parse_input(text: str) -> tuple[Formula, SymbolTable]:
+    """``core.parse_input`` as the per-character reader computed it."""
+    table = SymbolTable()
+    return _Parser(text, table).parse(), table

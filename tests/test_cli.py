@@ -1,7 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,10 @@ from ordersat.cli import format_model, parse_input, run
 from ordersat.closure import Sat, Unsat, decide
 from ordersat.core import Theory
 
-from helpers import doubling_cert, mutate_cert
+from helpers import doubling_cert, mutate_cert, random_formula, tokenizer_parse_input
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import chain_text, ladder_text, render, sat_wide_text  # noqa: E402
 
 MOTIVATING_EXAMPLE = "~(x < y) & x = y & ~(x <= y)\n"
 
@@ -55,6 +61,94 @@ def test_parse_input_errors_carry_position():
         parse_input("x <")
     with pytest.raises(ParseError, match=r"2:"):
         parse_input("x <= y &\n| y")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x <= y &\n| y", "2:1: expected an identifier, got '|'"),
+        ("x <= y\t\r\x0b| 2x <= y", "1:12: unexpected character '2'"),
+        # The character that starts no token is reported before any parse error.
+        ("x <= | y $", "1:10: unexpected character '$'"),
+        ("(x <= y", "1:8: unexpected end of input"),
+        # Comment characters take no column; a comment ends at its newline.
+        ("x <= # c", "1:6: unexpected end of input"),
+        ("# c\nx <= # c\n", "3:1: unexpected end of input"),
+        ("(x <= y x", "1:9: expected ')', got 'x'"),
+        ("x ~ y", "1:3: expected a relation, got '~'"),
+        ("x <= y)", "1:7: unexpected ')'"),
+    ],
+)
+def test_parse_input_error_messages(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_input(text)
+    assert str(caught.value) == message
+
+
+def test_parse_input_identifiers_are_unicode_letters_then_alphanumerics():
+    # An identifier starts with a character that passes str.isalpha() or is
+    # "_", and goes on with str.isalnum() characters or "_".
+    f, table = parse_input("é <= x² & _1 = ab")
+    assert f == And(Atom(pos(le(0, 1))), Atom(pos(eq(2, 3))))
+    assert table.names() == ["é", "x²", "_1", "ab"]
+    with pytest.raises(ParseError, match="^1:6: unexpected character '²'$"):
+        parse_input("x <= ²x")
+
+
+# Pieces of formula text: every token, a few identifiers, the whitespace
+# other than " " that str.isspace accepts, comments with and without their
+# newline, and characters that start no token or only an identifier's tail.
+_PIECES = [
+    "~", "&", "|", "(", ")", "<", "<=", "=", "!=", ">", ">=", "x", "y", "_1", "é", "²",
+    "$", "!", "2x", " ", "\t", "\r", "\x0b", "\n", "# c", "# c\n", "x <= y", "y != x",
+]
+_SEPARATORS = [" ", "", "\t", "\n", "\r\n", "\x0b", "# c\n"]
+
+
+def _random_texts(rng: random.Random, count: int):
+    """Random pieces, and rendered formulas with random separators and one edit."""
+    for _ in range(count // 2):
+        yield rng.choice(("", " ")).join(rng.choices(_PIECES, k=rng.randrange(12)))
+        text = render(random_formula(rng, 3, 3), ["x", "y", "z"])
+        tokens = text.replace("(", " ( ").replace(")", " ) ").replace("~", " ~ ").split()
+        if tokens and rng.random() < 0.5:
+            tokens[rng.randrange(len(tokens))] = rng.choice(_PIECES)
+        yield "".join(tok + rng.choice(_SEPARATORS) for tok in tokens)
+
+
+def _outcome(parse, text: str):
+    try:
+        f, table = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return f, table.names()
+
+
+def test_parse_input_agrees_with_the_per_character_reader():
+    rng = random.Random(14)
+    texts = list(_random_texts(rng, 30_000))
+    texts += [chain_text(rng, n) for n in range(26, 74, 2)]
+    texts += [ladder_text(rng, k) for k in (3, 4, 5)]
+    texts += [sat_wide_text(rng, v) for v in range(100, 204, 4)]
+    parsed = 0
+    for text in texts:
+        expected = _outcome(tokenizer_parse_input, text)
+        assert _outcome(parse_input, text) == expected, text
+        parsed += not isinstance(expected, str)
+    assert parsed > len(texts) // 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" " * 10**6 + "x <= y", "x <= y # " + "c" * 10**6 + "\n"],
+    ids=["spaces", "comment"],
+)
+def test_parse_input_reads_a_long_run_of_one_kind_in_linear_time(text):
+    # A pattern that backtracked over the run would take minutes here.
+    start = time.perf_counter()
+    f, _ = parse_input(text)
+    assert f == Atom(pos(le(0, 1)))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_solve_unsat_with_certificate(tmp_path, capsys):
@@ -170,6 +264,18 @@ def test_check_non_ascii_variable_digits_are_a_parse_error(tmp_path, capsys, ker
     cert.write_text("(lift (contr (- le v0 v²) (assm (+ le v0 v1))))\n")
     assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
     assert capsys.readouterr().err.startswith("error: syntax error at offset 22")
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_variable_id_longer_than_int_reads_is_a_parse_error(tmp_path, capsys, kernel):
+    # int() converts at most 4,300 digits unless the interpreter is told otherwise.
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y\n")
+    cert = tmp_path / "long.cert"
+    cert.write_text("(lift (refl v" + "1" * 5000 + "))\n")
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: syntax error at offset 12: variable id of 5000 digits is too long\n"
 
 
 @pytest.mark.parametrize("kernel", ["structured", "replay"])
