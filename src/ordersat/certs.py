@@ -48,6 +48,7 @@ from .core import (
     VarId,
     eq,
     le,
+    quote_token,
 )
 from . import sexpr
 
@@ -144,12 +145,14 @@ def check_atom_proof(assumptions: AbstractSet[Literal], proof: CertProof) -> Lit
         if c1.atom.x != c2.atom.y or c1.atom.y != c2.atom.x:
             raise ProofError(f"antisymmetry premises are not converse: {c1} and {c2}")
         return Literal(True, eq(c1.atom.x, c1.atom.y))
-    if isinstance(proof, EQE1P):
-        lit = _checked_equality(assumptions, proof.lit)
-        return Literal(True, le(lit.atom.x, lit.atom.y))
-    if isinstance(proof, EQE2P):
-        lit = _checked_equality(assumptions, proof.lit)
-        return Literal(True, le(lit.atom.y, lit.atom.x))
+    if isinstance(proof, (EQE1P, EQE2P)):
+        lit = proof.lit
+        if not lit.pos or lit.atom.kind != EQ:
+            raise ProofError(f"equality elimination expects a positive =, got {lit}")
+        if lit not in assumptions:
+            raise ProofError(f"equality {lit} is not among the assumptions")
+        x, y = lit.atom.x, lit.atom.y
+        return Literal(True, le(x, y) if isinstance(proof, EQE1P) else le(y, x))
     if isinstance(proof, ContrP):
         lit = proof.lit
         if lit.pos:
@@ -161,14 +164,6 @@ def check_atom_proof(assumptions: AbstractSet[Literal], proof: CertProof) -> Lit
             raise ProofError(f"contradiction premise proves {concl}, expected {Literal(True, lit.atom)}")
         return FLS
     raise ProofError(f"unknown atom proof node {proof!r}")
-
-
-def _checked_equality(assumptions: AbstractSet[Literal], lit: Literal) -> Literal:
-    if not lit.pos or lit.atom.kind != EQ:
-        raise ProofError(f"equality elimination expects a positive =, got {lit}")
-    if lit not in assumptions:
-        raise ProofError(f"equality {lit} is not among the assumptions")
-    return lit
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +373,40 @@ def check_prop_proof(context: Iterable[Formula], proof: PropProof) -> Formula:
     context; ConjE/DisjE require the corresponding connective to be assumed;
     ConvRule requires its source formula to be assumed and extends the
     context with the conversion's result.
+
+    The check loops down the certificate's spine over one copy of
+    ``context``: ConjE and ConvRule add to it in place, and only a DisjE
+    copies it, once for each case, so a spine takes linear time and memory.
     """
-    return _check_prop(frozenset(context), proof)
+    return _check_spine(set(context), proof)
 
 
-def _check_prop(context: frozenset[Formula], proof: PropProof) -> Formula:
-    if isinstance(proof, Lift):
-        atoms = frozenset(f.lit for f in context if isinstance(f, Atom))
-        return Atom(check_atom_proof(atoms, proof.proof))
-    if isinstance(proof, ConjE):
-        if And(proof.left, proof.right) not in context:
-            raise ProofError(f"conjunction {And(proof.left, proof.right)} is not among the assumptions")
-        return _check_prop(context | {proof.left, proof.right}, proof.proof)
-    if isinstance(proof, DisjE):
-        if Or(proof.left, proof.right) not in context:
-            raise ProofError(f"disjunction {Or(proof.left, proof.right)} is not among the assumptions")
-        c1 = _check_prop(context | {proof.left}, proof.left_proof)
-        c2 = _check_prop(context | {proof.right}, proof.right_proof)
-        if c1 != c2:
-            raise ProofError(f"case split branches prove different formulas: {c1} and {c2}")
-        return c1
-    if isinstance(proof, ConvRule):
-        if proof.source not in context:
-            raise ProofError(f"conversion source {proof.source} is not among the assumptions")
-        rewritten = apply_conv(proof.conversion, proof.source)
-        return _check_prop(context | {rewritten}, proof.proof)
-    raise ProofError(f"unknown propositional proof node {proof!r}")
+def _check_spine(context: set[Formula], proof: PropProof) -> Formula:
+    # ``context`` belongs to this call, which adds to it.
+    while True:
+        if isinstance(proof, Lift):
+            atoms = frozenset(f.lit for f in context if isinstance(f, Atom))
+            return Atom(check_atom_proof(atoms, proof.proof))
+        if isinstance(proof, ConjE):
+            if And(proof.left, proof.right) not in context:
+                raise ProofError(f"conjunction {And(proof.left, proof.right)} is not among the assumptions")
+            context.add(proof.left)
+            context.add(proof.right)
+        elif isinstance(proof, DisjE):
+            if Or(proof.left, proof.right) not in context:
+                raise ProofError(f"disjunction {Or(proof.left, proof.right)} is not among the assumptions")
+            c1 = _check_spine(context | {proof.left}, proof.left_proof)
+            c2 = _check_spine(context | {proof.right}, proof.right_proof)
+            if c1 != c2:
+                raise ProofError(f"case split branches prove different formulas: {c1} and {c2}")
+            return c1
+        elif isinstance(proof, ConvRule):
+            if proof.source not in context:
+                raise ProofError(f"conversion source {proof.source} is not among the assumptions")
+            context.add(apply_conv(proof.conversion, proof.source))
+        else:
+            raise ProofError(f"unknown propositional proof node {proof!r}")
+        proof = proof.proof
 
 
 def is_refutation(goal: Formula, proof: PropProof) -> bool:
@@ -597,7 +600,7 @@ class _Reader:
         tok = self.tokens[pos]
         self.pos = pos + 1
         if expected is not None and tok != expected:
-            raise self.error(f"expected {expected!r}, got {tok!r}", pos)
+            raise self.error(f"expected {expected!r}, got {quote_token(tok)}", pos)
         return tok
 
     def error(self, message: str, k: int | None = None) -> ParseError:
@@ -610,7 +613,7 @@ def _parse_var(r: _Reader) -> VarId:
     tok = r.next()
     digits = tok[1:]
     if not tok.startswith("v") or not (digits.isascii() and digits.isdigit()):
-        raise r.error(f"expected a variable like v0, got {tok!r}")
+        raise r.error(f"expected a variable like v0, got {quote_token(tok)}")
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
@@ -621,10 +624,10 @@ def _literal_fields(r: _Reader) -> tuple[bool, str, VarId, VarId]:
     r.next("(")
     sign = r.next()
     if sign not in ("+", "-"):
-        raise r.error(f"expected polarity + or -, got {sign!r}")
+        raise r.error(f"expected polarity + or -, got {quote_token(sign)}")
     kind = r.next()
     if kind not in ("le", "lt", "eq"):
-        raise r.error(f"expected atom kind le/lt/eq, got {kind!r}")
+        raise r.error(f"expected atom kind le/lt/eq, got {quote_token(kind)}")
     x = _parse_var(r)
     y = _parse_var(r)
     r.next(")")
@@ -642,7 +645,7 @@ def _parse_formula(r: _Reader) -> tuple[Formula, int]:
     if tok != "(":
         if tok[0] == "#":
             return _parse_label(r, tok)
-        raise r.error(f"expected '(', got {tok!r}")
+        raise r.error(f"expected '(', got {quote_token(tok)}")
     head = r.next()
     if head == "atom":
         key: tuple = _literal_fields(r)
@@ -657,7 +660,7 @@ def _parse_formula(r: _Reader) -> tuple[Formula, int]:
         key = (head, id(arg[0]))
         size = 1 + arg[1]
     else:
-        raise r.error(f"expected a formula head, got {head!r}")
+        raise r.error(f"expected a formula head, got {quote_token(head)}")
     r.next(")")
     node = r.formulas.get(key)
     if node is None:
@@ -678,15 +681,15 @@ def _parse_label(r: _Reader, tok: str) -> tuple[Formula, int]:
     # so a formula cannot refer to itself and no cycle can form.
     digits, mark = tok[1:-1], tok[-1]
     if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
-        raise r.error(f"expected a formula or a label, got {tok!r}")
+        raise r.error(f"expected a formula or a label, got {quote_token(tok)}")
     labels = r.labels
     if mark == "#":
         node = labels.get(digits)
         if node is None:
-            raise r.error(f"undefined label {tok!r}")
+            raise r.error(f"undefined label {quote_token(tok)}")
         return node
     if digits in labels:
-        raise r.error(f"label {tok!r} is defined twice")
+        raise r.error(f"label {quote_token(tok)} is defined twice")
     labels[digits] = None
     labels[digits] = node = _parse_formula(r)
     return node
@@ -699,19 +702,15 @@ def _parse_atom_proof(r: _Reader) -> CertProof:
         node: CertProof = AssmP(_parse_literal(r))
     elif name == "refl":
         node = ReflP(_parse_var(r))
-    elif name == "trans":
-        node = TransP(_parse_atom_proof(r), _parse_atom_proof(r))
-    elif name == "antisym":
-        node = AntisymP(_parse_atom_proof(r), _parse_atom_proof(r))
-    elif name == "eqe1":
-        node = EQE1P(_parse_literal(r))
-    elif name == "eqe2":
-        node = EQE2P(_parse_literal(r))
+    elif name in ("trans", "antisym"):
+        node = (TransP if name == "trans" else AntisymP)(_parse_atom_proof(r), _parse_atom_proof(r))
+    elif name in ("eqe1", "eqe2"):
+        node = (EQE1P if name == "eqe1" else EQE2P)(_parse_literal(r))
     elif name == "contr":
         lit = _parse_literal(r)
         node = ContrP(lit, _parse_atom_proof(r))
     else:
-        raise r.error(f"expected an atom proof head, got {name!r}")
+        raise r.error(f"expected an atom proof head, got {quote_token(name)}")
     r.next(")")
     return node
 
@@ -721,7 +720,7 @@ def _parse_conv_proof(r: _Reader) -> ConvProof:
     if tok != "(":
         rule = NILADIC_CONVERSIONS.get(tok)
         if rule is None:
-            raise r.error(f"unknown conversion {tok!r}")
+            raise r.error(f"unknown conversion {quote_token(tok)}")
         return rule
     name = r.next()
     if name == "atom":
@@ -733,7 +732,7 @@ def _parse_conv_proof(r: _Reader) -> ConvProof:
     elif name == "then":
         node = ThenConv(_parse_conv_proof(r), _parse_conv_proof(r))
     else:
-        raise r.error(f"expected a conversion head, got {name!r}")
+        raise r.error(f"expected a conversion head, got {quote_token(name)}")
     r.next(")")
     return node
 
@@ -750,7 +749,7 @@ def _parse_cert(r: _Reader) -> PropProof:
     elif name == "conv":
         node = ConvRule(_parse_formula(r)[0], _parse_conv_proof(r), _parse_cert(r))
     else:
-        raise r.error(f"expected a certificate head, got {name!r}")
+        raise r.error(f"expected a certificate head, got {quote_token(name)}")
     r.next(")")
     return node
 
@@ -764,5 +763,5 @@ def parse_cert(text: str) -> PropProof:
     r = _Reader(text)
     cert = _parse_cert(r)
     if r.pos < len(r.tokens):
-        raise r.error(f"trailing input {r.tokens[r.pos]!r}", r.pos)
+        raise r.error(f"trailing input {quote_token(r.tokens[r.pos])}", r.pos)
     return cert

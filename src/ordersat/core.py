@@ -40,6 +40,15 @@ class ParseError(OrderSatError):
     """Malformed textual input; the message carries the position."""
 
 
+def quote_token(tok: str) -> str:
+    """``repr(tok)``, or the repr of its first 40 characters and "…" if it is longer.
+
+    A parse error quotes the offending token this way, so its line stays
+    short however long the token is.
+    """
+    return repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}…"
+
+
 class InvariantViolation(OrderSatError):
     """An internal self-check failed; indicates a bug rather than bad input."""
 
@@ -363,7 +372,7 @@ class _Parser:
     def parse(self) -> Formula:
         f = self._disj()
         if self.tokens[self.k]:
-            raise self._error(f"unexpected {self.tokens[self.k]!r}", self.k)
+            raise self._error(f"unexpected {quote_token(self.tokens[self.k])}", self.k)
         return f
 
     def _disj(self) -> Formula:
@@ -390,7 +399,7 @@ class _Parser:
             f = self._disj()
             closing = self._next()
             if closing != ")":
-                raise self._error(f"expected ')', got {closing!r}")
+                raise self._error(f"expected ')', got {quote_token(closing)}")
             return f
         return self._atom()
 
@@ -398,7 +407,7 @@ class _Parser:
         left = self._ident()
         op = self._next()
         if op not in _RELOPS:
-            raise self._error(f"expected a relation, got {op!r}")
+            raise self._error(f"expected a relation, got {quote_token(op)}")
         right = self._ident()
         x = self.table.intern(left)
         y = self.table.intern(right)
@@ -417,7 +426,7 @@ class _Parser:
     def _ident(self) -> str:
         name = self._next()
         if not (name[0].isalpha() or name[0] == "_"):
-            raise self._error(f"expected an identifier, got {name!r}")
+            raise self._error(f"expected an identifier, got {quote_token(name)}")
         return name
 
     def _next(self) -> str:

@@ -14,9 +14,11 @@ A proposition is a judgement, an implication, or a universal
 quantification over variable ids, and a judgement is one of the
 certificate's own formulas: a hypothesis proves the formula it assumes.
 Falsity is the structured checker's ``FLS_FORMULA``, so both kernels
-conclude the same value.  The schemas for the two propositional axioms
-quantify over formulas; a hole node that only ever appears inside
-``SIGMA`` marks the positions a term application fills in.
+conclude the same value.  Each axiom of ``SIGMA`` is one ``_schema`` call,
+``!binders. premises => conclusion``, as in its row of the README's replay
+axiom table.  The schemas for the two propositional axioms quantify over
+formulas; a hole node that only ever appears inside ``SIGMA`` marks the
+positions a term application fills in.
 
 Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
 negative variable id as a term, so no instantiation value can be a bound
@@ -49,7 +51,6 @@ from .core import (
     le,
 )
 from .certs import (
-    FLS,
     FLS_FORMULA,
     AntisymP,
     AssmP,
@@ -161,84 +162,46 @@ class FmHole(Formula):
 # The axiom environment
 
 _X, _Y, _Z = -1, -2, -3
+_C, _D = FmHole(_X), FmHole(_Y)
 
 
-def _lit(pol: bool, atom: OrderAtom) -> Atom:
-    return Atom(Literal(pol, atom))
+def _pos(atom: OrderAtom) -> Atom:
+    return Atom(Literal(True, atom))
+
+
+def _neg(atom: OrderAtom) -> Atom:
+    return Atom(Literal(False, atom))
+
+
+def _schema(binders: tuple[VarId, ...], *parts: Prop) -> Prop:
+    """``!binders. p1 => ... => pn => c`` for ``parts`` p1, ..., pn, c.
+
+    One call states one row of the README's replay axiom table, and each
+    part is placed as it is, so ``FLS_FORMULA`` is the kernel's own object.
+    """
+    prop = parts[-1]
+    for premise in reversed(parts[:-1]):
+        prop = Implies(premise, prop)
+    for binder in reversed(binders):
+        prop = All(binder, prop)
+    return prop
 
 
 SIGMA: dict[str, Prop] = {
-    "refl": All(_X, _lit(True, le(_X, _X))),
-    "trans": All(
-        _X,
-        All(
-            _Y,
-            All(
-                _Z,
-                Implies(
-                    _lit(True, le(_X, _Y)),
-                    Implies(_lit(True, le(_Y, _Z)), _lit(True, le(_X, _Z))),
-                ),
-            ),
-        ),
-    ),
-    "antisym": All(
-        _X,
-        All(
-            _Y,
-            Implies(
-                _lit(True, le(_X, _Y)),
-                Implies(_lit(True, le(_Y, _X)), _lit(True, eq(_X, _Y))),
-            ),
-        ),
-    ),
-    "eqe1": All(_X, All(_Y, Implies(_lit(True, eq(_X, _Y)), _lit(True, le(_X, _Y))))),
-    "eqe2": All(_X, All(_Y, Implies(_lit(True, eq(_X, _Y)), _lit(True, le(_Y, _X))))),
-    "contr_le": All(
-        _X,
-        All(
-            _Y,
-            Implies(
-                _lit(False, le(_X, _Y)),
-                Implies(_lit(True, le(_X, _Y)), FLS_FORMULA),
-            ),
-        ),
-    ),
-    "contr_eq": All(
-        _X,
-        All(
-            _Y,
-            Implies(
-                _lit(False, eq(_X, _Y)),
-                Implies(_lit(True, eq(_X, _Y)), FLS_FORMULA),
-            ),
-        ),
-    ),
-    "conje": All(
-        _X,
-        All(
-            _Y,
-            Implies(
-                And(FmHole(_X), FmHole(_Y)),
-                Implies(
-                    Implies(FmHole(_X), Implies(FmHole(_Y), FLS_FORMULA)),
-                    FLS_FORMULA,
-                ),
-            ),
-        ),
-    ),
-    "disje": All(
-        _X,
-        All(
-            _Y,
-            Implies(
-                Or(FmHole(_X), FmHole(_Y)),
-                Implies(
-                    Implies(FmHole(_X), FLS_FORMULA),
-                    Implies(Implies(FmHole(_Y), FLS_FORMULA), FLS_FORMULA),
-                ),
-            ),
-        ),
+    "refl": _schema((_X,), _pos(le(_X, _X))),
+    "trans": _schema((_X, _Y, _Z), _pos(le(_X, _Y)), _pos(le(_Y, _Z)), _pos(le(_X, _Z))),
+    "antisym": _schema((_X, _Y), _pos(le(_X, _Y)), _pos(le(_Y, _X)), _pos(eq(_X, _Y))),
+    "eqe1": _schema((_X, _Y), _pos(eq(_X, _Y)), _pos(le(_X, _Y))),
+    "eqe2": _schema((_X, _Y), _pos(eq(_X, _Y)), _pos(le(_Y, _X))),
+    "contr_le": _schema((_X, _Y), _neg(le(_X, _Y)), _pos(le(_X, _Y)), FLS_FORMULA),
+    "contr_eq": _schema((_X, _Y), _neg(eq(_X, _Y)), _pos(eq(_X, _Y)), FLS_FORMULA),
+    "conje": _schema((_X, _Y), And(_C, _D), _schema((), _C, _D, FLS_FORMULA), FLS_FORMULA),
+    "disje": _schema(
+        (_X, _Y),
+        Or(_C, _D),
+        _schema((), _C, FLS_FORMULA),
+        _schema((), _D, FLS_FORMULA),
+        FLS_FORMULA,
     ),
 }
 
@@ -367,45 +330,34 @@ def replay(context: Context, proof: GPrf) -> Prop:
 _AXIOM = {name: PThm(name) for name in SIGMA}
 
 
-def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
-    """The proof term of an atom proof and the literal it concludes.
+def _export_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
+    """The proof term of an atom proof and the two variables its conclusion relates.
 
     The conclusion is structural; replay re-validates it.
     """
     if isinstance(proof, AssmP):
-        return Bound(Atom(proof.lit)), proof.lit
+        a = proof.lit.atom
+        return Bound(Atom(proof.lit)), a.x, a.y
     if isinstance(proof, ReflP):
-        return Appt(_AXIOM["refl"], proof.var), Literal(True, le(proof.var, proof.var))
-    if isinstance(proof, TransP):
-        left, c1 = _export_atom(proof.left)
-        right, c2 = _export_atom(proof.right)
-        x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
-        head = Appt(Appt(Appt(_AXIOM["trans"], x), y), z)
-        return AppP(AppP(head, left), right), Literal(True, le(x, z))
-    if isinstance(proof, AntisymP):
-        left, c1 = _export_atom(proof.left)
-        right, _ = _export_atom(proof.right)
-        x, y = c1.atom.x, c1.atom.y
-        head = Appt(Appt(_AXIOM["antisym"], x), y)
-        return AppP(AppP(head, left), right), Literal(True, eq(x, y))
-    if isinstance(proof, EQE1P):
+        return Appt(_AXIOM["refl"], proof.var), proof.var, proof.var
+    if isinstance(proof, (TransP, AntisymP)):
+        left, x, y = _export_atom(proof.left)
+        right, _, z = _export_atom(proof.right)
+        if isinstance(proof, TransP):
+            return AppP(AppP(Appt(Appt(Appt(_AXIOM["trans"], x), y), z), left), right), x, z
+        return AppP(AppP(Appt(Appt(_AXIOM["antisym"], x), y), left), right), x, y
+    if isinstance(proof, (EQE1P, EQE2P)):
         a = proof.lit.atom
-        head = Appt(Appt(_AXIOM["eqe1"], a.x), a.y)
-        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.x, a.y))
-    if isinstance(proof, EQE2P):
-        a = proof.lit.atom
-        head = Appt(Appt(_AXIOM["eqe2"], a.x), a.y)
-        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.y, a.x))
+        name, x, y = ("eqe1", a.x, a.y) if isinstance(proof, EQE1P) else ("eqe2", a.y, a.x)
+        return AppP(Appt(Appt(_AXIOM[name], a.x), a.y), Bound(Atom(proof.lit))), x, y
     if isinstance(proof, ContrP):
         a = proof.lit.atom
-        if a.kind == "le":
-            axiom = "contr_le"
-        elif a.kind == "eq":
-            axiom = "contr_eq"
-        else:
+        axiom = _AXIOM.get(f"contr_{a.kind}")
+        if axiom is None:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = Appt(Appt(_AXIOM[axiom], a.x), a.y)
-        return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), FLS
+        head = Appt(Appt(axiom, a.x), a.y)
+        # Falsity ``v0 != v0`` relates v0 to itself.
+        return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), 0, 0
     raise ExportError(f"unknown atom proof node {proof!r}")
 
 

@@ -24,9 +24,12 @@ from ordersat.core import (
     Relation,
     SymbolTable,
     VarId,
+    eq,
+    le,
 )
 from ordersat.certs import (
     CONVERSION_NAME,
+    FLS,
     AllConv,
     AndOrLConv,
     AndOrRConv,
@@ -52,19 +55,30 @@ from ordersat.certs import (
     NleConv,
     NlessConv,
     NlessLe,
+    ProofError,
     PropProof,
     ReflP,
     ThenConv,
     TransP,
+    apply_conv,
+    check_atom_proof,
     serialize_literal,
 )
 from ordersat.closure import ProofMap, leq1_mapping
 from ordersat.replay import (
+    SIGMA,
+    AbsP,
     All,
+    AppP,
+    Appt,
+    Bound,
+    ConvP,
+    ExportError,
     FmHole,
     GPrf,
     Implies,
     Prop,
+    PThm,
     ReplayError,
     SubstValue,
     replay,
@@ -597,3 +611,107 @@ def tokenizer_parse_input(text: str) -> tuple[Formula, SymbolTable]:
     """``core.parse_input`` as the per-character reader computed it."""
     table = SymbolTable()
     return _Parser(text, table).parse(), table
+
+
+# ---------------------------------------------------------------------------
+# The recursive structured kernel and the literal-carrying export, the
+# oracles for ``certs.check_prop_proof`` and ``replay.export``
+#
+# The structured kernel's earlier check, which copied its frozenset context
+# at every ConjE, DisjE and ConvRule node, and the export that built a
+# Literal for every atom proof to carry its conclusion: kept verbatim as the
+# reference for conclusions, error messages and proof terms.
+
+
+def recursive_check_prop_proof(context: Iterable[Formula], proof: PropProof) -> Formula:
+    """``certs.check_prop_proof`` as the recursive frozenset checker computed it."""
+    return _check_prop(frozenset(context), proof)
+
+
+def _check_prop(context: frozenset[Formula], proof: PropProof) -> Formula:
+    if isinstance(proof, Lift):
+        atoms = frozenset(f.lit for f in context if isinstance(f, Atom))
+        return Atom(check_atom_proof(atoms, proof.proof))
+    if isinstance(proof, ConjE):
+        if And(proof.left, proof.right) not in context:
+            raise ProofError(f"conjunction {And(proof.left, proof.right)} is not among the assumptions")
+        return _check_prop(context | {proof.left, proof.right}, proof.proof)
+    if isinstance(proof, DisjE):
+        if Or(proof.left, proof.right) not in context:
+            raise ProofError(f"disjunction {Or(proof.left, proof.right)} is not among the assumptions")
+        c1 = _check_prop(context | {proof.left}, proof.left_proof)
+        c2 = _check_prop(context | {proof.right}, proof.right_proof)
+        if c1 != c2:
+            raise ProofError(f"case split branches prove different formulas: {c1} and {c2}")
+        return c1
+    if isinstance(proof, ConvRule):
+        if proof.source not in context:
+            raise ProofError(f"conversion source {proof.source} is not among the assumptions")
+        rewritten = apply_conv(proof.conversion, proof.source)
+        return _check_prop(context | {rewritten}, proof.proof)
+    raise ProofError(f"unknown propositional proof node {proof!r}")
+
+
+_AXIOM = {name: PThm(name) for name in SIGMA}
+
+
+def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
+    """The proof term of an atom proof and the literal it concludes.
+
+    The conclusion is structural; replay re-validates it.
+    """
+    if isinstance(proof, AssmP):
+        return Bound(Atom(proof.lit)), proof.lit
+    if isinstance(proof, ReflP):
+        return Appt(_AXIOM["refl"], proof.var), Literal(True, le(proof.var, proof.var))
+    if isinstance(proof, TransP):
+        left, c1 = _export_atom(proof.left)
+        right, c2 = _export_atom(proof.right)
+        x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
+        head = Appt(Appt(Appt(_AXIOM["trans"], x), y), z)
+        return AppP(AppP(head, left), right), Literal(True, le(x, z))
+    if isinstance(proof, AntisymP):
+        left, c1 = _export_atom(proof.left)
+        right, _ = _export_atom(proof.right)
+        x, y = c1.atom.x, c1.atom.y
+        head = Appt(Appt(_AXIOM["antisym"], x), y)
+        return AppP(AppP(head, left), right), Literal(True, eq(x, y))
+    if isinstance(proof, EQE1P):
+        a = proof.lit.atom
+        head = Appt(Appt(_AXIOM["eqe1"], a.x), a.y)
+        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.x, a.y))
+    if isinstance(proof, EQE2P):
+        a = proof.lit.atom
+        head = Appt(Appt(_AXIOM["eqe2"], a.x), a.y)
+        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.y, a.x))
+    if isinstance(proof, ContrP):
+        a = proof.lit.atom
+        if a.kind == "le":
+            axiom = "contr_le"
+        elif a.kind == "eq":
+            axiom = "contr_eq"
+        else:
+            raise ExportError("no contradiction axiom for strict atoms")
+        head = Appt(Appt(_AXIOM[axiom], a.x), a.y)
+        return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), FLS
+    raise ExportError(f"unknown atom proof node {proof!r}")
+
+
+def literal_export(proof: PropProof) -> GPrf:
+    """``replay.export`` as the literal-carrying compiler computed it."""
+    if isinstance(proof, Lift):
+        return _export_atom(proof.proof)[0]
+    if isinstance(proof, ConjE):
+        head = Appt(Appt(_AXIOM["conje"], proof.left), proof.right)
+        conjunction = Bound(And(proof.left, proof.right))
+        body = AbsP(proof.left, AbsP(proof.right, literal_export(proof.proof)))
+        return AppP(AppP(head, conjunction), body)
+    if isinstance(proof, DisjE):
+        head = Appt(Appt(_AXIOM["disje"], proof.left), proof.right)
+        disjunction = Bound(Or(proof.left, proof.right))
+        left_case = AbsP(proof.left, literal_export(proof.left_proof))
+        right_case = AbsP(proof.right, literal_export(proof.right_proof))
+        return AppP(AppP(AppP(head, disjunction), left_case), right_case)
+    if isinstance(proof, ConvRule):
+        return ConvP(proof.source, proof.conversion, literal_export(proof.proof))
+    raise ExportError(f"unknown propositional proof node {proof!r}")

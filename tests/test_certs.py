@@ -65,7 +65,14 @@ from ordersat.replay import ExportError, ReplayError, export, replay
 from ordersat.selfcheck import clause_formula, iter_clauses
 from ordersat.sexpr import tokenize
 
-from helpers import doubling_cert, mutate_cert, plain_serialize_cert, random_formula
+from helpers import (
+    doubling_cert,
+    literal_export,
+    mutate_cert,
+    plain_serialize_cert,
+    random_formula,
+    recursive_check_prop_proof,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import chain_text, ladder_text  # noqa: E402
@@ -500,6 +507,90 @@ def test_mutation_robustness_small():
                 rejected += 1
     assert total > 100
     assert rejected / total >= 0.95
+
+
+def _outcome(compute, *args):
+    try:
+        return compute(*args)
+    except (ProofError, ConversionError, ExportError) as exc:
+        return type(exc), str(exc)
+
+
+def test_kernels_agree_with_the_recursive_checker_and_the_literal_export():
+    # The recursive frozenset checker and the export that carried a Literal
+    # per atom proof are the references, on certificates and their mutants.
+    rng = random.Random(15)
+    corpus = []
+    for theory in (Theory.PARTIAL, Theory.LINEAR):
+        for _ in range(1000):
+            f = random_formula(rng, 4, 3)
+            verdict = decide(f, theory)
+            if isinstance(verdict, Unsat):
+                corpus.append((f, verdict.certificate))
+        for text in (chain_text(rng, 30), ladder_text(rng, 4)):
+            f, _ = parse_input(text)
+            verdict = decide(f, theory)
+            assert isinstance(verdict, Unsat)
+            corpus.append((f, verdict.certificate))
+    checked = 0
+    for f, cert in corpus:
+        for proof in [cert] + [mutate_cert(rng, cert) for _ in range(3)]:
+            expected = _outcome(recursive_check_prop_proof, {f}, proof)
+            assert _outcome(check_prop_proof, {f}, proof) == expected, proof
+            assert _outcome(export, proof, f) == _outcome(literal_export, proof), proof
+            checked += 1
+    assert checked >= 1_000
+
+
+def test_assumptions_stay_in_their_case_and_out_of_the_callers_set():
+    # The context grows in place down a spine, so a case's disjunct must not
+    # reach the other case, and nothing may reach the caller's set.
+    xy, yx = Atom(pos(le(0, 1))), Atom(pos(le(1, 0)))
+    uses_xy = Lift(ContrP(neg(le(0, 1)), AssmP(xy.lit)))
+    context = {Or(xy, yx), Atom(neg(le(0, 1)))}
+    with pytest.raises(ProofError, match="^assumption v0 <= v1 is not among the assumptions$"):
+        check_prop_proof(context, DisjE(xy, yx, uses_xy, uses_xy))
+    context = {And(xy, yx), Atom(neg(le(0, 1)))}
+    before = set(context)
+    assert check_prop_proof(context, ConjE(xy, yx, uses_xy)) == FLS_FORMULA
+    assert context == before
+
+
+def _wide_conjunction(n: int):
+    """``x0 <= y0 & ... & x(n-1) <= y(n-1) & ~(x0 <= x0)`` and its certificate.
+
+    Its certificate is one conje node per literal above a single lift, and
+    the literals share no variable, so ``decide`` builds it in linear time.
+    """
+    f, _ = parse_input(" & ".join(f"x{i} <= y{i}" for i in range(n)) + " & ~(x0 <= x0)")
+    verdict = decide(f, Theory.PARTIAL)
+    assert isinstance(verdict, Unsat)
+    return f, verdict.certificate
+
+
+def test_structured_kernel_checks_a_spine_in_linear_memory_and_constant_stack():
+    # A context copied at every conje would hold n²/2 formula references:
+    # about 170 MB at n = 2,000.
+    peaks = []
+    for n in (1000, 2000):
+        f, cert = _wide_conjunction(n)
+        tracemalloc.start()
+        try:
+            assert check_prop_proof({f}, cert) == FLS_FORMULA
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 5_000_000
+    assert peaks[1] < 3 * peaks[0]
+    # ``decide``'s own object, not a re-read text: reading would give
+    # distinct equal formulas, whose dataclass ``__eq__`` recurses.
+    f, cert = _wide_conjunction(5000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert check_prop_proof({f}, cert) == FLS_FORMULA
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_cert_size_counts_proof_nodes_and_no_formulas():

@@ -278,6 +278,24 @@ def test_check_variable_id_longer_than_int_reads_is_a_parse_error(tmp_path, caps
     assert err == "error: syntax error at offset 12: variable id of 5000 digits is too long\n"
 
 
+def test_solve_quotes_a_bounded_prefix_of_a_long_identifier(tmp_path, capsys):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y " + "z" * 200_000 + "\n")
+    assert run(["solve", str(source), "--theory", "partial"]) == 2
+    assert capsys.readouterr().err == "error: 1:8: unexpected '" + "z" * 40 + "'…\n"
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_quotes_a_bounded_prefix_of_a_long_token(tmp_path, capsys, kernel):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y\n")
+    cert = tmp_path / "long.cert"
+    cert.write_text("(lift (refl w" + "z" * 200_000 + "))\n")
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: syntax error at offset 12: expected a variable like v0, got 'w" + "z" * 39 + "'…\n"
+
+
 @pytest.mark.parametrize("kernel", ["structured", "replay"])
 def test_check_refuses_labels_that_name_a_huge_formula(tmp_path, capsys, kernel):
     # Forty labels, each naming two copies of the one before, would name a

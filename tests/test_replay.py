@@ -92,6 +92,48 @@ def test_sigma_names():
     }
 
 
+def _readme_notation(prop, names) -> str:
+    """``prop`` in the notation of the README's replay axiom table."""
+    if isinstance(prop, All):
+        binders = []
+        while isinstance(prop, All):
+            binders.append(names[prop.binder])
+            prop = prop.body
+        return f"!{' '.join(binders)}. {_readme_notation(prop, names)}"
+    if isinstance(prop, Implies):
+        hyp = _readme_notation(prop.hyp, names)
+        if isinstance(prop.hyp, Implies):
+            hyp = f"({hyp})"
+        return f"{hyp} => {_readme_notation(prop.concl, names)}"
+    if prop is FLS_FORMULA:
+        return "Fls"
+    if isinstance(prop, FmHole):
+        return names[prop.hole]
+    if isinstance(prop, (And, Or)):
+        connective = "and" if isinstance(prop, And) else "or"
+        return f"({_readme_notation(prop.left, names)} {connective} {_readme_notation(prop.right, names)})"
+    a = prop.lit.atom
+    relation = f"{names[a.x]} {'<=' if a.kind == 'le' else '='} {names[a.y]}"
+    return relation if prop.lit.pos else f"~({relation})"
+
+
+def test_sigma_states_the_rows_of_the_readme_axiom_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Appendix: replay axiom table (normative)", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            name, schema = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            rows[name] = schema
+    # Variable binders read x, y, z; the formula binders of conje and disje read c, d.
+    variables, formulas = {-1: "x", -2: "y", -3: "z"}, {-1: "c", -2: "d"}
+    rendered = {
+        name: _readme_notation(schema, formulas if name in ("conje", "disje") else variables)
+        for name, schema in SIGMA.items()
+    }
+    assert rendered == rows
+
+
 def test_replay_axiom_lookup():
     assert replay(frozenset(), PThm("refl")) == All(-1, Atom(pos(le(-1, -1))))
     with pytest.raises(ReplayError, match="unknown proof constant"):
