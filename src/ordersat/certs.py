@@ -470,14 +470,22 @@ def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
     """Number of certificate nodes: 1 per node plus its proof-valued fields.
 
     A niladic conversion counts 1; the formulas, literals and variables a
-    node restates count 0.
+    node restates count 0.  The nodes are counted on an explicit stack.
     """
-    if type(proof) in CONVERSION_NAME:
-        return 1
-    if type(proof) not in _FIELDS:
-        raise ValueError(f"not a certificate node: {proof!r}")
-    values = (getattr(proof, name) for name in _FIELDS[type(proof)])
-    return 1 + sum(cert_size(v) for v in values if isinstance(v, (PropProof, CertProof, ConvProof)))
+    size = 0
+    stack = [proof]
+    while stack:
+        node = stack.pop()
+        size += 1
+        if type(node) in CONVERSION_NAME:
+            continue
+        if type(node) not in _FIELDS:
+            raise ValueError(f"not a certificate node: {node!r}")
+        for name in _FIELDS[type(node)]:
+            value = getattr(node, name)
+            if isinstance(value, (PropProof, CertProof, ConvProof)):
+                stack.append(value)
+    return size
 
 
 class _Writer:

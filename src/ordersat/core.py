@@ -2,21 +2,22 @@
 
 Variables are dense non-negative integers handed out by a SymbolTable.
 An atom relates two variables by ``le``, ``lt`` or ``eq``; a literal attaches
-a polarity; formulas combine literal atoms with And/Or/Neg.  Truth is judged
-against a finite relation together with a valuation mapping variables into
-the relation's carrier.  ``parse_input`` reads the surface syntax of formula
-files into a formula and the SymbolTable that names its variables.  One
-regular expression splits a text into plain-string tokens; the ``line:col``
-of a token is worked out from the text only when an error names it.
+a polarity; formulas combine literal atoms with And/Or/Neg, and neither
+hashing nor comparing them recurses.  Truth is judged against a finite
+relation together with a valuation mapping variables into the relation's
+carrier.  ``parse_input`` reads the surface syntax of formula files into a
+formula and the SymbolTable that names its variables.  One regular
+expression splits a text into plain-string tokens; the ``line:col`` of a
+token is worked out from the text only when an error names it.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 VarId = int
 
@@ -100,84 +101,91 @@ def neg(atom: OrderAtom) -> Literal:
     return Literal(False, atom)
 
 
-# The dataclass-generated hash of each class ``cache_hash`` decorates.
-_GENERATED_HASH: dict[type, Callable[[object], int]] = {}
-
-
-def cache_hash(cls):
-    """Memoize the generated hash; recursive trees are hashed constantly.
-
-    A missing hash is computed children first on an explicit stack, so the
-    generated hash only ever meets children whose hash is cached, no
-    ``hash()`` recurses and a formula of any depth is hashed.
-    """
-    _GENERATED_HASH[cls] = cls.__hash__
-
-    def __hash__(self):
-        value = self.__dict__.get("_hash")
-        if value is None:
-            _hash_on_a_stack(self)
-            value = self.__dict__["_hash"]
-        return value
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-def _hash_on_a_stack(root) -> None:
-    # Each entry is a node and the iterator over its fields still to be
-    # searched for an uncached child; the node is hashed once it runs out.
-    stack = [(root, iter(root.__dict__.values()))]
-    while stack:
-        node, fields = stack[-1]
-        for child in fields:
-            if type(child) in _GENERATED_HASH and "_hash" not in child.__dict__:
-                stack.append((child, iter(child.__dict__.values())))
-                break
-        else:
-            stack.pop()
-            node.__dict__["_hash"] = _GENERATED_HASH[type(node)](node)
-
-
 class Formula:
-    """Base class of the formula tree; nodes are Atom, And, Or and Neg."""
+    """Base class of the formula tree; nodes are Atom, And, Or and Neg.
+
+    Each node stores its hash in ``_hash`` when it is built, from its literal
+    or its children's stored hashes, and ``==`` walks an explicit stack.  Any
+    other subclass stores a ``_hash`` too and brings its own ``==``.
+    """
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        return self._hash
 
-@cache_hash
-@dataclass(frozen=True)
+    def __reduce__(self):
+        # A copy or an unpickled node is built again, so it stores its own hash.
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if type(a) is Atom:
+                if a.lit != b.lit:
+                    return False
+            elif type(a) is Neg:
+                stack.append((a.arg, b.arg))
+            elif type(a) is And or type(a) is Or:
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+            elif a != b:
+                return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
+    __slots__ = ("lit", "_hash", "__weakref__")
     lit: Literal
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.lit))
 
     def __str__(self) -> str:
         return str(self.lit)
 
 
-@cache_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
+    __slots__ = ("left", "right", "_hash", "__weakref__")
     left: Formula
     right: Formula
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((1, self.left._hash, self.right._hash)))
 
     def __str__(self) -> str:
         return f"({self.left} & {self.right})"
 
 
-@cache_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
+    __slots__ = ("left", "right", "_hash", "__weakref__")
     left: Formula
     right: Formula
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
 
     def __str__(self) -> str:
         return f"({self.left} | {self.right})"
 
 
-@cache_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
+    __slots__ = ("arg", "_hash", "__weakref__")
     arg: Formula
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((3, self.arg._hash)))
 
     def __str__(self) -> str:
         return f"~{self.arg}"

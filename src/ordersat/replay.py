@@ -148,11 +148,17 @@ class All:
 Prop = Formula | Implies | All
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FmHole(Formula):
     """Formula placeholder; occurs only inside axiom schemas."""
 
+    __slots__ = ("hole", "_hash")
     hole: VarId
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.hole))
+
+    __hash__ = Formula.__hash__
 
     def __str__(self) -> str:
         return f"v{self.hole}"

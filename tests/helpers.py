@@ -8,6 +8,7 @@ itself.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from typing import Iterable
 
@@ -348,6 +349,58 @@ def random_formula(rng: random.Random, max_depth: int = 4, num_vars: int = 4) ->
 def random_literal(rng: random.Random, num_vars: int = 3) -> Literal:
     atom = OrderAtom(rng.choice(ATOM_KINDS), rng.randrange(num_vars), rng.randrange(num_vars))
     return Literal(rng.random() < 0.5, atom)
+
+
+# ---------------------------------------------------------------------------
+# Formula equality: a recursive structural oracle and one-node mutants
+
+
+def structurally_equal(a: Formula, b: Formula) -> bool:
+    """Whether two formula trees have the same shape and the same leaves."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Atom):
+        return a.lit == b.lit
+    if isinstance(a, FmHole):
+        return a.hole == b.hole
+    if isinstance(a, Neg):
+        return structurally_equal(a.arg, b.arg)
+    return structurally_equal(a.left, b.left) and structurally_equal(a.right, b.right)
+
+
+def rebuild_formula(f: Formula, rng: random.Random | None = None) -> Formula:
+    """``f`` built again from new nodes; with ``rng``, one random node changes.
+
+    A changed atom negates its literal, a changed hole takes the next id,
+    a changed ``Neg`` is dropped and a changed ``And`` or ``Or`` swaps its
+    connective.
+    """
+    target = rng.randrange(_formula_size(f)) if rng is not None else -1
+    order = itertools.count()
+
+    def build(node: Formula) -> Formula:
+        changed = next(order) == target
+        if isinstance(node, Atom):
+            return Atom(node.lit.negate() if changed else node.lit)
+        if isinstance(node, FmHole):
+            return FmHole(node.hole - 1 if changed else node.hole)
+        if isinstance(node, Neg):
+            arg = build(node.arg)
+            return arg if changed else Neg(arg)
+        left = build(node.left)
+        right = build(node.right)
+        kind = {And: Or, Or: And}[type(node)] if changed else type(node)
+        return kind(left, right)
+
+    return build(f)
+
+
+def _formula_size(node: Formula) -> int:
+    if isinstance(node, Neg):
+        return 1 + _formula_size(node.arg)
+    if isinstance(node, (And, Or)):
+        return 1 + _formula_size(node.left) + _formula_size(node.right)
+    return 1
 
 
 # ---------------------------------------------------------------------------

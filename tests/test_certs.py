@@ -582,13 +582,15 @@ def test_structured_kernel_checks_a_spine_in_linear_memory_and_constant_stack():
             tracemalloc.stop()
     assert peaks[1] < 5_000_000
     assert peaks[1] < 3 * peaks[0]
-    # ``decide``'s own object, not a re-read text: reading would give
-    # distinct equal formulas, whose dataclass ``__eq__`` recurses.
+    # ``decide``'s own object, and the same certificate read back: reading
+    # gives formulas equal to the goal's but distinct from them.
     f, cert = _wide_conjunction(5000)
+    reread = parse_cert(serialize_cert(cert))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         assert check_prop_proof({f}, cert) == FLS_FORMULA
+        assert check_prop_proof({f}, reread) == FLS_FORMULA
     finally:
         sys.setrecursionlimit(limit)
 

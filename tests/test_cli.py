@@ -10,11 +10,12 @@ import pytest
 
 import ordersat
 from ordersat.core import And, Atom, Neg, ParseError, eq, le, lt, pos
-from ordersat.certs import parse_cert, serialize_cert
+from ordersat.certs import ProofError, check_prop_proof, parse_cert, serialize_cert
 from ordersat import cli
 from ordersat.cli import format_model, parse_input, run
 from ordersat.closure import Sat, Unsat, decide
 from ordersat.core import Theory
+from ordersat.replay import ReplayError, export, replay
 
 from helpers import doubling_cert, mutate_cert, random_formula, tokenizer_parse_input
 
@@ -297,6 +298,38 @@ def test_check_quotes_a_bounded_prefix_of_a_long_token(tmp_path, capsys, kernel)
 
 
 @pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_bounds_a_rejection_that_quotes_a_huge_formula(tmp_path, capsys, kernel):
+    # The certificate of a 2,000-literal conjunction against a goal that
+    # differs in its last literal: both kernels name the whole formula.
+    literals = [f"x{i} <= y{i}" for i in range(1999)]
+    source = tmp_path / "goal.txt"
+    source.write_text(" & ".join(literals + ["~(x0 <= x0)"]) + "\n")
+    other = tmp_path / "other.txt"
+    other.write_text(" & ".join(literals + ["~(x1 <= x1)"]) + "\n")
+    cert = tmp_path / "proof.cert"
+    assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    goal, _ = parse_input(other.read_text())
+    proof = parse_cert(cert.read_text())
+    with pytest.raises((ProofError, ReplayError)) as caught:
+        if kernel == "structured":
+            check_prop_proof({goal}, proof)
+        else:
+            replay(frozenset({goal}), export(proof, goal))
+    message = str(caught.value)
+    assert len(message) > 30_000
+    assert run(["check", str(cert), "--goal", str(other), "--kernel", kernel]) == 3
+    out = capsys.readouterr().out
+    assert out == f"rejected: {message[:1000]}… ({len(message)} characters)\n"
+    assert len(out.encode()) < 1100
+
+
+def test_short_messages_are_not_cut():
+    assert cli._bounded("x" * 1000) == "x" * 1000
+    assert cli._bounded("x" * 1001) == "x" * 1000 + "… (1001 characters)"
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
 def test_check_refuses_labels_that_name_a_huge_formula(tmp_path, capsys, kernel):
     # Forty labels, each naming two copies of the one before, would name a
     # formula of 2 ** 41 - 1 nodes in a text of 2 KB.
@@ -376,21 +409,27 @@ def test_check_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys, kern
     assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
 
 
-@needs_stackless_calls
 def test_solve_refutes_a_formula_under_twenty_thousand_negations(tmp_path):
-    # Hashing such a formula once overflowed the C stack (SIGSEGV), so the
-    # CLI runs in a child process.
+    # Hashing, comparing and sizing such a formula's certificate once
+    # overflowed the C stack (SIGSEGV), so the CLI runs in a child process.
     source = tmp_path / "goal.txt"
     source.write_text("~" * 20_000 + "x <= y & ~(x <= y)\n")
+    cert = tmp_path / "proof.cert"
     package_root = os.path.dirname(os.path.dirname(ordersat.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "ordersat.cli", "solve", str(source), "--theory", "partial"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=package_root),
-        timeout=120,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "unsat\n", "")
+    commands = [
+        ["solve", str(source), "--theory", "partial", "--cert", str(cert)],
+        ["check", str(cert), "--goal", str(source), "--kernel", "structured"],
+        ["check", str(cert), "--goal", str(source), "--kernel", "replay"],
+    ]
+    for command, expected in zip(commands, ["unsat\n", "ok\n", "ok\n"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "ordersat.cli", *command],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), command
 
 
 def _too_deep(*args, **kwargs):

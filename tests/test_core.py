@@ -1,12 +1,20 @@
+import copy
+import pickle
+import random
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersat.core import (
+    ATOM_KINDS,
     And,
     Atom,
     EvaluationError,
     Literal,
     Neg,
     Or,
+    OrderAtom,
     Relation,
     SymbolTable,
     eq,
@@ -20,6 +28,9 @@ from ordersat.core import (
     relation_props,
 )
 from ordersat.oracle import enumerate_posets
+from ordersat.replay import FmHole
+
+from helpers import rebuild_formula, structurally_equal
 
 
 def test_intern_first_seen_order():
@@ -127,23 +138,71 @@ def test_formula_vars():
     assert formula_vars(f) == {0, 2, 3}
 
 
-def test_a_deep_formula_hashes_as_the_generated_hash_without_a_deep_stack():
-    # Two equal trees, 100,000 negations deep, hashed children first on an
-    # explicit stack; each node's hash is still the dataclass hash of its fields.
-    leaf = Atom(pos(le(0, 1)))
-    trees = []
-    for _ in range(2):
-        f = leaf
-        for _ in range(100_000):
-            f = Neg(f)
-        trees.append(f)
-    first, second = trees
-    assert hash(first) == hash(second) == hash((first.arg,))
-    pair = And(first, Or(leaf, second))
-    assert hash(pair) == hash((first, Or(leaf, second)))
-    # A shared subformula is hashed once: 300 doublings name a tree of 2**300
-    # nodes.
-    doubled = leaf
-    for _ in range(300):
-        doubled = And(doubled, doubled)
-    assert hash(doubled) == hash((doubled.left, doubled.left))
+def test_deep_and_shared_formulas_hash_and_compare_without_a_deep_stack():
+    # Each node stores its hash when it is built and ``==`` walks an explicit
+    # stack, so neither recurses, even under a recursion limit of 1,000.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        def tower(leaf):
+            f = leaf
+            for _ in range(100_000):
+                f = Neg(f)
+            return f
+
+        first, second = tower(Atom(pos(le(0, 1)))), tower(Atom(pos(le(0, 1))))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert And(first, second) == And(second, first)
+        assert first != tower(Atom(neg(le(0, 1))))
+        assert first != tower(Atom(pos(le(1, 0))))
+        # 300 doublings name a tree of 2**300 nodes; its hash is made of its
+        # children's stored ones, and the shared part of two distinct trees is
+        # one identical pair.  Only booleans are asserted, since a failing
+        # assertion would print the tree.
+        leaf = Atom(pos(le(0, 1)))
+        doubled = leaf
+        for _ in range(300):
+            doubled = And(doubled, doubled)
+        results = [
+            hash(doubled) == hash(And(doubled.left, doubled.left)),
+            And(doubled, leaf) == And(doubled, Atom(pos(le(0, 1)))),
+            And(doubled, leaf) != And(doubled, Atom(neg(le(0, 1)))),
+            doubled != Or(doubled.left, doubled.left),
+        ]
+        assert results == [True] * 4
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_formulas_copy_and_pickle_with_their_hash():
+    f = And(Atom(pos(le(0, 1))), Or(Neg(Atom(neg(eq(1, 2)))), FmHole(-1)))
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == hash(f)
+
+
+_LITERALS = st.builds(
+    Literal,
+    st.booleans(),
+    st.builds(OrderAtom, st.sampled_from(ATOM_KINDS), st.integers(0, 2), st.integers(0, 2)),
+)
+_FORMULAS = st.recursive(
+    st.builds(Atom, _LITERALS) | st.builds(FmHole, st.integers(-3, -1)),
+    lambda parts: st.builds(And, parts, parts) | st.builds(Or, parts, parts) | st.builds(Neg, parts),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS, _FORMULAS, st.integers(0, 2**32))
+def test_formula_equality_agrees_with_a_recursive_structural_oracle(f, g, seed):
+    rebuilt = rebuild_formula(f)
+    mutant = rebuild_formula(f, random.Random(seed))
+    pairs = [(f, g), (f, rebuilt), (f, mutant), (rebuilt, mutant), (Or(f, g), Or(rebuilt, g)), (f, f)]
+    for a, b in pairs:
+        same = structurally_equal(a, b)
+        assert (a == b) is same and (a != b) is not same
+        assert (b == a) is same
+        if same:
+            assert hash(a) == hash(b)
+    assert f.__eq__(str(f)) is NotImplemented and f != str(f)
