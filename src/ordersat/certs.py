@@ -5,9 +5,12 @@ Three layers of certificates mirror the solver's three layers of reasoning:
 * atom level: derivations of single order literals from a set of assumed
   literals (assumption, reflexivity, transitivity, antisymmetry, the two
   equality eliminations, and contradiction against a negative assumption);
-* conversion level: equivalence rewrites on formulas (strict-literal
-  elimination, negation pushing, distribution) together with the congruence
-  combinators that apply them inside a formula;
+* conversion level: equivalence rewrites on formulas and the congruence
+  combinators ``atom``, ``arg``, ``binop`` and ``then`` that apply them
+  inside a formula.  Each niladic rule (strict-literal elimination,
+  negation pushing, distribution) is one row of ``_RULES``: its certificate
+  token, whether ``atom`` may carry it, and its rewrite.  A ``Rule`` node
+  only names its row, so the kernel applies its own rewrite;
 * propositional level: conjunction/disjunction elimination and certified
   conversion steps that tie a refutation to the original goal formula.
 
@@ -30,7 +33,7 @@ proportion to the text, not to the formula's exponentially larger tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .core import (
     EQ,
@@ -48,6 +51,8 @@ from .core import (
     VarId,
     eq,
     le,
+    neg,
+    pos,
     quote_token,
 )
 from . import sexpr
@@ -177,28 +182,10 @@ class ConvProof:
 
 
 @dataclass(frozen=True)
-class LessLe(ConvProof):
-    """x < y  to  x <= y and x != y."""
+class Rule(ConvProof):
+    """A niladic conversion, named by its certificate token: a row of ``_RULES``."""
 
-
-@dataclass(frozen=True)
-class NlessLe(ConvProof):
-    """not x < y  to  not x <= y or x = y (partial orders)."""
-
-
-@dataclass(frozen=True)
-class NleConv(ConvProof):
-    """not x <= y  to  x != y and y <= x (linear orders)."""
-
-
-@dataclass(frozen=True)
-class NlessConv(ConvProof):
-    """not x < y  to  y <= x (linear orders)."""
-
-
-@dataclass(frozen=True)
-class AllConv(ConvProof):
-    """Identity conversion."""
+    name: str
 
 
 @dataclass(frozen=True)
@@ -223,75 +210,65 @@ class ThenConv(ConvProof):
     second: ConvProof
 
 
-@dataclass(frozen=True)
-class NegAtomConv(ConvProof):
-    """neg (Atom l)  to  Atom (negated l)."""
+_Rewrite = Callable[[Formula], Formula | None]
 
 
-@dataclass(frozen=True)
-class NegNegConv(ConvProof):
-    """neg (neg f)  to  f."""
+def _on_atom(sign: bool, kind: str, result: Callable[[VarId, VarId], Formula]) -> _Rewrite:
+    """``result(x, y)`` on the atom ``x kind y`` of polarity ``sign``."""
+
+    def rewrite(f: Formula) -> Formula | None:
+        if isinstance(f, Atom) and f.lit.pos == sign and f.lit.atom.kind == kind:
+            return result(f.lit.atom.x, f.lit.atom.y)
+        return None
+
+    return rewrite
 
 
-@dataclass(frozen=True)
-class NegAndConv(ConvProof):
-    """neg (a and b)  to  neg a or neg b."""
+def _neg(inner: type, result: Callable[[Formula], Formula]) -> _Rewrite:
+    """``result(a)`` on ``neg a`` where ``a`` is an ``inner`` node."""
+    return lambda f: result(f.arg) if isinstance(f, Neg) and isinstance(f.arg, inner) else None
 
 
-@dataclass(frozen=True)
-class NegOrConv(ConvProof):
-    """neg (a or b)  to  neg a and neg b."""
+def _and_or(left: bool, result: Callable[[Formula, Formula, Formula], Formula]) -> _Rewrite:
+    """``result(a, b, c)`` on ``(a or b) and c`` if ``left``, else on ``a and (b or c)``."""
+
+    def rewrite(f: Formula) -> Formula | None:
+        if isinstance(f, And):
+            if left and isinstance(f.left, Or):
+                return result(f.left.left, f.left.right, f.right)
+            if not left and isinstance(f.right, Or):
+                return result(f.left, f.right.left, f.right.right)
+        return None
+
+    return rewrite
 
 
-@dataclass(frozen=True)
-class AndOrLConv(ConvProof):
-    """(a or b) and c  to  (a and c) or (b and c)."""
+# The niladic conversions, one row each: the certificate token, whether
+# ``(atom …)`` may carry the rule, and its rewrite, which is None where the
+# rule does not apply.  The README's conversion table states the same rows.
+_RULES: dict[str, tuple[bool, _Rewrite]] = {
+    "lessle": (True, _on_atom(True, LT, lambda x, y: And(Atom(pos(le(x, y))), Atom(neg(eq(x, y)))))),
+    "nlessle": (True, _on_atom(False, LT, lambda x, y: Or(Atom(neg(le(x, y))), Atom(pos(eq(x, y)))))),
+    "nle": (True, _on_atom(False, LE, lambda x, y: And(Atom(neg(eq(x, y))), Atom(pos(le(y, x)))))),
+    "nless": (True, _on_atom(False, LT, lambda x, y: Atom(pos(le(y, x))))),
+    "allconv": (True, lambda f: f),
+    "negatom": (False, _neg(Atom, lambda a: Atom(a.lit.negate()))),
+    "negneg": (False, _neg(Neg, lambda a: a.arg)),
+    "negand": (False, _neg(And, lambda a: Or(Neg(a.left), Neg(a.right)))),
+    "negor": (False, _neg(Or, lambda a: And(Neg(a.left), Neg(a.right)))),
+    "andorl": (False, _and_or(True, lambda a, b, c: Or(And(a, c), And(b, c)))),
+    "andorr": (False, _and_or(False, lambda a, b, c: Or(And(a, b), And(a, c)))),
+}
 
-
-@dataclass(frozen=True)
-class AndOrRConv(ConvProof):
-    """a and (b or c)  to  (a and b) or (a and c)."""
-
-
-_ATOM_RULES = (LessLe, NlessLe, NleConv, NlessConv, AllConv)
-
-
-def _apply_atom_rule(rule: ConvProof, lit: Literal) -> Formula:
-    a = lit.atom
-    if isinstance(rule, LessLe):
-        if lit.pos and a.kind == LT:
-            return And(Atom(Literal(True, le(a.x, a.y))), Atom(Literal(False, eq(a.x, a.y))))
-        raise ConversionError(f"LessLe does not apply to {lit}")
-    if isinstance(rule, NlessLe):
-        if not lit.pos and a.kind == LT:
-            return Or(Atom(Literal(False, le(a.x, a.y))), Atom(Literal(True, eq(a.x, a.y))))
-        raise ConversionError(f"NlessLe does not apply to {lit}")
-    if isinstance(rule, NleConv):
-        if not lit.pos and a.kind == LE:
-            return And(Atom(Literal(False, eq(a.x, a.y))), Atom(Literal(True, le(a.y, a.x))))
-        raise ConversionError(f"NleConv does not apply to {lit}")
-    if isinstance(rule, NlessConv):
-        if not lit.pos and a.kind == LT:
-            return Atom(Literal(True, le(a.y, a.x)))
-        raise ConversionError(f"NlessConv does not apply to {lit}")
-    return Atom(lit)  # AllConv, the last of _ATOM_RULES
+NILADIC_CONVERSIONS: dict[str, Rule] = {name: Rule(name) for name in _RULES}
 
 
 def apply_conv(conv: ConvProof, formula: Formula) -> Formula:
-    """Apply a conversion to a formula, or raise ConversionError on mismatch."""
-    if isinstance(conv, AllConv):
-        return formula
-    if isinstance(conv, AtomConv) or isinstance(conv, _ATOM_RULES):
-        if not isinstance(formula, Atom):
-            raise ConversionError(f"{type(conv).__name__} needs an atom, got {formula}")
-        rule = conv.rule if isinstance(conv, AtomConv) else conv
-        if not isinstance(rule, _ATOM_RULES):
-            raise ConversionError(f"AtomConv carries {type(rule).__name__}, not an atom-level rule")
-        return _apply_atom_rule(rule, formula.lit)
-    if isinstance(conv, ArgConv):
-        if not isinstance(formula, Neg):
-            raise ConversionError(f"ArgConv needs a negation, got {formula}")
-        return Neg(apply_conv(conv.rule, formula.arg))
+    """Apply a conversion to a formula, or raise ConversionError on mismatch.
+
+    A niladic rule is looked up by name in the kernel's own ``_RULES``, so a
+    certificate can name a rule but never supply its rewrite.
+    """
     if isinstance(conv, BinopConv):
         if isinstance(formula, And):
             return And(apply_conv(conv.left, formula.left), apply_conv(conv.right, formula.right))
@@ -300,33 +277,24 @@ def apply_conv(conv: ConvProof, formula: Formula) -> Formula:
         raise ConversionError(f"BinopConv needs a binary connective, got {formula}")
     if isinstance(conv, ThenConv):
         return apply_conv(conv.second, apply_conv(conv.first, formula))
-    if isinstance(conv, NegAtomConv):
-        if isinstance(formula, Neg) and isinstance(formula.arg, Atom):
-            return Atom(formula.arg.lit.negate())
-        raise ConversionError(f"NegAtomConv needs a negated atom, got {formula}")
-    if isinstance(conv, NegNegConv):
-        if isinstance(formula, Neg) and isinstance(formula.arg, Neg):
-            return formula.arg.arg
-        raise ConversionError(f"NegNegConv needs a double negation, got {formula}")
-    if isinstance(conv, NegAndConv):
-        if isinstance(formula, Neg) and isinstance(formula.arg, And):
-            return Or(Neg(formula.arg.left), Neg(formula.arg.right))
-        raise ConversionError(f"NegAndConv needs a negated conjunction, got {formula}")
-    if isinstance(conv, NegOrConv):
-        if isinstance(formula, Neg) and isinstance(formula.arg, Or):
-            return And(Neg(formula.arg.left), Neg(formula.arg.right))
-        raise ConversionError(f"NegOrConv needs a negated disjunction, got {formula}")
-    if isinstance(conv, AndOrLConv):
-        if isinstance(formula, And) and isinstance(formula.left, Or):
-            a, b, c = formula.left.left, formula.left.right, formula.right
-            return Or(And(a, c), And(b, c))
-        raise ConversionError(f"AndOrLConv needs a left disjunction under and, got {formula}")
-    if isinstance(conv, AndOrRConv):
-        if isinstance(formula, And) and isinstance(formula.right, Or):
-            a, b, c = formula.left, formula.right.left, formula.right.right
-            return Or(And(a, b), And(a, c))
-        raise ConversionError(f"AndOrRConv needs a right disjunction under and, got {formula}")
-    raise ConversionError(f"unknown conversion node {conv!r}")
+    if isinstance(conv, ArgConv):
+        if not isinstance(formula, Neg):
+            raise ConversionError(f"ArgConv needs a negation, got {formula}")
+        return Neg(apply_conv(conv.rule, formula.arg))
+    if isinstance(conv, AtomConv):
+        if not isinstance(formula, Atom):
+            raise ConversionError(f"AtomConv needs an atom, got {formula}")
+        conv = conv.rule
+        if not (isinstance(conv, Rule) and conv.name in _RULES and _RULES[conv.name][0]):
+            name = conv.name if isinstance(conv, Rule) else type(conv).__name__
+            raise ConversionError(f"AtomConv carries {name}, not an atom-level rule")
+    row = _RULES.get(conv.name) if isinstance(conv, Rule) else None
+    if row is None:
+        raise ConversionError(f"unknown conversion node {conv!r}")
+    result = row[1](formula)
+    if result is None:
+        raise ConversionError(f"{conv.name} does not apply to {formula}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +388,6 @@ def is_refutation(goal: Formula, proof: PropProof) -> bool:
 # ---------------------------------------------------------------------------
 # Writing (whitespace-separated ASCII s-expressions)
 
-# The one table of niladic conversion names.
-NILADIC_CONVERSIONS: dict[str, ConvProof] = {
-    "lessle": LessLe(),
-    "nlessle": NlessLe(),
-    "nle": NleConv(),
-    "nless": NlessConv(),
-    "allconv": AllConv(),
-    "negatom": NegAtomConv(),
-    "negneg": NegNegConv(),
-    "negand": NegAndConv(),
-    "negor": NegOrConv(),
-    "andorl": AndOrLConv(),
-    "andorr": AndOrRConv(),
-}
-
-CONVERSION_NAME = {type(v): k for k, v in NILADIC_CONVERSIONS.items()}
-
-
 def serialize_literal(lit: Literal) -> str:
     sign = "+" if lit.pos else "-"
     a = lit.atom
@@ -477,7 +427,7 @@ def cert_size(proof: PropProof | CertProof | ConvProof) -> int:
     while stack:
         node = stack.pop()
         size += 1
-        if type(node) in CONVERSION_NAME:
+        if type(node) is Rule:
             continue
         if type(node) not in _FIELDS:
             raise ValueError(f"not a certificate node: {node!r}")
@@ -535,9 +485,8 @@ class _Writer:
 
     def node(self, node: PropProof | CertProof | ConvProof) -> None:
         out = self.out
-        name = CONVERSION_NAME.get(type(node))
-        if name is not None:
-            out.append(name)
+        if type(node) is Rule:
+            out.append(node.name)
             return
         head = _HEADS.get(type(node))
         if head is None:

@@ -34,7 +34,7 @@ from .core import (
 )
 from .certs import (
     FLS_FORMULA,
-    AllConv,
+    NILADIC_CONVERSIONS,
     AntisymP,
     AssmP,
     CertProof,
@@ -272,7 +272,7 @@ def preprocess(f: Formula, theory: Theory) -> Preprocessed:
 
     Negations are pushed into the atoms, every literal is rewritten with the
     theory's ``deless`` rule, and the strict-free negation normal form is
-    distributed into a DNF.  The conversion is AllConv exactly when the
+    distributed into a DNF.  The conversion is ``allconv`` exactly when the
     result is ``f`` itself.
     """
     if theory is Theory.LINEAR:
@@ -332,7 +332,7 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
         return Sat(m, found.index)
 
     conversion = prep.conversion
-    certificate = found if isinstance(conversion, AllConv) else ConvRule(f, conversion, found)
+    certificate = found if conversion == NILADIC_CONVERSIONS["allconv"] else ConvRule(f, conversion, found)
     verdict = _checked_conclusion(f, certificate)
     if verdict != FLS_FORMULA:
         raise InvariantViolation(f"certificate concludes {verdict}, not falsity")

@@ -8,7 +8,8 @@ own variable ids and formulas.  A hypothesis is named by the formula it
 assumes rather than by a de Bruijn index, so a context is a set of
 formulas.  A conversion step carries the certificate's own conversion and
 applies it with the structured checker's ``apply_conv``, so each conversion
-rule is stated once; conversion names are not proof constants.
+rule is stated once, as its row of ``certs._RULES`` (the README's
+conversion table); conversion names are not proof constants.
 
 A proposition is a judgement, an implication, or a universal
 quantification over variable ids, and a judgement is one of the

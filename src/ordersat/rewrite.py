@@ -29,25 +29,10 @@ from .core import (
     Or,
     OrderSatError,
 )
-from .certs import (
-    AllConv,
-    AndOrLConv,
-    AndOrRConv,
-    ArgConv,
-    AtomConv,
-    BinopConv,
-    ConvProof,
-    LessLe,
-    NegAndConv,
-    NegAtomConv,
-    NegNegConv,
-    NegOrConv,
-    NleConv,
-    NlessConv,
-    NlessLe,
-    ThenConv,
-    apply_conv,
-)
+from .certs import NILADIC_CONVERSIONS as _RULE
+from .certs import ArgConv, AtomConv, BinopConv, ConvProof, ThenConv, apply_conv
+
+_ALLCONV = _RULE["allconv"]
 
 
 class StructureError(OrderSatError):
@@ -61,8 +46,8 @@ def deless_partial_prf(lit: Literal) -> ConvProof:
     ``not x <= y or x = y``; every other literal is kept as an atom.
     """
     if lit.atom.kind == LT:
-        return LessLe() if lit.pos else NlessLe()
-    return AllConv()
+        return _RULE["lessle"] if lit.pos else _RULE["nlessle"]
+    return _ALLCONV
 
 
 def deless_partial(lit: Literal) -> Formula:
@@ -78,10 +63,10 @@ def deless_linear_prf(lit: Literal) -> ConvProof:
     """
     a = lit.atom
     if a.kind == LT:
-        return LessLe() if lit.pos else NlessConv()
+        return _RULE["lessle"] if lit.pos else _RULE["nless"]
     if a.kind == LE and not lit.pos:
-        return NleConv()
-    return AllConv()
+        return _RULE["nle"]
+    return _ALLCONV
 
 
 def deless_linear(lit: Literal) -> Formula:
@@ -108,31 +93,31 @@ def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:
 def amap_fm_prf(ap: Callable[[Literal], ConvProof], f: Formula) -> ConvProof:
     """Certificate for amap_fm: atom rules under AtomConv, congruence above.
 
-    A subtree whose atoms the rule all leaves unchanged gets AllConv.
+    A subtree whose atoms the rule all leaves unchanged gets ``allconv``.
     """
     if isinstance(f, Atom):
         rule = ap(f.lit)
-        return rule if isinstance(rule, AllConv) else AtomConv(rule)
+        return rule if rule == _ALLCONV else AtomConv(rule)
     if isinstance(f, (And, Or)):
         return _binop(amap_fm_prf(ap, f.left), amap_fm_prf(ap, f.right))
     if isinstance(f, Neg):
         inner = amap_fm_prf(ap, f.arg)
-        return inner if isinstance(inner, AllConv) else ArgConv(inner)
+        return inner if inner == _ALLCONV else ArgConv(inner)
     raise StructureError(f"not a formula node: {f!r}")
 
 
 def then(first: ConvProof, second: ConvProof) -> ConvProof:
-    """``first`` followed by ``second``, dropping either side that is AllConv."""
-    if isinstance(first, AllConv):
+    """``first`` followed by ``second``, dropping either side that is ``allconv``."""
+    if first == _ALLCONV:
         return second
-    if isinstance(second, AllConv):
+    if second == _ALLCONV:
         return first
     return ThenConv(first, second)
 
 
 def _binop(left: ConvProof, right: ConvProof) -> ConvProof:
-    if isinstance(left, AllConv) and isinstance(right, AllConv):
-        return AllConv()
+    if left == _ALLCONV and right == _ALLCONV:
+        return _ALLCONV
     return BinopConv(left, right)
 
 
@@ -150,10 +135,10 @@ def to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
     negated literal, double negations cancel and De Morgan's laws swap And
     and Or.  Negation-free subtrees are kept as they are: on a formula that
     is already negation-free the result is the input and the certificate is
-    AllConv.
+    ``allconv``.
     """
     if isinstance(f, Atom):
-        return f, AllConv()
+        return f, _ALLCONV
     if isinstance(f, (And, Or)):
         left, pl = to_nnf(f.left)
         right, pr = to_nnf(f.right)
@@ -161,18 +146,18 @@ def to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
     if isinstance(f, Neg):
         inner = f.arg
         if isinstance(inner, Atom):
-            return Atom(inner.lit.negate()), NegAtomConv()
+            return Atom(inner.lit.negate()), _RULE["negatom"]
         if isinstance(inner, Neg):
             result, p = to_nnf(inner.arg)
-            return result, then(NegNegConv(), p)
+            return result, then(_RULE["negneg"], p)
         if isinstance(inner, And):
             left, pl = to_nnf(Neg(inner.left))
             right, pr = to_nnf(Neg(inner.right))
-            return Or(left, right), then(NegAndConv(), _binop(pl, pr))
+            return Or(left, right), then(_RULE["negand"], _binop(pl, pr))
         if isinstance(inner, Or):
             left, pl = to_nnf(Neg(inner.left))
             right, pr = to_nnf(Neg(inner.right))
-            return And(left, right), then(NegOrConv(), _binop(pl, pr))
+            return And(left, right), then(_RULE["negor"], _binop(pl, pr))
     raise StructureError(f"not a formula node: {f!r}")
 
 
@@ -181,17 +166,17 @@ def _dist_and(left: Formula, right: Formula) -> tuple[Formula, ConvProof]:
     if isinstance(left, Or):
         r1, p1 = _dist_and(left.left, right)
         r2, p2 = _dist_and(left.right, right)
-        return Or(r1, r2), then(AndOrLConv(), _binop(p1, p2))
+        return Or(r1, r2), then(_RULE["andorl"], _binop(p1, p2))
     if isinstance(right, Or):
         r1, p1 = _dist_and(left, right.left)
         r2, p2 = _dist_and(left, right.right)
-        return Or(r1, r2), then(AndOrRConv(), _binop(p1, p2))
-    return And(left, right), AllConv()
+        return Or(r1, r2), then(_RULE["andorr"], _binop(p1, p2))
+    return And(left, right), _ALLCONV
 
 
 def _dist(f: Formula) -> tuple[Formula, ConvProof]:
     if isinstance(f, Atom):
-        return f, AllConv()
+        return f, _ALLCONV
     if isinstance(f, (And, Or)):
         left, pl = _dist(f.left)
         right, pr = _dist(f.right)

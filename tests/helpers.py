@@ -29,11 +29,8 @@ from ordersat.core import (
     le,
 )
 from ordersat.certs import (
-    CONVERSION_NAME,
     FLS,
-    AllConv,
-    AndOrLConv,
-    AndOrRConv,
+    NILADIC_CONVERSIONS,
     AntisymP,
     ArgConv,
     AssmP,
@@ -47,18 +44,11 @@ from ordersat.certs import (
     DisjE,
     EQE1P,
     EQE2P,
-    LessLe,
     Lift,
-    NegAndConv,
-    NegAtomConv,
-    NegNegConv,
-    NegOrConv,
-    NleConv,
-    NlessConv,
-    NlessLe,
     ProofError,
     PropProof,
     ReflP,
+    Rule,
     ThenConv,
     TransP,
     apply_conv,
@@ -288,9 +278,8 @@ _HEADS: dict[type, str] = {
 
 
 def _write(node, out: list[str], texts: dict[int, str]) -> None:
-    name = CONVERSION_NAME.get(type(node))
-    if name is not None:
-        out.append(name)
+    if isinstance(node, Rule):
+        out.append(node.name)
         return
     out += ("(", _HEADS[type(node)])
     for field in dataclasses.fields(node):
@@ -408,19 +397,7 @@ def _formula_size(node: Formula) -> int:
 
 _NODE_FAMILIES = (PropProof, CertProof, ConvProof, Formula, Literal, OrderAtom)
 
-_NILADIC_CONVS = (
-    LessLe(),
-    NlessLe(),
-    NleConv(),
-    NlessConv(),
-    AllConv(),
-    NegAtomConv(),
-    NegNegConv(),
-    NegAndConv(),
-    NegOrConv(),
-    AndOrLConv(),
-    AndOrRConv(),
-)
+_NILADIC_CONVS = tuple(NILADIC_CONVERSIONS.values())
 
 
 def _count_nodes(node) -> int:
@@ -479,7 +456,7 @@ def _mutate_node(rng: random.Random, node):
             ]
         )
     if isinstance(node, ConvRule):
-        return ConvRule(node.source, AllConv(), node.proof)
+        return ConvRule(node.source, NILADIC_CONVERSIONS["allconv"], node.proof)
     if isinstance(node, AtomConv):
         return ArgConv(node.rule)
     if isinstance(node, ArgConv):
@@ -490,8 +467,8 @@ def _mutate_node(rng: random.Random, node):
         )
     if isinstance(node, ThenConv):
         return ThenConv(node.second, node.first)
-    if isinstance(node, ConvProof):
-        others = [c for c in _NILADIC_CONVS if type(c) is not type(node)]
+    if isinstance(node, Rule):
+        others = [c for c in _NILADIC_CONVS if c != node]
         return rng.choice(others)
     raise AssertionError(f"unhandled node {node!r}")
 

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from ordersat.core import (
     And,
     Atom,
+    Literal,
     Neg,
     Or,
+    OrderAtom,
     ParseError,
     Theory,
     eq,
@@ -27,8 +29,7 @@ from ordersat.core import (
 from ordersat.certs import (
     FLS,
     FLS_FORMULA,
-    AllConv,
-    AndOrLConv,
+    NILADIC_CONVERSIONS,
     AntisymP,
     ArgConv,
     AssmP,
@@ -41,14 +42,10 @@ from ordersat.certs import (
     DisjE,
     EQE1P,
     EQE2P,
-    LessLe,
     Lift,
-    NegAndConv,
-    NegAtomConv,
-    NegNegConv,
-    NlessLe,
     ProofError,
     ReflP,
+    Rule,
     ThenConv,
     TransP,
     apply_conv,
@@ -113,23 +110,142 @@ def test_check_atom_proof_distinct_errors():
 def test_apply_conv_examples():
     x, y = 0, 1
     strict = Atom(pos(lt(x, y)))
-    assert apply_conv(LessLe(), strict) == And(Atom(pos(le(x, y))), Atom(neg(eq(x, y))))
+    assert apply_conv(Rule("lessle"), strict) == And(Atom(pos(le(x, y))), Atom(neg(eq(x, y))))
     f = Or(Atom(pos(le(x, y))), Neg(Atom(pos(eq(x, y)))))
-    assert apply_conv(AllConv(), f) == f
+    assert apply_conv(Rule("allconv"), f) == f
     l1, l2 = pos(le(x, y)), pos(eq(x, y))
-    two_step = ThenConv(NegAndConv(), BinopConv(NegAtomConv(), NegAtomConv()))
+    two_step = ThenConv(Rule("negand"), BinopConv(Rule("negatom"), Rule("negatom")))
     assert apply_conv(two_step, Neg(And(Atom(l1), Atom(l2)))) == Or(
         Atom(l1.negate()), Atom(l2.negate())
     )
 
 
 def test_apply_conv_errors_name_rule():
-    with pytest.raises(ConversionError, match="LessLe"):
-        apply_conv(LessLe(), Atom(pos(le(0, 1))))
-    with pytest.raises(ConversionError, match="NegAtomConv"):
-        apply_conv(NegAtomConv(), Atom(pos(le(0, 1))))
+    with pytest.raises(ConversionError, match="^lessle does not apply to v0 <= v1$"):
+        apply_conv(Rule("lessle"), Atom(pos(le(0, 1))))
+    with pytest.raises(ConversionError, match="^negatom does not apply to v0 <= v1$"):
+        apply_conv(Rule("negatom"), Atom(pos(le(0, 1))))
     with pytest.raises(ConversionError, match="AtomConv"):
-        apply_conv(AtomConv(AllConv()), And(Atom(pos(le(0, 1))), Atom(pos(le(0, 1)))))
+        apply_conv(AtomConv(Rule("allconv")), And(Atom(pos(le(0, 1))), Atom(pos(le(0, 1)))))
+
+
+# One generic instance of each niladic rule's source: variables v1 and v2
+# read x and y, three placeholder atoms read a, b and c, and for negatom a
+# placeholder literal reads l.
+_X, _Y = 1, 2
+_A, _B, _C = (Atom(pos(eq(v, v))) for v in (11, 12, 13))
+_L = pos(eq(21, 22))
+_INSTANCES = {
+    "lessle": Atom(pos(lt(_X, _Y))),
+    "nlessle": Atom(neg(lt(_X, _Y))),
+    "nle": Atom(neg(le(_X, _Y))),
+    "nless": Atom(neg(lt(_X, _Y))),
+    "allconv": _A,
+    "negatom": Neg(Atom(_L)),
+    "negneg": Neg(Neg(_A)),
+    "negand": Neg(And(_A, _B)),
+    "negor": Neg(Or(_A, _B)),
+    "andorl": And(Or(_A, _B), _C),
+    "andorr": And(_A, Or(_B, _C)),
+}
+
+
+def _fm_notation(f) -> str:
+    """``f`` in the certificate's ``fm`` notation, placeholders by their README names."""
+    holes = {_A: "a", _B: "b", _C: "c"}
+    if f in holes:
+        return holes[f]
+    if isinstance(f, Atom):
+        if f.lit.atom == _L.atom:
+            return f"(atom {'l' if f.lit == _L else '-l'})"
+        names = {_X: "x", _Y: "y"}
+        a = f.lit.atom
+        return f"(atom ({'+' if f.lit.pos else '-'} {a.kind} {names[a.x]} {names[a.y]}))"
+    if isinstance(f, Neg):
+        return f"(neg {_fm_notation(f.arg)})"
+    return f"({'and' if isinstance(f, And) else 'or'} {_fm_notation(f.left)} {_fm_notation(f.right)})"
+
+
+def _carried_by_atom(rule) -> bool:
+    try:
+        apply_conv(AtomConv(rule), _INSTANCES["lessle"])
+    except ConversionError as exc:
+        return "carries" not in str(exc)
+    return True
+
+
+def test_rules_state_the_rows_of_the_readme_conversion_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Appendix: conversion table (normative)", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.strip().strip("|").split("|"))
+        for line in table.splitlines()
+        if line.startswith("| `")
+    ]
+    rendered = [
+        (
+            name,
+            _fm_notation(_INSTANCES[name]),
+            _fm_notation(apply_conv(rule, _INSTANCES[name])),
+            "yes" if _carried_by_atom(rule) else "no",
+        )
+        for name, rule in NILADIC_CONVERSIONS.items()
+    ]
+    assert rendered == rows
+
+
+def _shapes() -> list:
+    """Formulas over v0, v1 and v2 of every shape a niladic rule applies to."""
+    atoms = [Atom(Literal(p, OrderAtom(k, x, y))) for p in (True, False) for k in ("le", "lt", "eq")
+             for x in range(3) for y in range(3)]
+    few = [Atom(pos(le(0, 1))), Atom(neg(lt(1, 2))), Atom(pos(eq(2, 0))), Neg(Atom(pos(le(1, 0))))]
+    pairs = [(a, b) for a in few for b in few]
+    return (
+        atoms
+        + [Neg(a) for a in atoms]
+        + [Neg(Neg(a)) for a in few]
+        + [Neg(op(a, b)) for op in (And, Or) for a, b in pairs]
+        + [And(Or(a, b), c) for a, b in pairs for c in few]
+        + [And(a, Or(b, c)) for a in few for b, c in pairs]
+    )
+
+
+def _equivalence_failures(rule, theory) -> list:
+    """The shapes ``rule`` applies to whose result differs from them in some small model."""
+    failures, applied = [], 0
+    for f in _shapes():
+        try:
+            g = apply_conv(rule, f)
+        except ConversionError:
+            continue
+        applied += 1
+        if brute_sat(Or(And(f, Neg(g)), And(Neg(f), g)), theory):
+            failures.append(f)
+    assert applied, rule
+    return failures
+
+
+# The rules that use totality; the test states them, not the library.
+_LINEAR_ONLY = ("nle", "nless")
+
+
+def test_every_rule_is_an_equivalence_over_linear_orders():
+    for rule in NILADIC_CONVERSIONS.values():
+        assert _equivalence_failures(rule, Theory.LINEAR) == [], rule
+
+
+def test_rules_but_nle_and_nless_are_equivalences_over_partial_orders():
+    for name, rule in NILADIC_CONVERSIONS.items():
+        if name not in _LINEAR_ONLY:
+            assert _equivalence_failures(rule, Theory.PARTIAL) == [], rule
+
+
+def test_nle_and_nless_fail_over_partial_orders_exactly_on_distinct_variables():
+    for name in _LINEAR_ONLY:
+        failures = _equivalence_failures(NILADIC_CONVERSIONS[name], Theory.PARTIAL)
+        # Of the 9 atoms over 3 variables each rule applies to, the 6 with x != y.
+        assert len(failures) == 6, name
+        assert all(f.lit.atom.x != f.lit.atom.y for f in failures), name
 
 
 def test_check_prop_proof_examples():
@@ -162,7 +278,7 @@ def test_check_prop_proof_examples():
         Atom(neg(eq(x, x))),
         Lift(ContrP(neg(eq(x, x)), AntisymP(ReflP(x), ReflP(x)))),
     )
-    cert = ConvRule(strict, AtomConv(LessLe()), rewritten_refutation)
+    cert = ConvRule(strict, AtomConv(Rule("lessle")), rewritten_refutation)
     assert check_prop_proof({strict}, cert) == FLS_FORMULA
 
 
@@ -174,7 +290,7 @@ def test_check_prop_proof_membership_errors():
     with pytest.raises(ProofError, match="disjunction"):
         check_prop_proof({a}, DisjE(a, a, Lift(ReflP(x)), Lift(ReflP(x))))
     with pytest.raises(ProofError, match="source"):
-        check_prop_proof(set(), ConvRule(a, AllConv(), Lift(ReflP(x))))
+        check_prop_proof(set(), ConvRule(a, Rule("allconv"), Lift(ReflP(x))))
     bad_branches = DisjE(a, a, Lift(ReflP(0)), Lift(ReflP(1)))
     with pytest.raises(ProofError, match="different"):
         check_prop_proof({Or(a, a)}, bad_branches)
@@ -188,7 +304,7 @@ def test_serialization_round_trip():
     x, y = 0, 1
     rich = ConvRule(
         Atom(pos(lt(x, y))),
-        AtomConv(LessLe()),
+        AtomConv(Rule("lessle")),
         ConjE(
             Atom(pos(le(x, y))),
             Atom(neg(eq(x, y))),
@@ -606,15 +722,15 @@ def test_cert_size_counts_proof_nodes_and_no_formulas():
         (EQE1P(pos(eq(0, 1))), 1),
         (EQE2P(pos(eq(0, 1))), 1),
         (ContrP(neg(le(0, 1)), AssmP(a)), 2),
-        (LessLe(), 1),
-        (AtomConv(NlessLe()), 2),
-        (ArgConv(NegAtomConv()), 2),
-        (BinopConv(AllConv(), AtomConv(LessLe())), 4),
-        (ThenConv(NegNegConv(), AndOrLConv()), 3),
+        (Rule("lessle"), 1),
+        (AtomConv(Rule("nlessle")), 2),
+        (ArgConv(Rule("negatom")), 2),
+        (BinopConv(Rule("allconv"), AtomConv(Rule("lessle"))), 4),
+        (ThenConv(Rule("negneg"), Rule("andorl")), 3),
         (Lift(ReflP(0)), 2),
         (ConjE(x, y, Lift(ReflP(0))), 3),
         (DisjE(And(x, y), y, Lift(ReflP(0)), Lift(TransP(ReflP(0), ReflP(0)))), 7),
-        (ConvRule(And(x, y), ThenConv(AllConv(), LessLe()), Lift(ReflP(0))), 6),
+        (ConvRule(And(x, y), ThenConv(Rule("allconv"), Rule("lessle")), Lift(ReflP(0))), 6),
     ]
     for node, size in cases:
         assert cert_size(node) == size, node

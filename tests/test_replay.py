@@ -31,14 +31,11 @@ from ordersat.core import (
 )
 from ordersat.certs import (
     FLS_FORMULA,
-    NleConv,
     BinopConv,
     ConvRule,
-    LessLe,
     Lift,
-    NegAtomConv,
-    NlessLe,
     ReflP,
+    Rule,
     apply_conv,
     cert_size,
     check_prop_proof,
@@ -307,21 +304,21 @@ def test_convp_applies_the_certificate_conversion():
     # A conversion that applies adds its result to the context.
     source = Atom(pos(lt(0, 1)))
     context = frozenset({source})
-    rewritten = apply_conv(LessLe(), source)
-    proof = ConvP(source, LessLe(), Bound(rewritten))
+    rewritten = apply_conv(Rule("lessle"), source)
+    proof = ConvP(source, Rule("lessle"), Bound(rewritten))
     assert replay(context, proof) == rewritten
     f = Or(Neg(Atom(pos(le(0, 1)))), Neg(Atom(pos(eq(0, 1)))))
-    both = BinopConv(NegAtomConv(), NegAtomConv())
+    both = BinopConv(Rule("negatom"), Rule("negatom"))
     result = Or(Atom(neg(le(0, 1))), Atom(neg(eq(0, 1))))
     proof = ConvP(f, both, Bound(result))
     assert replay(frozenset({f}), proof) == result
     # One that does not apply is a replay error, as is a source not assumed.
-    with pytest.raises(ReplayError, match="^conversion failed: NlessLe does not apply to v0 < v1$"):
-        replay(context, ConvP(source, NlessLe(), Bound(source)))
+    with pytest.raises(ReplayError, match="^conversion failed: nlessle does not apply to v0 < v1$"):
+        replay(context, ConvP(source, Rule("nlessle"), Bound(source)))
     with pytest.raises(ReplayError, match="conversion failed: BinopConv needs a binary connective"):
         replay(context, ConvP(source, both, Bound(source)))
     with pytest.raises(ReplayError, match="is not in the context"):
-        replay(frozenset(), ConvP(source, LessLe(), Bound(source)))
+        replay(frozenset(), ConvP(source, Rule("lessle"), Bound(source)))
 
 
 def test_replay_keeps_no_formula_alive_after_the_call():
@@ -398,7 +395,7 @@ def test_proof_terms_and_literals_carry_no_instance_dict():
         AppP(PThm("refl"), Bound(f)),
         AbsP(f, Bound(f)),
         Appt(PThm("refl"), 0),
-        ConvP(f, LessLe(), Bound(f)),
+        ConvP(f, Rule("lessle"), Bound(f)),
         Implies(f, f),
         All(-1, f),
         FmHole(-1),
@@ -454,15 +451,13 @@ def test_both_kernels_reject_a_wrong_nle_side():
 def test_replay_rejects_a_wrong_nle_side_despite_a_faulty_structured_rule(monkeypatch):
     # The replay kernel should not share a fault planted in the structured
     # kernel's conversion rules.
-    rule = certs._apply_atom_rule
-
-    def nle_to_the_wrong_side(conv, lit):
-        if isinstance(conv, NleConv):
-            a = lit.atom
+    def nle_to_the_wrong_side(f):
+        if isinstance(f, Atom) and not f.lit.pos and f.lit.atom.kind == "le":
+            a = f.lit.atom
             return And(Atom(neg(eq(a.x, a.y))), Atom(pos(le(a.x, a.y))))
-        return rule(conv, lit)
+        return None
 
-    monkeypatch.setattr(certs, "_apply_atom_rule", nle_to_the_wrong_side)
+    monkeypatch.setitem(certs._RULES, "nle", (True, nle_to_the_wrong_side))
     f, _ = parse_input("~(x <= y) & y <= x")
     assert not replay_refutation(export(parse_cert(_WRONG_SIDE_CERT), f), f)
 
