@@ -1,8 +1,8 @@
 """Generic replay kernel: proof terms and the axiom table.
 
 A second, structure-agnostic checker.  Certificates are compiled into a
-small lambda-free proof-term language (constants, proof application, proof
-abstraction, term application, conversions) and replayed against an axiom
+small lambda-free proof-term language (axiom instances, hypotheses, proof
+application, proof abstraction, conversions) and replayed against an axiom
 environment ``SIGMA``.  The terms of that language are the certificate's
 own variable ids and formulas.  A hypothesis is named by the formula it
 assumes rather than by a de Bruijn index, so a context is a set of
@@ -11,15 +11,14 @@ applies it with the structured checker's ``apply_conv``, so each conversion
 rule is stated once, as its row of ``certs._RULES`` (the README's
 conversion table); conversion names are not proof constants.
 
-A proposition is a judgement, an implication, or a universal
-quantification over variable ids, and a judgement is one of the
-certificate's own formulas: a hypothesis proves the formula it assumes.
-Falsity is the structured checker's ``FLS_FORMULA``, so both kernels
-conclude the same value.  Each axiom of ``SIGMA`` is one ``_schema`` call,
-``!binders. premises => conclusion``, as in its row of the README's replay
-axiom table.  The schemas for the two propositional axioms quantify over
-formulas; a hole node that only ever appears inside ``SIGMA`` marks the
-positions a term application fills in.
+A proposition is a judgement or an implication, and a judgement is one
+of the certificate's own formulas: a hypothesis proves the formula it
+assumes.  Falsity is the structured checker's ``FLS_FORMULA``, so both
+kernels conclude the same value.  Each axiom of ``SIGMA`` is one
+``_schema`` call, a pair of its binders and ``premises => conclusion``, as
+in its row of the README's replay axiom table.  The schemas for the two
+propositional axioms bind formulas; a hole node that only ever appears
+inside ``SIGMA`` marks the positions an axiom instance fills in.
 
 Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
 negative variable id as a term, so no instantiation value can be a bound
@@ -29,8 +28,9 @@ therefore replaces binders only: it never captures a variable, never
 renames, and never touches ``v0``, the variable of falsity ``v0 != v0``.
 It keeps every binder-free part of a schema as it is, so the falsity of
 each instance is the kernel's own ``FLS_FORMULA``, not a copy.
-An ``appt`` spine instantiates its binders together, in one walk of the
-schema, so a value is placed once and never walked again.
+A ``PThm`` names an axiom and one term for each of its binders, and replay
+places them all in one walk of the schema, so a value is placed once and
+never walked again.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class GPrf:
 @dataclass(frozen=True, slots=True)
 class PThm(GPrf):
     name: str
+    terms: tuple[VarId | Formula, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,12 +112,6 @@ class AbsP(GPrf):
 
 
 @dataclass(frozen=True, slots=True)
-class Appt(GPrf):
-    proof: GPrf
-    term: VarId | Formula
-
-
-@dataclass(frozen=True, slots=True)
 class ConvP(GPrf):
     source: Formula
     conversion: ConvProof
@@ -133,20 +128,11 @@ class Implies:
     concl: Prop
 
     def __str__(self) -> str:
-        hyp = f"({self.hyp})" if isinstance(self.hyp, (Implies, All)) else str(self.hyp)
+        hyp = f"({self.hyp})" if isinstance(self.hyp, Implies) else str(self.hyp)
         return f"{hyp} => {self.concl}"
 
 
-@dataclass(frozen=True, slots=True)
-class All:
-    binder: VarId
-    body: Prop
-
-    def __str__(self) -> str:
-        return f"!v{self.binder}. {self.body}"
-
-
-Prop = Formula | Implies | All
+Prop = Formula | Implies
 
 
 @dataclass(frozen=True)
@@ -180,8 +166,8 @@ def _neg(atom: OrderAtom) -> Atom:
     return Atom(Literal(False, atom))
 
 
-def _schema(binders: tuple[VarId, ...], *parts: Prop) -> Prop:
-    """``!binders. p1 => ... => pn => c`` for ``parts`` p1, ..., pn, c.
+def _schema(binders: tuple[VarId, ...], *parts: Prop) -> tuple[tuple[VarId, ...], Prop]:
+    """``binders`` and ``p1 => ... => pn => c`` for ``parts`` p1, ..., pn, c.
 
     One call states one row of the README's replay axiom table, and each
     part is placed as it is, so ``FLS_FORMULA`` is the kernel's own object.
@@ -189,12 +175,10 @@ def _schema(binders: tuple[VarId, ...], *parts: Prop) -> Prop:
     prop = parts[-1]
     for premise in reversed(parts[:-1]):
         prop = Implies(premise, prop)
-    for binder in reversed(binders):
-        prop = All(binder, prop)
-    return prop
+    return binders, prop
 
 
-SIGMA: dict[str, Prop] = {
+SIGMA: dict[str, tuple[tuple[VarId, ...], Prop]] = {
     "refl": _schema((_X,), _pos(le(_X, _X))),
     "trans": _schema((_X, _Y, _Z), _pos(le(_X, _Y)), _pos(le(_Y, _Z)), _pos(le(_X, _Z))),
     "antisym": _schema((_X, _Y), _pos(le(_X, _Y)), _pos(le(_Y, _X)), _pos(eq(_X, _Y))),
@@ -202,13 +186,9 @@ SIGMA: dict[str, Prop] = {
     "eqe2": _schema((_X, _Y), _pos(eq(_X, _Y)), _pos(le(_Y, _X))),
     "contr_le": _schema((_X, _Y), _neg(le(_X, _Y)), _pos(le(_X, _Y)), FLS_FORMULA),
     "contr_eq": _schema((_X, _Y), _neg(eq(_X, _Y)), _pos(eq(_X, _Y)), FLS_FORMULA),
-    "conje": _schema((_X, _Y), And(_C, _D), _schema((), _C, _D, FLS_FORMULA), FLS_FORMULA),
+    "conje": _schema((_X, _Y), And(_C, _D), Implies(_C, Implies(_D, FLS_FORMULA)), FLS_FORMULA),
     "disje": _schema(
-        (_X, _Y),
-        Or(_C, _D),
-        _schema((), _C, FLS_FORMULA),
-        _schema((), _D, FLS_FORMULA),
-        FLS_FORMULA,
+        (_X, _Y), Or(_C, _D), Implies(_C, FLS_FORMULA), Implies(_D, FLS_FORMULA), FLS_FORMULA
     ),
 }
 
@@ -254,17 +234,12 @@ def _subst(prop: Prop, env: Env) -> Prop:
     A value is placed at a hole or variable position and never walked again,
     and a subtree that holds no binder in ``env`` is returned as it is.
     Values are the certificate's own variable ids and formulas; replay
-    rejects the negative binder ids, so no value can be captured by an
-    inner quantifier.
+    rejects the negative binder ids, so no value is mistaken for a binder.
     """
-    if isinstance(prop, Formula):
-        return _subst_fm(prop, env)
     if isinstance(prop, Implies):
         hyp, concl = _subst(prop.hyp, env), _subst(prop.concl, env)
         return prop if hyp is prop.hyp and concl is prop.concl else Implies(hyp, concl)
-    if isinstance(prop, All):
-        return All(prop.binder, _subst(prop.body, {b: v for b, v in env.items() if b != prop.binder}))
-    raise ReplayError(f"not a proposition: {prop}")
+    return _subst_fm(prop, env)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +251,23 @@ Context = AbstractSet[Formula]
 def replay(context: Context, proof: GPrf) -> Prop:
     """Return the proposition proved by ``proof`` in ``context``.
 
-    Each failure mode is distinct: unknown constants, unbound hypotheses,
-    implication mismatches in proof application, term application to a
-    non-quantified proposition, and conversion failures.
+    Each failure mode is distinct: unknown constants, an axiom given the
+    wrong number of terms, unbound hypotheses, implication mismatches in
+    proof application, and conversion failures.
     """
     if isinstance(proof, PThm):
-        prop = SIGMA.get(proof.name)
-        if prop is not None:
-            return prop
-        raise ReplayError(f"unknown proof constant {proof.name!r}")
+        row = SIGMA.get(proof.name)
+        if row is None:
+            raise ReplayError(f"unknown proof constant {proof.name!r}")
+        binders, prop = row
+        if len(proof.terms) != len(binders):
+            raise ReplayError(f"axiom {proof.name} takes {len(binders)} terms, got {len(proof.terms)}")
+        for term in proof.terms:
+            if isinstance(term, int) and term < 0:
+                raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
+            if isinstance(term, Literal):
+                raise ReplayError("cannot instantiate with a bare literal term")
+        return _subst(prop, dict(zip(binders, proof.terms)))
     if isinstance(proof, Bound):
         if proof.hyp not in context:
             raise ReplayError(f"unbound hypothesis {proof.hyp}")
@@ -301,24 +284,6 @@ def replay(context: Context, proof: GPrf) -> Prop:
                 f"proof application mismatch: expected {fn.hyp}, got {arg}"
             )
         return fn.concl
-    if isinstance(proof, Appt):
-        terms: list[SubstValue] = []
-        while isinstance(proof, Appt):
-            terms.append(proof.term)
-            proof = proof.proof
-        target = replay(context, proof)
-        env: dict[VarId, SubstValue] = {}
-        for term in reversed(terms):
-            if not isinstance(target, All):
-                got = _subst(target, env)
-                raise ReplayError(f"term application needs a quantified proposition, got {got}")
-            if isinstance(term, int) and term < 0:
-                raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
-            if isinstance(term, Literal):
-                raise ReplayError("cannot instantiate with a bare literal term")
-            env[target.binder] = term
-            target = target.body
-        return _subst(target, env)
     if isinstance(proof, ConvP):
         if proof.source not in context:
             raise ReplayError(f"conversion source {proof.source} is not in the context")
@@ -333,10 +298,6 @@ def replay(context: Context, proof: GPrf) -> Prop:
 # ---------------------------------------------------------------------------
 # Export from structured certificates
 
-# One proof constant per axiom, shared by every term ``export`` builds.
-_AXIOM = {name: PThm(name) for name in SIGMA}
-
-
 def _export_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
     """The proof term of an atom proof and the two variables its conclusion relates.
 
@@ -346,23 +307,23 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
         a = proof.lit.atom
         return Bound(Atom(proof.lit)), a.x, a.y
     if isinstance(proof, ReflP):
-        return Appt(_AXIOM["refl"], proof.var), proof.var, proof.var
+        return PThm("refl", (proof.var,)), proof.var, proof.var
     if isinstance(proof, (TransP, AntisymP)):
         left, x, y = _export_atom(proof.left)
         right, _, z = _export_atom(proof.right)
         if isinstance(proof, TransP):
-            return AppP(AppP(Appt(Appt(Appt(_AXIOM["trans"], x), y), z), left), right), x, z
-        return AppP(AppP(Appt(Appt(_AXIOM["antisym"], x), y), left), right), x, y
+            return AppP(AppP(PThm("trans", (x, y, z)), left), right), x, z
+        return AppP(AppP(PThm("antisym", (x, y)), left), right), x, y
     if isinstance(proof, (EQE1P, EQE2P)):
         a = proof.lit.atom
         name, x, y = ("eqe1", a.x, a.y) if isinstance(proof, EQE1P) else ("eqe2", a.y, a.x)
-        return AppP(Appt(Appt(_AXIOM[name], a.x), a.y), Bound(Atom(proof.lit))), x, y
+        return AppP(PThm(name, (a.x, a.y)), Bound(Atom(proof.lit))), x, y
     if isinstance(proof, ContrP):
         a = proof.lit.atom
-        axiom = _AXIOM.get(f"contr_{a.kind}")
-        if axiom is None:
+        name = f"contr_{a.kind}"
+        if name not in SIGMA:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = Appt(Appt(axiom, a.x), a.y)
+        head = PThm(name, (a.x, a.y))
         # Falsity ``v0 != v0`` relates v0 to itself.
         return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), 0, 0
     raise ExportError(f"unknown atom proof node {proof!r}")
@@ -385,12 +346,12 @@ def _export_prop(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
         return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
-        head = Appt(Appt(_AXIOM["conje"], proof.left), proof.right)
+        head = PThm("conje", (proof.left, proof.right))
         conjunction = Bound(And(proof.left, proof.right))
         body = AbsP(proof.left, AbsP(proof.right, _export_prop(proof.proof)))
         return AppP(AppP(head, conjunction), body)
     if isinstance(proof, DisjE):
-        head = Appt(Appt(_AXIOM["disje"], proof.left), proof.right)
+        head = PThm("disje", (proof.left, proof.right))
         disjunction = Bound(Or(proof.left, proof.right))
         left_case = AbsP(proof.left, _export_prop(proof.left_proof))
         right_case = AbsP(proof.right, _export_prop(proof.right_proof))

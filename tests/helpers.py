@@ -59,9 +59,7 @@ from ordersat.closure import ProofMap, leq1_mapping
 from ordersat.replay import (
     SIGMA,
     AbsP,
-    All,
     AppP,
-    Appt,
     Bound,
     ConvP,
     ExportError,
@@ -72,7 +70,6 @@ from ordersat.replay import (
     PThm,
     ReplayError,
     SubstValue,
-    replay,
 )
 
 
@@ -165,10 +162,10 @@ def list_kahn_sequence(r: Relation) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sequential instantiation, the oracle for the replay kernel's ``appt`` spines
+# Sequential instantiation, the oracle for the replay kernel's axiom instances
 #
-# One binder per ``appt`` node, each step walking the whole partial instance:
-# the replay kernel's earlier substitution, kept verbatim as the reference.
+# One binder at a time, each step walking the whole partial instance: the
+# replay kernel's earlier substitution, kept as the reference.
 
 
 def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
@@ -206,31 +203,26 @@ def _subst(prop: Prop, binder: VarId, value: SubstValue) -> Prop:
     """Instantiate ``binder`` with ``value``.
 
     Values are the certificate's own variable ids and formulas, and the
-    negative binder ids are rejected, so no value can be captured by an
-    inner quantifier.
+    negative binder ids are rejected, so no value is mistaken for a binder.
     """
     if isinstance(prop, Formula):
         return _subst_fm(prop, binder, value)
     if isinstance(prop, Implies):
         return Implies(_subst(prop.hyp, binder, value), _subst(prop.concl, binder, value))
-    if isinstance(prop, All):
-        if prop.binder == binder:
-            return prop
-        return All(prop.binder, _subst(prop.body, binder, value))
     raise ReplayError(f"not a proposition: {prop}")
 
 
-def sequential_instance(head: GPrf, terms: list[SubstValue | Literal]) -> Prop:
-    """The ``appt`` spine ``head terms[0] … terms[-1]``, instantiated one binder at a time."""
-    target = replay(frozenset(), head)
-    for term in terms:
-        if not isinstance(target, All):
-            raise ReplayError(f"term application needs a quantified proposition, got {target}")
+def sequential_instance(name: str, terms: list[SubstValue | Literal]) -> Prop:
+    """The axiom ``name`` at ``terms``, its binders instantiated one at a time."""
+    binders, target = SIGMA[name]
+    if len(terms) != len(binders):
+        raise ReplayError(f"axiom {name} takes {len(binders)} terms, got {len(terms)}")
+    for binder, term in zip(binders, terms):
         if isinstance(term, int) and term < 0:
             raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
         if isinstance(term, Literal):
             raise ReplayError("cannot instantiate with a bare literal term")
-        target = _subst(target.body, target.binder, term)
+        target = _subst(target, binder, term)
     return target
 
 
@@ -682,9 +674,6 @@ def _check_prop(context: frozenset[Formula], proof: PropProof) -> Formula:
     raise ProofError(f"unknown propositional proof node {proof!r}")
 
 
-_AXIOM = {name: PThm(name) for name in SIGMA}
-
-
 def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
     """The proof term of an atom proof and the literal it concludes.
 
@@ -693,26 +682,26 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
     if isinstance(proof, AssmP):
         return Bound(Atom(proof.lit)), proof.lit
     if isinstance(proof, ReflP):
-        return Appt(_AXIOM["refl"], proof.var), Literal(True, le(proof.var, proof.var))
+        return PThm("refl", (proof.var,)), Literal(True, le(proof.var, proof.var))
     if isinstance(proof, TransP):
         left, c1 = _export_atom(proof.left)
         right, c2 = _export_atom(proof.right)
         x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
-        head = Appt(Appt(Appt(_AXIOM["trans"], x), y), z)
+        head = PThm("trans", (x, y, z))
         return AppP(AppP(head, left), right), Literal(True, le(x, z))
     if isinstance(proof, AntisymP):
         left, c1 = _export_atom(proof.left)
         right, _ = _export_atom(proof.right)
         x, y = c1.atom.x, c1.atom.y
-        head = Appt(Appt(_AXIOM["antisym"], x), y)
+        head = PThm("antisym", (x, y))
         return AppP(AppP(head, left), right), Literal(True, eq(x, y))
     if isinstance(proof, EQE1P):
         a = proof.lit.atom
-        head = Appt(Appt(_AXIOM["eqe1"], a.x), a.y)
+        head = PThm("eqe1", (a.x, a.y))
         return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.x, a.y))
     if isinstance(proof, EQE2P):
         a = proof.lit.atom
-        head = Appt(Appt(_AXIOM["eqe2"], a.x), a.y)
+        head = PThm("eqe2", (a.x, a.y))
         return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.y, a.x))
     if isinstance(proof, ContrP):
         a = proof.lit.atom
@@ -722,7 +711,7 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
             axiom = "contr_eq"
         else:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = Appt(Appt(_AXIOM[axiom], a.x), a.y)
+        head = PThm(axiom, (a.x, a.y))
         return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), FLS
     raise ExportError(f"unknown atom proof node {proof!r}")
 
@@ -732,12 +721,12 @@ def literal_export(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
         return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
-        head = Appt(Appt(_AXIOM["conje"], proof.left), proof.right)
+        head = PThm("conje", (proof.left, proof.right))
         conjunction = Bound(And(proof.left, proof.right))
         body = AbsP(proof.left, AbsP(proof.right, literal_export(proof.proof)))
         return AppP(AppP(head, conjunction), body)
     if isinstance(proof, DisjE):
-        head = Appt(Appt(_AXIOM["disje"], proof.left), proof.right)
+        head = PThm("disje", (proof.left, proof.right))
         disjunction = Bound(Or(proof.left, proof.right))
         left_case = AbsP(proof.left, literal_export(proof.left_proof))
         right_case = AbsP(proof.right, literal_export(proof.right_proof))

@@ -48,9 +48,7 @@ from ordersat.oracle import enumerate_posets
 from ordersat.replay import (
     SIGMA,
     AbsP,
-    All,
     AppP,
-    Appt,
     Bound,
     ConvP,
     ExportError,
@@ -89,14 +87,13 @@ def test_sigma_names():
     }
 
 
+def _readme_row(binders, prop, names) -> str:
+    """The ``SIGMA`` row ``(binders, prop)`` in the notation of the README's replay axiom table."""
+    return f"!{' '.join(names[b] for b in binders)}. {_readme_notation(prop, names)}"
+
+
 def _readme_notation(prop, names) -> str:
     """``prop`` in the notation of the README's replay axiom table."""
-    if isinstance(prop, All):
-        binders = []
-        while isinstance(prop, All):
-            binders.append(names[prop.binder])
-            prop = prop.body
-        return f"!{' '.join(binders)}. {_readme_notation(prop, names)}"
     if isinstance(prop, Implies):
         hyp = _readme_notation(prop.hyp, names)
         if isinstance(prop.hyp, Implies):
@@ -125,19 +122,19 @@ def test_sigma_states_the_rows_of_the_readme_axiom_table():
     # Variable binders read x, y, z; the formula binders of conje and disje read c, d.
     variables, formulas = {-1: "x", -2: "y", -3: "z"}, {-1: "c", -2: "d"}
     rendered = {
-        name: _readme_notation(schema, formulas if name in ("conje", "disje") else variables)
+        name: _readme_row(*schema, formulas if name in ("conje", "disje") else variables)
         for name, schema in SIGMA.items()
     }
     assert rendered == rows
 
 
 def test_replay_axiom_lookup():
-    assert replay(frozenset(), PThm("refl")) == All(-1, Atom(pos(le(-1, -1))))
+    assert replay(frozenset(), PThm("refl", (3,))) == Atom(pos(le(3, 3)))
     with pytest.raises(ReplayError, match="unknown proof constant"):
-        replay(frozenset(), PThm("modus_ponens"))
+        replay(frozenset(), PThm("modus_ponens", ()))
     # Conversions are certificate nodes inside convp, not proof constants.
     with pytest.raises(ReplayError, match="unknown proof constant 'lessle'"):
-        replay(frozenset(), PThm("lessle"))
+        replay(frozenset(), PThm("lessle", ()))
 
 
 def test_replay_trans_by_hand():
@@ -147,7 +144,7 @@ def test_replay_trans_by_hand():
     context = frozenset({hyp_xy, hyp_yz})
     proof = AppP(
         AppP(
-            Appt(Appt(Appt(PThm("trans"), x), y), z),
+            PThm("trans", (x, y, z)),
             Bound(hyp_xy),
         ),
         Bound(hyp_yz),
@@ -162,22 +159,25 @@ def test_replay_bound_requires_context():
 
 def test_replay_appp_mismatch():
     proof = AppP(
-        Appt(Appt(PThm("eqe1"), 0), 1),
-        Appt(PThm("refl"), 0),
+        PThm("eqe1", (0, 1)),
+        PThm("refl", (0,)),
     )
     with pytest.raises(ReplayError, match="mismatch"):
         replay(frozenset(), proof)
 
 
-def test_replay_appt_needs_quantifier():
-    with pytest.raises(ReplayError, match="quantified"):
-        replay(frozenset(), Appt(Appt(PThm("refl"), 0), 1))
+def test_replay_axiom_takes_one_term_per_binder():
+    for terms in ((0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ReplayError, match=f"^axiom trans takes 3 terms, got {len(terms)}$"):
+            replay(frozenset(), PThm("trans", terms))
+    with pytest.raises(ReplayError, match="^axiom refl takes 1 terms, got 0$"):
+        replay(frozenset(), PThm("refl", ()))
 
 
 def test_substitution_matches_direct_instantiation():
     # Instantiating trans at every triple equals writing the instance down.
     for x, y, z in itertools.product(range(4), repeat=3):
-        proof = Appt(Appt(Appt(PThm("trans"), x), y), z)
+        proof = PThm("trans", (x, y, z))
         expected = Implies(
             Atom(pos(le(x, y))),
             Implies(Atom(pos(le(y, z))), Atom(pos(le(x, z)))),
@@ -185,7 +185,7 @@ def test_substitution_matches_direct_instantiation():
         assert replay(frozenset(), proof) == expected
     # Same for the one-binder axiom.
     for x in range(4):
-        assert replay(frozenset(), Appt(PThm("refl"), x)) == Atom(pos(le(x, x)))
+        assert replay(frozenset(), PThm("refl", (x,))) == Atom(pos(le(x, x)))
     # And for every two-binder literal axiom.
     instances = {
         "antisym": lambda x, y: Implies(
@@ -202,20 +202,20 @@ def test_substitution_matches_direct_instantiation():
     }
     for name, instance in instances.items():
         for x, y in itertools.product(range(4), repeat=2):
-            proof = Appt(Appt(PThm(name), x), y)
+            proof = PThm(name, (x, y))
             assert replay(frozenset(), proof) == instance(x, y), (name, x, y)
 
 
 def test_replay_rejects_binder_ids_in_terms():
     # Negative ids are reserved for axiom binders; no term may mention one.
     with pytest.raises(ReplayError, match="^negative variable ids are reserved for axiom binders: v-1$"):
-        replay(frozenset(), Appt(PThm("refl"), -1))
+        replay(frozenset(), PThm("refl", (-1,)))
 
 
 def test_substitution_avoids_capture():
-    # Instantiating x with the ids used by the inner binders must not confuse
-    # the later instantiations.
-    proof = Appt(Appt(Appt(PThm("trans"), 2), 3), 1)
+    # Instantiating x with the magnitudes of the other binder ids must not
+    # confuse the instantiation of y and z.
+    proof = PThm("trans", (2, 3, 1))
     expected = Implies(
         Atom(pos(le(2, 3))),
         Implies(Atom(pos(le(3, 1))), Atom(pos(le(2, 1)))),
@@ -227,7 +227,7 @@ def test_formula_instantiation_avoids_capture():
     # conje applied to formulas whose variables collide with the binder ids.
     c = Atom(pos(le(1, 2)))
     d = Atom(neg(eq(2, 2)))
-    proof = Appt(Appt(PThm("conje"), c), d)
+    proof = PThm("conje", (c, d))
     prop = replay(frozenset(), proof)
     assert prop == Implies(
         And(c, d),
@@ -250,28 +250,36 @@ _formulas = st.recursive(
 _terms = st.one_of(st.integers(0, 5), _formulas, _literals)
 
 
+@st.composite
+def _instances(draw):
+    """An axiom name and mostly one term per binder, mostly of the binder's kind."""
+    name = draw(st.sampled_from(sorted(SIGMA)))
+    count = len(SIGMA[name][0]) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    kind = _formulas if name in ("conje", "disje") else st.integers(0, 5)
+    return name, draw(st.lists(st.one_of(kind, _terms), min_size=count, max_size=count))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(SIGMA)), st.lists(_terms, max_size=4))
-def test_spine_instantiation_matches_the_sequential_oracle(name, terms):
-    spine = PThm(name)
-    for term in terms:
-        spine = Appt(spine, term)
+@given(_instances())
+def test_spine_instantiation_matches_the_sequential_oracle(instance):
+    name, terms = instance
+    proof = PThm(name, tuple(terms))
     try:
-        expected = sequential_instance(PThm(name), terms)
+        expected = sequential_instance(name, terms)
     except ReplayError:
         with pytest.raises(ReplayError):
-            replay(frozenset(), spine)
+            replay(frozenset(), proof)
     else:
-        assert replay(frozenset(), spine) == expected
+        assert replay(frozenset(), proof) == expected
 
 
 def _schema_formula_nodes():
-    nodes, stack = set(), list(SIGMA.values())
+    nodes, stack = set(), [prop for _, prop in SIGMA.values()]
     while stack:
         node = stack.pop()
         if isinstance(node, Formula):
             nodes.add(node)
-        if isinstance(node, (Implies, All, And, Or, Neg)):
+        if isinstance(node, (Implies, And, Or, Neg)):
             stack.extend(getattr(node, name) for name in node.__dataclass_fields__)
     return nodes
 
@@ -357,31 +365,31 @@ def test_instances_conclude_the_kernels_own_falsity():
     # Instantiation keeps every binder-free part of a schema as it is.
     x, m, y = 2, 7, 5
     hyp, xm, my = Atom(neg(le(x, y))), Atom(pos(le(x, m))), Atom(pos(le(m, y)))
-    chain = AppP(AppP(Appt(Appt(Appt(PThm("trans"), x), m), y), Bound(xm)), Bound(my))
-    proof = AppP(AppP(Appt(Appt(PThm("contr_le"), x), y), Bound(hyp)), chain)
+    chain = AppP(AppP(PThm("trans", (x, m, y)), Bound(xm)), Bound(my))
+    proof = AppP(AppP(PThm("contr_le", (x, y)), Bound(hyp)), chain)
     assert replay(frozenset({hyp, xm, my}), proof) is FLS_FORMULA
     c, d = Atom(pos(le(0, 1))), Atom(neg(eq(1, 2)))
     # conje c d: (c & d) => (c => d => Fls) => Fls
-    instance = replay(frozenset(), Appt(Appt(PThm("conje"), c), d))
+    instance = replay(frozenset(), PThm("conje", (c, d)))
     assert instance.concl.hyp.concl.concl is FLS_FORMULA
     assert instance.concl.concl is FLS_FORMULA
 
 
-def test_export_shares_one_constant_per_axiom():
-    f, _ = parse_input(chain_text(random.Random(4), 12))
-    verdict = decide(f, Theory.PARTIAL)
+@pytest.mark.parametrize(
+    "make, size, theory", [(chain_text, 200, Theory.PARTIAL), (ladder_text, 5, Theory.LINEAR)]
+)
+def test_export_builds_few_proof_term_nodes_per_certificate_node(make, size, theory):
+    # One node per axiom instance: an instance carries all of its terms.
+    f, _ = parse_input(make(random.Random(1), size))
+    verdict = decide(f, theory)
     assert isinstance(verdict, Unsat)
-    constants, stack = [], [export(verdict.certificate, f)]
+    nodes, stack = 0, [export(verdict.certificate, f)]
     while stack:
         node = stack.pop()
-        if isinstance(node, PThm):
-            constants.append(node)
-        else:
-            children = (getattr(node, name) for name in node.__dataclass_fields__)
-            stack.extend(child for child in children if isinstance(child, GPrf))
-    trans = [c for c in constants if c.name == "trans"]
-    assert len(trans) >= 2
-    assert all(c is trans[0] for c in trans)
+        nodes += 1
+        children = (getattr(node, name) for name in node.__dataclass_fields__)
+        stack.extend(child for child in children if isinstance(child, GPrf))
+    assert nodes <= 3.6 * cert_size(verdict.certificate)
 
 
 def test_proof_terms_and_literals_carry_no_instance_dict():
@@ -390,14 +398,12 @@ def test_proof_terms_and_literals_carry_no_instance_dict():
     slotted = [
         lit,
         lit.atom,
-        PThm("refl"),
+        PThm("refl", (0,)),
         Bound(f),
-        AppP(PThm("refl"), Bound(f)),
+        AppP(PThm("refl", (0,)), Bound(f)),
         AbsP(f, Bound(f)),
-        Appt(PThm("refl"), 0),
         ConvP(f, Rule("lessle"), Bound(f)),
         Implies(f, f),
-        All(-1, f),
         FmHole(-1),
         f,
         And(f, f),
@@ -508,22 +514,24 @@ def test_rejected_mutants_also_rejected_by_replay():
     assert min(checked.values()) > 100
 
 
-def _prop_holds(prop, rel, valuation, pool):
+def _row_holds(binders, prop, rel, valuation, pool):
+    """Whether ``prop`` holds for every value of ``binders``, taken one at a time."""
+    if not binders:
+        return _prop_holds(prop, rel, valuation)
+    binder, rest = binders[0], binders[1:]
+    if _has_hole(prop, binder):
+        return all(_row_holds(rest, _subst(prop, {binder: f}), rel, valuation, pool) for f in pool)
+    return all(
+        _row_holds(rest, prop, rel, {**valuation, binder: c}, pool) for c in rel.carrier
+    )
+
+
+def _prop_holds(prop, rel, valuation):
     if isinstance(prop, Formula):
         return eval_formula(rel, valuation, prop)
     if isinstance(prop, Implies):
-        return (not _prop_holds(prop.hyp, rel, valuation, pool)) or _prop_holds(
-            prop.concl, rel, valuation, pool
-        )
-    if isinstance(prop, All):
-        if _has_hole(prop.body, prop.binder):
-            return all(
-                _prop_holds(_subst(prop.body, {prop.binder: f}), rel, valuation, pool)
-                for f in pool
-            )
-        return all(
-            _prop_holds(prop.body, rel, {**valuation, prop.binder: c}, pool)
-            for c in rel.carrier
+        return (not _prop_holds(prop.hyp, rel, valuation)) or _prop_holds(
+            prop.concl, rel, valuation
         )
     raise AssertionError(f"unexpected proposition {prop!r}")
 
@@ -542,8 +550,6 @@ def _has_hole(prop, binder):
         return False
     if isinstance(prop, Implies):
         return _has_hole(prop.hyp, binder) or _has_hole(prop.concl, binder)
-    if isinstance(prop, All):
-        return prop.binder != binder and _has_hole(prop.body, binder)
     return False
 
 
@@ -557,8 +563,8 @@ def test_sigma_axioms_semantically_valid():
         Or(Atom(pos(eq(1, 1))), Atom(pos(lt(0, 2)))),
         Neg(Atom(pos(le(2, 1)))),
     ]
-    for name, schema in SIGMA.items():
+    for name, (binders, prop) in SIGMA.items():
         for k in (1, 2, 3):
             for rel in enumerate_posets(k):
                 for valuation in iter_valuations({0, 1, 2}, rel.carrier):
-                    assert _prop_holds(schema, rel, valuation, pool), name
+                    assert _row_holds(binders, prop, rel, valuation, pool), name
