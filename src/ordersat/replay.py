@@ -1,9 +1,9 @@
 """Generic replay kernel: proof terms and the axiom table.
 
 A second, structure-agnostic checker.  Certificates are compiled into a
-small lambda-free proof-term language (axiom instances, hypotheses, proof
-application, proof abstraction, conversions) and replayed against an axiom
-environment ``SIGMA``.  The terms of that language are the certificate's
+small lambda-free proof-term language (axiom instances with their premise
+proofs, hypotheses, conversions) and replayed against an axiom environment
+``SIGMA``.  The terms of that language are the certificate's
 own variable ids and formulas.  A hypothesis is named by the formula it
 assumes rather than by a de Bruijn index, so a context is a set of
 formulas.  A conversion step carries the certificate's own conversion and
@@ -30,7 +30,10 @@ It keeps every binder-free part of a schema as it is, so the falsity of
 each instance is the kernel's own ``FLS_FORMULA``, not a copy.
 A ``PThm`` names an axiom and one term for each of its binders, and replay
 places them all in one walk of the schema, so a value is placed once and
-never walked again.
+never walked again.  Its premise proofs follow, in order, as in one rule
+application: a premise ``h1 => ... => hn => c`` is proved by a proof of
+``c`` in the context plus ``h1 ... hn``, and an instance with fewer premise
+proofs proves the rest of its schema.
 """
 
 from __future__ import annotations
@@ -92,23 +95,12 @@ class GPrf:
 class PThm(GPrf):
     name: str
     terms: tuple[VarId | Formula, ...]
+    premises: tuple[GPrf, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Bound(GPrf):
     hyp: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class AppP(GPrf):
-    fn: GPrf
-    arg: GPrf
-
-
-@dataclass(frozen=True, slots=True)
-class AbsP(GPrf):
-    hyp: Formula
-    body: GPrf
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,8 +244,8 @@ def replay(context: Context, proof: GPrf) -> Prop:
     """Return the proposition proved by ``proof`` in ``context``.
 
     Each failure mode is distinct: unknown constants, an axiom given the
-    wrong number of terms, unbound hypotheses, implication mismatches in
-    proof application, and conversion failures.
+    wrong number of terms, unbound hypotheses, too many premise proofs, a
+    premise proof of the wrong conclusion, and conversion failures.
     """
     if isinstance(proof, PThm):
         row = SIGMA.get(proof.name)
@@ -267,23 +259,23 @@ def replay(context: Context, proof: GPrf) -> Prop:
                 raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
             if isinstance(term, Literal):
                 raise ReplayError("cannot instantiate with a bare literal term")
-        return _subst(prop, dict(zip(binders, proof.terms)))
+        prop = _subst(prop, dict(zip(binders, proof.terms)))
+        for premise in proof.premises:
+            if not isinstance(prop, Implies):
+                raise ReplayError(f"proof application needs an implication, got {prop}")
+            goal, hyps = prop.hyp, []
+            while isinstance(goal, Implies):
+                hyps.append(goal.hyp)
+                goal = goal.concl
+            proved = replay(context | frozenset(hyps) if hyps else context, premise)
+            if proved != goal:
+                raise ReplayError(f"proof application mismatch: expected {goal}, got {proved}")
+            prop = prop.concl
+        return prop
     if isinstance(proof, Bound):
         if proof.hyp not in context:
             raise ReplayError(f"unbound hypothesis {proof.hyp}")
         return proof.hyp
-    if isinstance(proof, AbsP):
-        return Implies(proof.hyp, replay(context | {proof.hyp}, proof.body))
-    if isinstance(proof, AppP):
-        fn = replay(context, proof.fn)
-        arg = replay(context, proof.arg)
-        if not isinstance(fn, Implies):
-            raise ReplayError(f"proof application needs an implication, got {fn}")
-        if fn.hyp != arg:
-            raise ReplayError(
-                f"proof application mismatch: expected {fn.hyp}, got {arg}"
-            )
-        return fn.concl
     if isinstance(proof, ConvP):
         if proof.source not in context:
             raise ReplayError(f"conversion source {proof.source} is not in the context")
@@ -312,20 +304,20 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
         left, x, y = _export_atom(proof.left)
         right, _, z = _export_atom(proof.right)
         if isinstance(proof, TransP):
-            return AppP(AppP(PThm("trans", (x, y, z)), left), right), x, z
-        return AppP(AppP(PThm("antisym", (x, y)), left), right), x, y
+            return PThm("trans", (x, y, z), (left, right)), x, z
+        return PThm("antisym", (x, y), (left, right)), x, y
     if isinstance(proof, (EQE1P, EQE2P)):
         a = proof.lit.atom
         name, x, y = ("eqe1", a.x, a.y) if isinstance(proof, EQE1P) else ("eqe2", a.y, a.x)
-        return AppP(PThm(name, (a.x, a.y)), Bound(Atom(proof.lit))), x, y
+        return PThm(name, (a.x, a.y), (Bound(Atom(proof.lit)),)), x, y
     if isinstance(proof, ContrP):
         a = proof.lit.atom
         name = f"contr_{a.kind}"
         if name not in SIGMA:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = PThm(name, (a.x, a.y))
+        premises = (Bound(Atom(proof.lit)), _export_atom(proof.proof)[0])
         # Falsity ``v0 != v0`` relates v0 to itself.
-        return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), 0, 0
+        return PThm(name, (a.x, a.y), premises), 0, 0
     raise ExportError(f"unknown atom proof node {proof!r}")
 
 
@@ -346,16 +338,12 @@ def _export_prop(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
         return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
-        head = PThm("conje", (proof.left, proof.right))
-        conjunction = Bound(And(proof.left, proof.right))
-        body = AbsP(proof.left, AbsP(proof.right, _export_prop(proof.proof)))
-        return AppP(AppP(head, conjunction), body)
+        premises = (Bound(And(proof.left, proof.right)), _export_prop(proof.proof))
+        return PThm("conje", (proof.left, proof.right), premises)
     if isinstance(proof, DisjE):
-        head = PThm("disje", (proof.left, proof.right))
         disjunction = Bound(Or(proof.left, proof.right))
-        left_case = AbsP(proof.left, _export_prop(proof.left_proof))
-        right_case = AbsP(proof.right, _export_prop(proof.right_proof))
-        return AppP(AppP(AppP(head, disjunction), left_case), right_case)
+        cases = (_export_prop(proof.left_proof), _export_prop(proof.right_proof))
+        return PThm("disje", (proof.left, proof.right), (disjunction, *cases))
     if isinstance(proof, ConvRule):
         return ConvP(proof.source, proof.conversion, _export_prop(proof.proof))
     raise ExportError(f"unknown propositional proof node {proof!r}")

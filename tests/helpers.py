@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from ordersat.core import (
     ATOM_KINDS,
@@ -24,9 +24,11 @@ from ordersat.core import (
     ParseError,
     Relation,
     SymbolTable,
+    Theory,
     VarId,
     eq,
     le,
+    parse_input,
 )
 from ordersat.certs import (
     FLS,
@@ -41,6 +43,7 @@ from ordersat.certs import (
     ContrP,
     ConvProof,
     ConvRule,
+    ConversionError,
     DisjE,
     EQE1P,
     EQE2P,
@@ -55,11 +58,9 @@ from ordersat.certs import (
     check_atom_proof,
     serialize_literal,
 )
-from ordersat.closure import ProofMap, leq1_mapping
+from ordersat.closure import ProofMap, Unsat, decide, leq1_mapping
 from ordersat.replay import (
     SIGMA,
-    AbsP,
-    AppP,
     Bound,
     ConvP,
     ExportError,
@@ -330,6 +331,18 @@ def random_formula(rng: random.Random, max_depth: int = 4, num_vars: int = 4) ->
 def random_literal(rng: random.Random, num_vars: int = 3) -> Literal:
     atom = OrderAtom(rng.choice(ATOM_KINDS), rng.randrange(num_vars), rng.randrange(num_vars))
     return Literal(rng.random() < 0.5, atom)
+
+
+def wide_conjunction(n: int) -> tuple[Formula, PropProof]:
+    """``x0 <= y0 & ... & x(n-1) <= y(n-1) & ~(x0 <= x0)`` and its certificate.
+
+    Its certificate is one conje node per literal above a single lift, and
+    the literals share no variable, so ``decide`` builds it in linear time.
+    """
+    f, _ = parse_input(" & ".join(f"x{i} <= y{i}" for i in range(n)) + " & ~(x0 <= x0)")
+    verdict = decide(f, Theory.PARTIAL)
+    assert isinstance(verdict, Unsat)
+    return f, verdict.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -687,22 +700,20 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
         left, c1 = _export_atom(proof.left)
         right, c2 = _export_atom(proof.right)
         x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
-        head = PThm("trans", (x, y, z))
-        return AppP(AppP(head, left), right), Literal(True, le(x, z))
+        return PThm("trans", (x, y, z), (left, right)), Literal(True, le(x, z))
     if isinstance(proof, AntisymP):
         left, c1 = _export_atom(proof.left)
         right, _ = _export_atom(proof.right)
         x, y = c1.atom.x, c1.atom.y
-        head = PThm("antisym", (x, y))
-        return AppP(AppP(head, left), right), Literal(True, eq(x, y))
+        return PThm("antisym", (x, y), (left, right)), Literal(True, eq(x, y))
     if isinstance(proof, EQE1P):
         a = proof.lit.atom
-        head = PThm("eqe1", (a.x, a.y))
-        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.x, a.y))
+        premise = Bound(Atom(proof.lit))
+        return PThm("eqe1", (a.x, a.y), (premise,)), Literal(True, le(a.x, a.y))
     if isinstance(proof, EQE2P):
         a = proof.lit.atom
-        head = PThm("eqe2", (a.x, a.y))
-        return AppP(head, Bound(Atom(proof.lit))), Literal(True, le(a.y, a.x))
+        premise = Bound(Atom(proof.lit))
+        return PThm("eqe2", (a.x, a.y), (premise,)), Literal(True, le(a.y, a.x))
     if isinstance(proof, ContrP):
         a = proof.lit.atom
         if a.kind == "le":
@@ -711,8 +722,8 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
             axiom = "contr_eq"
         else:
             raise ExportError("no contradiction axiom for strict atoms")
-        head = PThm(axiom, (a.x, a.y))
-        return AppP(AppP(head, Bound(Atom(proof.lit))), _export_atom(proof.proof)[0]), FLS
+        premises = (Bound(Atom(proof.lit)), _export_atom(proof.proof)[0])
+        return PThm(axiom, (a.x, a.y), premises), FLS
     raise ExportError(f"unknown atom proof node {proof!r}")
 
 
@@ -721,16 +732,115 @@ def literal_export(proof: PropProof) -> GPrf:
     if isinstance(proof, Lift):
         return _export_atom(proof.proof)[0]
     if isinstance(proof, ConjE):
+        conjunction = Bound(And(proof.left, proof.right))
+        premises = (conjunction, literal_export(proof.proof))
+        return PThm("conje", (proof.left, proof.right), premises)
+    if isinstance(proof, DisjE):
+        disjunction = Bound(Or(proof.left, proof.right))
+        left_case = literal_export(proof.left_proof)
+        right_case = literal_export(proof.right_proof)
+        return PThm("disje", (proof.left, proof.right), (disjunction, left_case, right_case))
+    if isinstance(proof, ConvRule):
+        return ConvP(proof.source, proof.conversion, literal_export(proof.proof))
+    raise ExportError(f"unknown propositional proof node {proof!r}")
+
+
+# ---------------------------------------------------------------------------
+# The curried proof terms, the oracle for the replay kernel's rule instances
+#
+# The export and replay that applied an axiom instance to its premise proofs
+# one ``AppP`` at a time and bound each hypothesis a premise assumes with its
+# own ``AbsP``: kept verbatim as the reference for verdicts and messages.
+# Its axiom instances are placed by ``sequential_instance``.
+
+
+@dataclasses.dataclass(frozen=True)
+class AppP(GPrf):
+    fn: GPrf
+    arg: GPrf
+
+
+@dataclasses.dataclass(frozen=True)
+class AbsP(GPrf):
+    hyp: Formula
+    body: GPrf
+
+
+def curried_replay(context: AbstractSet[Formula], proof: GPrf) -> Prop:
+    """``replay.replay`` as the curried kernel computed it."""
+    if isinstance(proof, PThm):
+        if proof.name not in SIGMA:
+            raise ReplayError(f"unknown proof constant {proof.name!r}")
+        return sequential_instance(proof.name, list(proof.terms))
+    if isinstance(proof, Bound):
+        if proof.hyp not in context:
+            raise ReplayError(f"unbound hypothesis {proof.hyp}")
+        return proof.hyp
+    if isinstance(proof, AbsP):
+        return Implies(proof.hyp, curried_replay(context | {proof.hyp}, proof.body))
+    if isinstance(proof, AppP):
+        fn = curried_replay(context, proof.fn)
+        arg = curried_replay(context, proof.arg)
+        if not isinstance(fn, Implies):
+            raise ReplayError(f"proof application needs an implication, got {fn}")
+        if fn.hyp != arg:
+            raise ReplayError(
+                f"proof application mismatch: expected {fn.hyp}, got {arg}"
+            )
+        return fn.concl
+    if isinstance(proof, ConvP):
+        if proof.source not in context:
+            raise ReplayError(f"conversion source {proof.source} is not in the context")
+        try:
+            result = apply_conv(proof.conversion, proof.source)
+        except ConversionError as exc:
+            raise ReplayError(f"conversion failed: {exc}") from exc
+        return curried_replay(context | {result}, proof.proof)
+    raise ReplayError(f"unknown proof term {proof!r}")
+
+
+def _curried_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
+    if isinstance(proof, AssmP):
+        a = proof.lit.atom
+        return Bound(Atom(proof.lit)), a.x, a.y
+    if isinstance(proof, ReflP):
+        return PThm("refl", (proof.var,)), proof.var, proof.var
+    if isinstance(proof, (TransP, AntisymP)):
+        left, x, y = _curried_atom(proof.left)
+        right, _, z = _curried_atom(proof.right)
+        if isinstance(proof, TransP):
+            return AppP(AppP(PThm("trans", (x, y, z)), left), right), x, z
+        return AppP(AppP(PThm("antisym", (x, y)), left), right), x, y
+    if isinstance(proof, (EQE1P, EQE2P)):
+        a = proof.lit.atom
+        name, x, y = ("eqe1", a.x, a.y) if isinstance(proof, EQE1P) else ("eqe2", a.y, a.x)
+        return AppP(PThm(name, (a.x, a.y)), Bound(Atom(proof.lit))), x, y
+    if isinstance(proof, ContrP):
+        a = proof.lit.atom
+        name = f"contr_{a.kind}"
+        if name not in SIGMA:
+            raise ExportError("no contradiction axiom for strict atoms")
+        head = PThm(name, (a.x, a.y))
+        # Falsity ``v0 != v0`` relates v0 to itself.
+        return AppP(AppP(head, Bound(Atom(proof.lit))), _curried_atom(proof.proof)[0]), 0, 0
+    raise ExportError(f"unknown atom proof node {proof!r}")
+
+
+def curried_export(proof: PropProof) -> GPrf:
+    """``replay.export`` as the curried compiler computed it."""
+    if isinstance(proof, Lift):
+        return _curried_atom(proof.proof)[0]
+    if isinstance(proof, ConjE):
         head = PThm("conje", (proof.left, proof.right))
         conjunction = Bound(And(proof.left, proof.right))
-        body = AbsP(proof.left, AbsP(proof.right, literal_export(proof.proof)))
+        body = AbsP(proof.left, AbsP(proof.right, curried_export(proof.proof)))
         return AppP(AppP(head, conjunction), body)
     if isinstance(proof, DisjE):
         head = PThm("disje", (proof.left, proof.right))
         disjunction = Bound(Or(proof.left, proof.right))
-        left_case = AbsP(proof.left, literal_export(proof.left_proof))
-        right_case = AbsP(proof.right, literal_export(proof.right_proof))
+        left_case = AbsP(proof.left, curried_export(proof.left_proof))
+        right_case = AbsP(proof.right, curried_export(proof.right_proof))
         return AppP(AppP(AppP(head, disjunction), left_case), right_case)
     if isinstance(proof, ConvRule):
-        return ConvP(proof.source, proof.conversion, literal_export(proof.proof))
+        return ConvP(proof.source, proof.conversion, curried_export(proof.proof))
     raise ExportError(f"unknown propositional proof node {proof!r}")

@@ -69,6 +69,7 @@ from helpers import (
     plain_serialize_cert,
     random_formula,
     recursive_check_prop_proof,
+    wide_conjunction,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -672,24 +673,12 @@ def test_assumptions_stay_in_their_case_and_out_of_the_callers_set():
     assert context == before
 
 
-def _wide_conjunction(n: int):
-    """``x0 <= y0 & ... & x(n-1) <= y(n-1) & ~(x0 <= x0)`` and its certificate.
-
-    Its certificate is one conje node per literal above a single lift, and
-    the literals share no variable, so ``decide`` builds it in linear time.
-    """
-    f, _ = parse_input(" & ".join(f"x{i} <= y{i}" for i in range(n)) + " & ~(x0 <= x0)")
-    verdict = decide(f, Theory.PARTIAL)
-    assert isinstance(verdict, Unsat)
-    return f, verdict.certificate
-
-
 def test_structured_kernel_checks_a_spine_in_linear_memory_and_constant_stack():
     # A context copied at every conje would hold n²/2 formula references:
     # about 170 MB at n = 2,000.
     peaks = []
     for n in (1000, 2000):
-        f, cert = _wide_conjunction(n)
+        f, cert = wide_conjunction(n)
         tracemalloc.start()
         try:
             assert check_prop_proof({f}, cert) == FLS_FORMULA
@@ -700,7 +689,7 @@ def test_structured_kernel_checks_a_spine_in_linear_memory_and_constant_stack():
     assert peaks[1] < 3 * peaks[0]
     # ``decide``'s own object, and the same certificate read back: reading
     # gives formulas equal to the goal's but distinct from them.
-    f, cert = _wide_conjunction(5000)
+    f, cert = wide_conjunction(5000)
     reread = parse_cert(serialize_cert(cert))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)

@@ -365,6 +365,22 @@ def test_check_replay_rejects_a_conclusion_other_than_falsity(tmp_path, capsys, 
     assert capsys.readouterr().out == f"rejected: {what} concludes v0 <= v0, not falsity\n"
 
 
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        ("structured", "certificate concludes v0 <= v0, not falsity"),
+        ("replay", "proof application mismatch: expected ~(v0 = v0), got v0 <= v0"),
+    ],
+)
+def test_check_names_what_a_conje_body_concludes(tmp_path, capsys, kernel, message):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y & y <= x\n")
+    cert = tmp_path / "proof.cert"
+    cert.write_text("(conje (atom (+ le v0 v1)) (atom (+ le v1 v0)) (lift (refl v0)))\n")
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 3
+    assert capsys.readouterr().out == f"rejected: {message}\n"
+
+
 @pytest.mark.parametrize("role", ["formula", "certificate", "goal"])
 def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, role):
     bad = tmp_path / "bad.txt"

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import random
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -47,8 +48,6 @@ from ordersat.closure import Unsat, decide
 from ordersat.oracle import enumerate_posets
 from ordersat.replay import (
     SIGMA,
-    AbsP,
-    AppP,
     Bound,
     ConvP,
     ExportError,
@@ -64,7 +63,14 @@ from ordersat.replay import (
 )
 from ordersat.selfcheck import clause_formula, iter_clauses
 
-from helpers import mutate_cert, random_formula, sequential_instance
+from helpers import (
+    curried_export,
+    curried_replay,
+    mutate_cert,
+    random_formula,
+    sequential_instance,
+    wide_conjunction,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import chain_text, ladder_text  # noqa: E402
@@ -142,13 +148,7 @@ def test_replay_trans_by_hand():
     hyp_xy = Atom(pos(le(x, y)))
     hyp_yz = Atom(pos(le(y, z)))
     context = frozenset({hyp_xy, hyp_yz})
-    proof = AppP(
-        AppP(
-            PThm("trans", (x, y, z)),
-            Bound(hyp_xy),
-        ),
-        Bound(hyp_yz),
-    )
+    proof = PThm("trans", (x, y, z), (Bound(hyp_xy), Bound(hyp_yz)))
     assert replay(context, proof) == Atom(pos(le(x, z)))
 
 
@@ -157,13 +157,56 @@ def test_replay_bound_requires_context():
         replay(frozenset(), Bound(Atom(pos(le(0, 1)))))
 
 
-def test_replay_appp_mismatch():
-    proof = AppP(
-        PThm("eqe1", (0, 1)),
-        PThm("refl", (0,)),
-    )
-    with pytest.raises(ReplayError, match="mismatch"):
+def test_replay_premise_mismatch():
+    proof = PThm("eqe1", (0, 1), (PThm("refl", (0,)),))
+    with pytest.raises(ReplayError, match="^proof application mismatch: expected v0 = v1, got v0 <= v0$"):
         replay(frozenset(), proof)
+
+
+def test_replay_needs_a_premise_for_each_premise_proof():
+    with pytest.raises(ReplayError, match="^proof application needs an implication, got v0 <= v0$"):
+        replay(frozenset(), PThm("refl", (0,), (PThm("refl", (0,)),)))
+    xy, yz = Atom(pos(le(0, 1))), Atom(pos(le(1, 2)))
+    extra = PThm("trans", (0, 1, 2), (Bound(xy), Bound(yz), Bound(xy)))
+    with pytest.raises(ReplayError, match="^proof application needs an implication, got v0 <= v2$"):
+        replay(frozenset({xy, yz}), extra)
+
+
+def test_fewer_premise_proofs_prove_the_rest_of_the_schema():
+    x, y, z = 4, 5, 6
+    xy = Atom(pos(le(x, y)))
+    proof = PThm("trans", (x, y, z), (Bound(xy),))
+    assert replay(frozenset({xy}), proof) == Implies(Atom(pos(le(y, z))), Atom(pos(le(x, z))))
+    c, d = Atom(pos(le(0, 1))), Atom(neg(eq(1, 2)))
+    proof = PThm("conje", (c, d), (Bound(And(c, d)),))
+    assert replay(frozenset({And(c, d)}), proof) == Implies(Implies(c, Implies(d, FLS_FORMULA)), FLS_FORMULA)
+
+
+def test_a_premise_discharges_the_hypotheses_it_names_and_only_there():
+    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
+    uses_both = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
+    context = {And(c, d)}
+    before = set(context)
+    # The conje body proof may use c and d.
+    assert replay(context, PThm("conje", (c, d), (Bound(And(c, d)), uses_both))) is FLS_FORMULA
+    assert context == before
+    # The conjunction's own premise proof is replayed without them.
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis v0 <= v1$"):
+        replay(context, PThm("conje", (c, d), (Bound(c), uses_both)))
+    # A disje case sees only its own disjunct, and not the hypotheses that
+    # a conje in the other case discharged.
+    e, f = Atom(pos(le(2, 3))), Atom(pos(le(3, 2)))
+    conje = PThm("conje", (c, d), (Bound(And(c, d)), uses_both))
+    for cases in ((uses_both, conje), (conje, uses_both)):
+        proof = PThm("disje", (e, f), (Bound(Or(e, f)), *cases))
+        with pytest.raises(ReplayError, match=r"^unbound hypothesis ~\(v0 <= v1\)$"):
+            replay(frozenset({Or(e, f), And(c, d)}), proof)
+    uses_e = PThm("contr_le", (2, 3), (Bound(Atom(neg(le(2, 3)))), Bound(e)))
+    context = frozenset({Or(e, f), Atom(neg(le(2, 3)))})
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis v2 <= v3$"):
+        replay(context, PThm("disje", (e, f), (Bound(Or(e, f)), uses_e, uses_e)))
+    context = frozenset({Or(e, e), Atom(neg(le(2, 3)))})
+    assert replay(context, PThm("disje", (e, e), (Bound(Or(e, e)), uses_e, uses_e))) is FLS_FORMULA
 
 
 def test_replay_axiom_takes_one_term_per_binder():
@@ -365,8 +408,8 @@ def test_instances_conclude_the_kernels_own_falsity():
     # Instantiation keeps every binder-free part of a schema as it is.
     x, m, y = 2, 7, 5
     hyp, xm, my = Atom(neg(le(x, y))), Atom(pos(le(x, m))), Atom(pos(le(m, y)))
-    chain = AppP(AppP(PThm("trans", (x, m, y)), Bound(xm)), Bound(my))
-    proof = AppP(AppP(PThm("contr_le", (x, y)), Bound(hyp)), chain)
+    chain = PThm("trans", (x, m, y), (Bound(xm), Bound(my)))
+    proof = PThm("contr_le", (x, y), (Bound(hyp), chain))
     assert replay(frozenset({hyp, xm, my}), proof) is FLS_FORMULA
     c, d = Atom(pos(le(0, 1))), Atom(neg(eq(1, 2)))
     # conje c d: (c & d) => (c => d => Fls) => Fls
@@ -379,7 +422,8 @@ def test_instances_conclude_the_kernels_own_falsity():
     "make, size, theory", [(chain_text, 200, Theory.PARTIAL), (ladder_text, 5, Theory.LINEAR)]
 )
 def test_export_builds_few_proof_term_nodes_per_certificate_node(make, size, theory):
-    # One node per axiom instance: an instance carries all of its terms.
+    # One node per axiom instance: an instance carries all of its terms and
+    # its premise proofs.
     f, _ = parse_input(make(random.Random(1), size))
     verdict = decide(f, theory)
     assert isinstance(verdict, Unsat)
@@ -387,9 +431,63 @@ def test_export_builds_few_proof_term_nodes_per_certificate_node(make, size, the
     while stack:
         node = stack.pop()
         nodes += 1
-        children = (getattr(node, name) for name in node.__dataclass_fields__)
-        stack.extend(child for child in children if isinstance(child, GPrf))
-    assert nodes <= 3.6 * cert_size(verdict.certificate)
+        for name in node.__dataclass_fields__:
+            value = getattr(node, name)
+            children = value if isinstance(value, tuple) else (value,)
+            stack.extend(child for child in children if isinstance(child, GPrf))
+    assert nodes <= 1.5 * cert_size(verdict.certificate)
+
+
+def _replayed(compile, check, proof, f):
+    try:
+        return "proves", check(frozenset({f}), compile(proof))
+    except (ExportError, ReplayError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_replay_agrees_with_the_curried_kernel():
+    # The kernel that applied an instance to one premise proof at a time and
+    # bound each hypothesis with its own abstraction is the reference, on
+    # certificates and their mutants.  Only a premise mismatch may read
+    # differently: it names the premise's conclusion, not the whole premise.
+    rng = random.Random(19)
+    corpus = []
+    for theory in Theory:
+        goals = [random_formula(rng, 4, 3) for _ in range(1000)]
+        goals += [parse_input(chain_text(rng, 10))[0], parse_input(ladder_text(rng, 2))[0]]
+        for f in goals:
+            verdict = decide(f, theory)
+            if isinstance(verdict, Unsat):
+                corpus.append((f, verdict.certificate))
+    checked = changed = 0
+    for f, cert in corpus:
+        for proof in [cert] + [mutate_cert(rng, cert) for _ in range(3)]:
+            new = _replayed(lambda p: export(p, f), replay, proof, f)
+            old = _replayed(curried_export, curried_replay, proof, f)
+            assert (new == ("proves", FLS_FORMULA)) == (old == ("proves", FLS_FORMULA)), proof
+            checked += 1
+            if new == old:
+                continue
+            changed += 1
+            mismatch = "proof application mismatch: expected "
+            assert new[0] == old[0] == "ReplayError", proof
+            assert new[1].startswith(mismatch) and old[1].startswith(mismatch), proof
+            assert old[1].endswith(new[1].split(", got ", 1)[1]), proof
+    assert checked >= 1_500
+    assert changed > 0
+
+
+def test_replay_of_a_wide_conjunction_copies_the_context_once_per_conje():
+    # A conje body is replayed in one copy of the context that adds both
+    # hypotheses; copying it once per hypothesis peaked at 21 MB here.
+    f, cert = wide_conjunction(500)
+    tracemalloc.start()
+    try:
+        assert replay_refutation(export(cert, f), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
 
 
 def test_proof_terms_and_literals_carry_no_instance_dict():
@@ -400,8 +498,7 @@ def test_proof_terms_and_literals_carry_no_instance_dict():
         lit.atom,
         PThm("refl", (0,)),
         Bound(f),
-        AppP(PThm("refl", (0,)), Bound(f)),
-        AbsP(f, Bound(f)),
+        PThm("eqe1", (0, 1), (Bound(f),)),
         ConvP(f, Rule("lessle"), Bound(f)),
         Implies(f, f),
         FmHole(-1),
