@@ -28,12 +28,14 @@ therefore replaces binders only: it never captures a variable, never
 renames, and never touches ``v0``, the variable of falsity ``v0 != v0``.
 It keeps every binder-free part of a schema as it is, so the falsity of
 each instance is the kernel's own ``FLS_FORMULA``, not a copy.
-A ``PThm`` names an axiom and one term for each of its binders, and replay
-places them all in one walk of the schema, so a value is placed once and
-never walked again.  Its premise proofs follow, in order, as in one rule
-application: a premise ``h1 => ... => hn => c`` is proved by a proof of
-``c`` in the context plus ``h1 ... hn``, and an instance with fewer premise
-proofs proves the rest of its schema.
+A ``PThm`` names an axiom, a term for each of its binders and, in order,
+its premise proofs: a premise ``h1 => ... => hn => c`` is proved by a proof
+of ``c`` in the context plus ``h1 ... hn``, and what that proof proves is
+matched against ``c`` in place, reading each term where its binder stands.
+Only the conclusion left after the last premise is instantiated, so an
+instance with fewer premise proofs proves the rest of its schema.  The
+context is one set, which a premise's hypotheses and a conversion's result
+join, if absent, only while their proof replays.
 """
 
 from __future__ import annotations
@@ -186,20 +188,18 @@ SIGMA: dict[str, tuple[tuple[VarId, ...], Prop]] = {
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Substitution and matching
 
 SubstValue = VarId | Formula
 Env = Mapping[VarId, SubstValue]
 
 
-def _subst_lit(lit: Literal, env: Env) -> Literal:
-    a = lit.atom
-    if a.x not in env and a.y not in env:
-        return lit
+def _ends(a: OrderAtom, env: Env) -> tuple[VarId, VarId]:
+    """The variable ids that ``env`` puts at the two ends of ``a``."""
     x, y = env.get(a.x, a.x), env.get(a.y, a.y)
-    if not isinstance(x, int) or not isinstance(y, int):
-        raise ReplayError("cannot substitute a formula for a variable position")
-    return Literal(lit.pos, OrderAtom(a.kind, x, y))
+    if isinstance(x, int) and isinstance(y, int):
+        return x, y
+    raise ReplayError("cannot substitute a formula for a variable position")
 
 
 def _subst_fm(f: Formula, env: Env) -> Formula:
@@ -209,8 +209,10 @@ def _subst_fm(f: Formula, env: Env) -> Formula:
             return value
         raise ReplayError("cannot fill a formula position with a variable")
     if isinstance(f, Atom):
-        lit = _subst_lit(f.lit, env)
-        return f if lit is f.lit else Atom(lit)
+        a = f.lit.atom
+        if a.x not in env and a.y not in env:
+            return f
+        return Atom(Literal(f.lit.pos, OrderAtom(a.kind, *_ends(a, env))))
     if isinstance(f, (And, Or)):
         left, right = _subst_fm(f.left, env), _subst_fm(f.right, env)
         return f if left is f.left and right is f.right else type(f)(left, right)
@@ -225,13 +227,29 @@ def _subst(prop: Prop, env: Env) -> Prop:
 
     A value is placed at a hole or variable position and never walked again,
     and a subtree that holds no binder in ``env`` is returned as it is.
-    Values are the certificate's own variable ids and formulas; replay
-    rejects the negative binder ids, so no value is mistaken for a binder.
     """
     if isinstance(prop, Implies):
         hyp, concl = _subst(prop.hyp, env), _subst(prop.concl, env)
         return prop if hyp is prop.hyp and concl is prop.concl else Implies(hyp, concl)
     return _subst_fm(prop, env)
+
+
+def _match(part: Formula, env: Env, f: object) -> bool:
+    """Whether ``_subst(part, env) == f``, found by walking ``part`` and ``f`` together.
+
+    No instance is built, and all of ``part`` is walked even past a mismatch,
+    so a value of the wrong kind raises ``_subst``'s error wherever it sits.
+    """
+    if isinstance(part, Atom):
+        a, (x, y) = part.lit.atom, _ends(part.lit.atom, env)
+        b = f.lit.atom if type(f) is Atom else None
+        return b is not None and f.lit.pos == part.lit.pos and (b.kind, b.x, b.y) == (a.kind, x, y)
+    if isinstance(part, (And, Or)):
+        same = type(f) is type(part)
+        left = _match(part.left, env, f.left if same else None)
+        return same & left & _match(part.right, env, f.right if same else None)
+    value = _subst_fm(part, env)  # a hole's value, or a negation's instance (no SIGMA row has one)
+    return value is f or value == f
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +264,12 @@ def replay(context: Context, proof: GPrf) -> Prop:
     Each failure mode is distinct: unknown constants, an axiom given the
     wrong number of terms, unbound hypotheses, too many premise proofs, a
     premise proof of the wrong conclusion, and conversion failures.
+    ``context`` is copied once and left as it is.
     """
+    return _replay(set(context), proof)
+
+
+def _replay(scope: set[Formula], proof: GPrf) -> Prop:
     if isinstance(proof, PThm):
         row = SIGMA.get(proof.name)
         if row is None:
@@ -259,31 +282,38 @@ def replay(context: Context, proof: GPrf) -> Prop:
                 raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
             if isinstance(term, Literal):
                 raise ReplayError("cannot instantiate with a bare literal term")
-        prop = _subst(prop, dict(zip(binders, proof.terms)))
+        env = dict(zip(binders, proof.terms))
         for premise in proof.premises:
             if not isinstance(prop, Implies):
-                raise ReplayError(f"proof application needs an implication, got {prop}")
-            goal, hyps = prop.hyp, []
+                raise ReplayError(f"proof application needs an implication, got {_subst(prop, env)}")
+            goal, hyps = prop.hyp, set()
             while isinstance(goal, Implies):
-                hyps.append(goal.hyp)
+                hyps.add(_subst(goal.hyp, env))
                 goal = goal.concl
-            proved = replay(context | frozenset(hyps) if hyps else context, premise)
-            if proved != goal:
-                raise ReplayError(f"proof application mismatch: expected {goal}, got {proved}")
+            hyps -= scope
+            scope |= hyps
+            proved = _replay(scope, premise)
+            scope -= hyps
+            if not _match(goal, env, proved):
+                raise ReplayError(f"proof application mismatch: expected {_subst(goal, env)}, got {proved}")
             prop = prop.concl
-        return prop
+        return _subst(prop, env)
     if isinstance(proof, Bound):
-        if proof.hyp not in context:
+        if proof.hyp not in scope:
             raise ReplayError(f"unbound hypothesis {proof.hyp}")
         return proof.hyp
     if isinstance(proof, ConvP):
-        if proof.source not in context:
+        if proof.source not in scope:
             raise ReplayError(f"conversion source {proof.source} is not in the context")
         try:
             result = apply_conv(proof.conversion, proof.source)
         except ConversionError as exc:
             raise ReplayError(f"conversion failed: {exc}") from exc
-        return replay(context | {result}, proof.proof)
+        added = {result} - scope
+        scope |= added
+        proved = _replay(scope, proof.proof)
+        scope -= added
+        return proved
     raise ReplayError(f"unknown proof term {proof!r}")
 
 

@@ -8,6 +8,7 @@ itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 from typing import AbstractSet, Iterable
@@ -405,13 +406,23 @@ _NODE_FAMILIES = (PropProof, CertProof, ConvProof, Formula, Literal, OrderAtom)
 _NILADIC_CONVS = tuple(NILADIC_CONVERSIONS.values())
 
 
-def _count_nodes(node) -> int:
-    total = 1
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if isinstance(child, _NODE_FAMILIES):
-            total += _count_nodes(child)
-    return total
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _children(node) -> list[tuple[str, object]]:
+    """The fields of ``node`` that hold certificate nodes, as (name, child) pairs, in field order."""
+    pairs = ((name, getattr(node, name)) for name in _field_names(type(node)))
+    return [(name, child) for name, child in pairs if isinstance(child, _NODE_FAMILIES)]
+
+
+def _tree_size(node, sizes: dict[int, int]) -> int:
+    """The nodes of ``node`` counted as a tree; ``sizes`` memoises each shared subtree by id."""
+    key = id(node)
+    if key not in sizes:
+        sizes[key] = 1 + sum(_tree_size(child, sizes) for _, child in _children(node))
+    return sizes[key]
 
 
 def _mutate_node(rng: random.Random, node):
@@ -478,24 +489,27 @@ def _mutate_node(rng: random.Random, node):
     raise AssertionError(f"unhandled node {node!r}")
 
 
-def _rebuild(rng: random.Random, node, target: int, counter: int):
-    if counter == target:
-        return _mutate_node(rng, node), counter + _count_nodes(node)
-    counter += 1
-    values = {}
-    for field in dataclasses.fields(node):
-        child = getattr(node, field.name)
-        if isinstance(child, _NODE_FAMILIES):
-            child, counter = _rebuild(rng, child, target, counter)
-        values[field.name] = child
-    return type(node)(**values), counter
+def _replace_node(rng: random.Random, node, target: int, sizes: dict[int, int]):
+    """``node`` with its ``target``-th node in pre-order mutated; only the path to it is rebuilt."""
+    if target == 0:
+        return _mutate_node(rng, node)
+    target -= 1
+    for name, child in _children(node):
+        if target < sizes[id(child)]:
+            return dataclasses.replace(node, **{name: _replace_node(rng, child, target, sizes)})
+        target -= sizes[id(child)]
+    raise AssertionError(f"node {target} is not inside {node!r}")
 
 
 def mutate_cert(rng: random.Random, cert: PropProof) -> PropProof:
-    """Replace one randomly chosen node of the certificate."""
-    target = rng.randrange(_count_nodes(cert))
-    mutated, _ = _rebuild(rng, cert, target, 0)
-    return mutated
+    """Replace one randomly chosen node of the certificate.
+
+    Nodes are numbered in pre-order over the certificate as a tree, and the
+    mutant shares every subtree off the path to the chosen node.
+    """
+    sizes: dict[int, int] = {}
+    target = rng.randrange(_tree_size(cert, sizes))
+    return _replace_node(rng, cert, target, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@ import gc
 import importlib
 import itertools
 import random
+import re
 import sys
-import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordersat import certs
 from ordersat.core import (
@@ -56,6 +56,7 @@ from ordersat.replay import (
     Implies,
     PThm,
     ReplayError,
+    _match,
     _subst,
     export,
     replay,
@@ -68,8 +69,8 @@ from helpers import (
     curried_replay,
     mutate_cert,
     random_formula,
+    rebuild_formula,
     sequential_instance,
-    wide_conjunction,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -209,6 +210,61 @@ def test_a_premise_discharges_the_hypotheses_it_names_and_only_there():
     assert replay(context, PThm("disje", (e, e), (Bound(Or(e, e)), uses_e, uses_e))) is FLS_FORMULA
 
 
+def test_a_disje_case_sees_no_conversion_made_in_the_other_case():
+    # A case that cites the other case's disjunct is rejected in
+    # test_a_premise_discharges_the_hypotheses_it_names_and_only_there.
+    e, g = Atom(pos(le(0, 1))), Atom(pos(eq(0, 1)))
+    source, not_e = Neg(e), Atom(neg(le(0, 1)))
+    assert apply_conv(Rule("negatom"), source) == not_e
+    refutes_e = ConvP(source, Rule("negatom"), PThm("contr_le", (0, 1), (Bound(not_e), Bound(e))))
+    refutes_g = PThm("contr_le", (0, 1), (Bound(not_e), PThm("eqe1", (0, 1), (Bound(g),))))
+
+    def disje(right):
+        return PThm("disje", (e, g), (Bound(Or(e, g)), refutes_e, right))
+
+    context = frozenset({Or(e, g), source})
+    assert replay(context, disje(ConvP(source, Rule("negatom"), refutes_g))) is FLS_FORMULA
+    # The right case cites the conversion result made inside the left case.
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis ~\(v0 <= v1\)$"):
+        replay(context, disje(refutes_g))
+    # Unless that result was assumed before the disje.
+    assert replay(context | {not_e}, disje(refutes_g)) is FLS_FORMULA
+
+
+def test_a_conje_part_assumed_before_its_body_outlives_the_body():
+    c, d = Atom(pos(le(0, 1))), Atom(pos(le(1, 0)))
+    not_eq, not_c, not_d = Atom(neg(eq(0, 1))), Atom(neg(le(0, 1))), Atom(neg(le(1, 0)))
+    body = PThm("contr_eq", (0, 1), (Bound(not_eq), PThm("antisym", (0, 1), (Bound(c), Bound(d)))))
+    conje = PThm("conje", (c, d), (Bound(And(c, d)), body))
+    e, f = Atom(pos(eq(2, 3))), Atom(pos(eq(3, 2)))
+
+    def disje(right):
+        return PThm("disje", (e, f), (Bound(Or(e, f)), conje, right))
+
+    # c was assumed before the conje, so the later case still sees it; d was not.
+    context = frozenset({Or(e, f), And(c, d), not_eq, not_c, not_d, c})
+    uses_c = PThm("contr_le", (0, 1), (Bound(not_c), Bound(c)))
+    assert replay(context, disje(uses_c)) is FLS_FORMULA
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis v1 <= v0$"):
+        replay(context, disje(PThm("contr_le", (1, 0), (Bound(not_d), Bound(d)))))
+
+
+@pytest.mark.parametrize("make", [frozenset, set])
+def test_replay_leaves_the_callers_context_as_it_was(make):
+    c, d, e = Atom(pos(le(0, 1))), Atom(neg(le(0, 1))), Atom(pos(le(2, 3)))
+    source = Neg(Atom(pos(le(0, 1))))
+    accepted = PThm("conje", (c, d), (Bound(And(c, d)), PThm("contr_le", (0, 1), (Bound(d), Bound(c)))))
+    # The conversion adds d and the conje adds c and e before its body fails.
+    rejected = ConvP(source, Rule("negatom"), PThm("conje", (c, e), (Bound(And(c, e)), Bound(e))))
+    context = make({And(c, d), And(c, e), source})
+    before = frozenset(context)
+    assert replay(context, accepted) is FLS_FORMULA
+    assert context == before and type(context) is make
+    with pytest.raises(ReplayError, match=r"^proof application mismatch: expected ~\(v0 = v0\), got v2 <= v3$"):
+        replay(context, rejected)
+    assert context == before and type(context) is make
+
+
 def test_replay_axiom_takes_one_term_per_binder():
     for terms in ((0, 1), (0, 1, 2, 3)):
         with pytest.raises(ReplayError, match=f"^axiom trans takes 3 terms, got {len(terms)}$"):
@@ -253,6 +309,20 @@ def test_replay_rejects_binder_ids_in_terms():
     # Negative ids are reserved for axiom binders; no term may mention one.
     with pytest.raises(ReplayError, match="^negative variable ids are reserved for axiom binders: v-1$"):
         replay(frozenset(), PThm("refl", (-1,)))
+
+
+def test_a_term_of_the_wrong_kind_is_rejected_where_replay_first_reads_it():
+    xy, c = Atom(pos(le(0, 1))), Atom(pos(le(2, 2)))
+    # trans reads z, here a formula, in its second premise and in its conclusion.
+    for premises in ((), (Bound(xy),), (Bound(xy), Bound(xy))):
+        with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
+            replay(frozenset({xy}), PThm("trans", (0, 1, c), premises))
+    # So an error in the first premise proof is reported before it.
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis v2 <= v2$"):
+        replay(frozenset({xy}), PThm("trans", (0, 1, c), (Bound(c),)))
+    # disje reads d, here a variable id, in its first premise.
+    with pytest.raises(ReplayError, match="^cannot fill a formula position with a variable$"):
+        replay(frozenset({Or(c, c)}), PThm("disje", (c, 3), (Bound(Or(c, c)),)))
 
 
 def test_substitution_avoids_capture():
@@ -314,6 +384,88 @@ def test_spine_instantiation_matches_the_sequential_oracle(instance):
             replay(frozenset(), proof)
     else:
         assert replay(frozenset(), proof) == expected
+
+
+def _row_parts(prop):
+    """Every formula part of a ``SIGMA`` row: each premise's hypotheses and conclusion, and its own."""
+    parts = []
+    while isinstance(prop, Implies):
+        premise = prop.hyp
+        while isinstance(premise, Implies):
+            parts.append(premise.hyp)
+            premise = premise.concl
+        parts.append(premise)
+        prop = prop.concl
+    return parts + [prop]
+
+
+_ROW_PARTS = [(name, part) for name, (_, prop) in SIGMA.items() for part in _row_parts(prop)]
+
+
+def _root_mutants(f):
+    """``f`` with one field of its root node changed, for each field."""
+    if isinstance(f, Atom):
+        lit, a = f.lit, f.lit.atom
+        other_kind = ATOM_KINDS[(ATOM_KINDS.index(a.kind) + 1) % len(ATOM_KINDS)]
+        atoms = [OrderAtom(other_kind, a.x, a.y), OrderAtom(a.kind, a.x + 1, a.y), OrderAtom(a.kind, a.x, a.y + 1)]
+        return [Atom(lit.negate())] + [Atom(Literal(lit.pos, atom)) for atom in atoms]
+    if isinstance(f, (And, Or)):
+        other = Or if isinstance(f, And) else And
+        return [other(f.left, f.right), type(f)(f.right, f.left), type(f)(f.left, f.left)]
+    if isinstance(f, Neg):
+        return [f.arg, Neg(Neg(f.arg))]
+    return [FmHole(f.hole - 1)] if isinstance(f, FmHole) else []
+
+
+@st.composite
+def _part_and_candidate(draw):
+    """A schema part, a binder map and a formula to match it against.
+
+    Values are mostly of the binders' kind; the candidate is mostly the
+    exact instance, a copy of it from new nodes, or a one-field mutant of it.
+    """
+    name, part = draw(st.sampled_from(_ROW_PARTS))
+    kind = _formulas if name in ("conje", "disje") else st.integers(0, 5)
+    values = st.one_of(kind, kind, st.integers(0, 5), _formulas, st.sampled_from([None, "v1"]))
+    env = draw(st.dictionaries(st.sampled_from((-1, -2, -3)), values))
+    try:
+        instance = _subst(part, env)
+    except ReplayError:
+        return part, env, draw(_formulas)
+    mutants = _root_mutants(instance) + [rebuild_formula(instance, random.Random(draw(st.integers(0, 99))))]
+    candidates = [instance, rebuild_formula(instance), *mutants, Implies(instance, instance)]
+    return part, env, draw(st.one_of(st.sampled_from(candidates), _formulas))
+
+
+_XY, _CD = SIGMA["trans"][1].hyp, SIGMA["conje"][1].hyp
+
+
+@settings(max_examples=600, deadline=None)
+@given(_part_and_candidate())
+# A value of the wrong kind after a mismatch: at the other end of an atom,
+# and in the right hole of a connective whose root or left hole mismatches.
+@example((_XY, {-1: 0, -2: Atom(pos(le(0, 1)))}, Atom(pos(le(1, 0)))))
+@example((_CD, {-1: Atom(pos(le(0, 1))), -2: 3}, Atom(pos(le(0, 1)))))
+@example((_CD, {-1: Atom(pos(le(0, 1))), -2: 3}, And(Atom(pos(le(1, 1))), Atom(pos(le(0, 1))))))
+def test_matching_a_schema_part_agrees_with_instantiating_it(case):
+    part, env, f = case
+    try:
+        expected = _subst(part, env) == f
+    except ReplayError as exc:
+        with pytest.raises(ReplayError, match=f"^{re.escape(str(exc))}$"):
+            _match(part, env, f)
+    else:
+        assert _match(part, env, f) is expected
+
+
+def test_a_schema_part_with_binders_does_not_match_itself():
+    # Matching reads the binders' values, so a part never matches itself on
+    # identity.  Only a binder-free part, such as falsity, does.
+    for name, part in _ROW_PARTS:
+        binders = SIGMA[name][0]
+        values = [Atom(pos(le(0, 1))), Atom(neg(eq(1, 2))), Atom(pos(le(2, 2)))]
+        env = dict(zip(binders, values if name in ("conje", "disje") else (0, 1, 2)))
+        assert _match(part, env, part) is (part is FLS_FORMULA), (name, part)
 
 
 def _schema_formula_nodes():
@@ -475,19 +627,6 @@ def test_replay_agrees_with_the_curried_kernel():
             assert old[1].endswith(new[1].split(", got ", 1)[1]), proof
     assert checked >= 1_500
     assert changed > 0
-
-
-def test_replay_of_a_wide_conjunction_copies_the_context_once_per_conje():
-    # A conje body is replayed in one copy of the context that adds both
-    # hypotheses; copying it once per hypothesis peaked at 21 MB here.
-    f, cert = wide_conjunction(500)
-    tracemalloc.start()
-    try:
-        assert replay_refutation(export(cert, f), f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 15_000_000
 
 
 def test_proof_terms_and_literals_carry_no_instance_dict():
