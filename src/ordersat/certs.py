@@ -14,6 +14,10 @@ Three layers of certificates mirror the solver's three layers of reasoning:
 * propositional level: conjunction/disjunction elimination and certified
   conversion steps that tie a refutation to the original goal formula.
 
+Certificate nodes are values: nothing changes a node after it is built.
+They are not frozen only because a frozen dataclass costs a slow attribute
+store per field on every construction.
+
 The checkers in this module are the artifact's trust root.  They depend only
 on the core types, never on the solver, so a bug in the search can at worst
 produce a certificate that fails to check, not an accepted falsehood.
@@ -80,39 +84,39 @@ class CertProof:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssmP(CertProof):
     lit: Literal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReflP(CertProof):
     var: VarId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TransP(CertProof):
     left: CertProof
     right: CertProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AntisymP(CertProof):
     left: CertProof
     right: CertProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EQE1P(CertProof):
     lit: Literal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EQE2P(CertProof):
     lit: Literal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ContrP(CertProof):
     lit: Literal
     proof: CertProof
@@ -181,30 +185,30 @@ class ConvProof:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rule(ConvProof):
     """A niladic conversion, named by its certificate token: a row of ``_RULES``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AtomConv(ConvProof):
     rule: ConvProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ArgConv(ConvProof):
     rule: ConvProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinopConv(ConvProof):
     left: ConvProof
     right: ConvProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThenConv(ConvProof):
     first: ConvProof
     second: ConvProof
@@ -307,19 +311,19 @@ class PropProof:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lift(PropProof):
     proof: CertProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConjE(PropProof):
     left: Formula
     right: Formula
     proof: PropProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DisjE(PropProof):
     left: Formula
     right: Formula
@@ -327,7 +331,7 @@ class DisjE(PropProof):
     right_proof: PropProof
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConvRule(PropProof):
     source: Formula
     conversion: ConvProof

@@ -54,7 +54,7 @@ class InvariantViolation(OrderSatError):
     """An internal self-check failed; indicates a bug rather than bad input."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OrderAtom:
     kind: str
     x: VarId
@@ -80,7 +80,7 @@ def eq(x: VarId, y: VarId) -> OrderAtom:
     return OrderAtom(EQ, x, y)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Literal:
     pos: bool
     atom: OrderAtom
@@ -107,6 +107,10 @@ class Formula:
     Each node stores its hash in ``_hash`` when it is built, from its literal
     or its children's stored hashes, and ``==`` walks an explicit stack.  Any
     other subclass stores a ``_hash`` too and brings its own ``==``.
+
+    Nodes are never changed after they are built, so a stored hash stays
+    the hash of the tree.  They are not frozen only because a frozen
+    dataclass costs a slow attribute store per field on every construction.
     """
 
     __slots__ = ()
@@ -141,51 +145,51 @@ class Formula:
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Atom(Formula):
     __slots__ = ("lit", "_hash", "__weakref__")
     lit: Literal
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.lit))
+        self._hash = hash(self.lit)
 
     def __str__(self) -> str:
         return str(self.lit)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class And(Formula):
     __slots__ = ("left", "right", "_hash", "__weakref__")
     left: Formula
     right: Formula
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((1, self.left._hash, self.right._hash)))
+        self._hash = hash((1, self.left._hash, self.right._hash))
 
     def __str__(self) -> str:
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Or(Formula):
     __slots__ = ("left", "right", "_hash", "__weakref__")
     left: Formula
     right: Formula
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((2, self.left._hash, self.right._hash)))
+        self._hash = hash((2, self.left._hash, self.right._hash))
 
     def __str__(self) -> str:
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Neg(Formula):
     __slots__ = ("arg", "_hash", "__weakref__")
     arg: Formula
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((3, self.arg._hash)))
+        self._hash = hash((3, self.arg._hash))
 
     def __str__(self) -> str:
         return f"~{self.arg}"

@@ -93,19 +93,19 @@ class GPrf:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PThm(GPrf):
     name: str
     terms: tuple[VarId | Formula, ...]
     premises: tuple[GPrf, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bound(GPrf):
     hyp: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConvP(GPrf):
     source: Formula
     conversion: ConvProof
@@ -116,7 +116,7 @@ class ConvP(GPrf):
 # Propositions
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Implies:
     hyp: Prop
     concl: Prop
@@ -129,7 +129,7 @@ class Implies:
 Prop = Formula | Implies
 
 
-@dataclass(frozen=True)
+@dataclass
 class FmHole(Formula):
     """Formula placeholder; occurs only inside axiom schemas."""
 
@@ -137,7 +137,7 @@ class FmHole(Formula):
     hole: VarId
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.hole))
+        self._hash = hash(self.hole)
 
     __hash__ = Formula.__hash__
 

@@ -17,6 +17,7 @@ from ordersat.core import (
     OrderAtom,
     Relation,
     SymbolTable,
+    Theory,
     eq,
     eval_formula,
     eval_literal,
@@ -24,9 +25,12 @@ from ordersat.core import (
     le,
     lt,
     neg,
+    parse_input,
     pos,
     relation_props,
 )
+from ordersat.certs import parse_cert, serialize_cert
+from ordersat.closure import decide
 from ordersat.oracle import enumerate_posets
 from ordersat.replay import FmHole
 
@@ -179,6 +183,11 @@ def test_formulas_copy_and_pickle_with_their_hash():
     f = And(Atom(pos(le(0, 1))), Or(Neg(Atom(neg(eq(1, 2)))), FmHole(-1)))
     for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert copied == f and hash(copied) == hash(f)
+    # Certificate nodes have slots and no instance dict; they copy all the same.
+    goal, _ = parse_input("(a < b | b < a) & a = b & ~(c <= d & d <= c & ~(c = d))")
+    cert = parse_cert(serialize_cert(decide(goal, Theory.LINEAR).certificate))
+    for copied in (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert))):
+        assert copied == cert and hash(copied) == hash(cert)
 
 
 _LITERALS = st.builds(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import itertools
@@ -646,7 +647,79 @@ def test_proof_terms_and_literals_carry_no_instance_dict():
         Or(f, f),
         Neg(f),
     ]
+    refl, rule = ReflP(0), Rule("lessle")
+    lift = Lift(refl)
+    certificate_nodes = [
+        certs.AssmP(lit),
+        refl,
+        certs.TransP(refl, refl),
+        certs.AntisymP(refl, refl),
+        certs.EQE1P(lit),
+        certs.EQE2P(lit),
+        certs.ContrP(lit, refl),
+        certs.AtomConv(rule),
+        certs.ArgConv(rule),
+        certs.BinopConv(rule, rule),
+        certs.ThenConv(rule, rule),
+        lift,
+        certs.ConjE(f, f, lift),
+        certs.DisjE(f, f, lift, lift),
+        certs.ConvRule(f, rule, lift),
+    ]
+    assert {type(node) for node in certificate_nodes} == set(certs._HEADS)
+    slotted += [*certificate_nodes, rule]
     assert not [node for node in slotted if hasattr(node, "__dict__")]
+
+
+def _formula_nodes(f: Formula) -> list[Formula]:
+    nodes, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Neg):
+            stack.append(node.arg)
+        elif isinstance(node, (And, Or)):
+            stack += (node.left, node.right)
+    return nodes
+
+
+def _certificate_formulas(cert) -> list[Formula]:
+    found, stack = [], [cert]
+    while stack:
+        node = stack.pop()
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, Formula):
+                found.append(value)
+            elif isinstance(value, (certs.PropProof, certs.CertProof, certs.ConvProof)):
+                stack.append(value)
+    return found
+
+
+def test_the_pipeline_leaves_every_node_as_it_was_built():
+    # Nodes are not frozen, so nothing but this test stops a layer from
+    # assigning to a field: deciding, both kernels and export must leave
+    # each certificate writing its first text and each stored hash current.
+    rng = random.Random(23)
+    goals = [random_formula(rng, 4, 3) for _ in range(300)]
+    goals += [parse_input(chain_text(rng, 12))[0], parse_input(ladder_text(rng, 3))[0]]
+    unsat = 0
+    for theory in Theory:
+        for f in goals:
+            verdict = decide(f, theory)
+            if not isinstance(verdict, Unsat):
+                continue
+            unsat += 1
+            certificates = [verdict.certificate, parse_cert(serialize_cert(verdict.certificate))]
+            texts = [serialize_cert(cert) for cert in certificates]
+            for cert in certificates:
+                assert check_prop_proof({f}, cert) == FLS_FORMULA
+                assert replay(frozenset({f}), export(cert, f)) == FLS_FORMULA
+            assert [serialize_cert(cert) for cert in certificates] == texts
+            for formula in [f, *(g for cert in certificates for g in _certificate_formulas(cert))]:
+                for node in _formula_nodes(formula):
+                    assert node._hash == hash(rebuild_formula(node))
+    assert unsat >= 100
 
 
 def test_both_kernels_conclude_the_same_falsity():
