@@ -1,20 +1,22 @@
 """Differential run of this checkout's ``src/`` against another revision's.
 
-    python3 tools/differential.py --against REV [--seed N] [--random N]
-                                  [--families N] [--mutants N]
+    python3 tools/differential.py --against REV [--seed N]
 
-``REV``'s ``src/`` is extracted from the local repository with ``git
-archive`` into a temporary directory.  One child process per tree reads the
-same seeded corpus and writes one JSON line per case:
+``REV``'s ``src/`` and ``tests/helpers.py`` are extracted from the local
+repository with ``git archive`` into a temporary directory.  One child
+process per tree reads the same seeded corpus and writes one JSON line per
+case:
 
 * a goal case is a formula text and a theory.  Its record holds the verdict,
   the ``clause_index`` of a Sat verdict, a hash of the certificate text (or
   of the model the CLI would print), and what each kernel says of the
   certificate after reading its text back: ``ok`` or its message;
 * a mutant case is a goal and a certificate text with one node changed.
-  Mutants are drawn once, from ``REV``'s certificates, by editing the text,
-  so both trees read the same mutant texts whatever the code under test
-  does.  Its record holds the reader's and each kernel's ``ok`` or message.
+  Mutants are drawn once, by ``REV``'s child with ``REV``'s own
+  ``helpers.mutate_cert``, and written as text, so both trees read the same
+  mutant texts and a change to this tree's mutator cannot hide a
+  difference.  Its record holds the reader's and each kernel's ``ok`` or
+  message.
 
 The corpus holds random formulas in both theories (the benchmark's
 ``random_formula``), the benchmark's chains and ladders, and a wide
@@ -39,6 +41,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The corpus: random formulas per theory, chains and ladders of each
+# size, and mutants per certificate of ``REV``.
+RANDOM_FORMULAS = 2000
+FAMILIES = 3
+MUTANTS = 8
+
 # A message longer than this is kept as its head and a hash of the whole.
 _MESSAGE_CHARS = 2000
 
@@ -58,13 +66,26 @@ def _message(exc: BaseException) -> str:
     return text
 
 
-def _run_child(src: str, cases: str, out: str, texts: str | None) -> None:
+def _run_child(job: dict) -> None:
+    """Run ``job["src"]``'s ``ordersat`` over the cases in ``job["cases"]``.
+
+    With ``job["mutants"]``, a ``[path, count, seed]``, it also writes
+    ``count`` mutants of each Unsat certificate to ``path``, drawn with the
+    tree's own ``tests/helpers.mutate_cert``.
+    """
+    src = job["src"]
     sys.path.insert(0, src)
     import ordersat
     from ordersat import cli
 
     if not Path(ordersat.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {ordersat.__file__}, not the tree under {src}")
+    mutants_path, count, seed = job.get("mutants") or (None, 0, 0)
+    if count:
+        sys.path.insert(1, str(Path(src).parent / "tests"))
+        from helpers import mutate_cert
+
+        rng = random.Random(f"differential/mutants/{seed}")
 
     checks = {
         "structured": lambda goal, cert: ordersat.check_prop_proof({goal}, cert),
@@ -87,8 +108,8 @@ def _run_child(src: str, cases: str, out: str, texts: str | None) -> None:
                 result[kernel] = "ok" if conclusion == ordersat.FLS_FORMULA else f"concludes {conclusion}"
         return result
 
-    side_file = open(texts, "w") if texts else contextlib.nullcontext()
-    with open(cases) as lines, open(out, "w") as records, side_file as side:
+    side_file = open(mutants_path, "w") if count else contextlib.nullcontext()
+    with open(job["cases"]) as lines, open(job["out"], "w") as records, side_file as side:
         for line in lines:
             case = json.loads(line)
             goal, table = ordersat.parse_input(case["goal"])
@@ -110,8 +131,9 @@ def _run_child(src: str, cases: str, out: str, texts: str | None) -> None:
                         record["verdict"] = "unsat"
                         record["cert"] = _digest(text)
                         record.update(kernels(goal, text))
-                        if side is not None:
-                            side.write(json.dumps({"id": case["id"], "goal": case["goal"], "cert": text}) + "\n")
+                        for j in range(count):
+                            mutant = ordersat.serialize_cert(mutate_cert(rng, verdict.certificate))
+                            side.write(json.dumps({"id": f"{case['id']}/m{j}", "goal": case["goal"], "cert": mutant}) + "\n")
             records.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -119,13 +141,13 @@ def _run_child(src: str, cases: str, out: str, texts: str | None) -> None:
 # The corpus
 
 
-def _goal_cases(seed: int, random_count: int, families: int) -> list[dict]:
+def _goal_cases(seed: int, random_formulas: int, families: int) -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
 
     rng = random.Random(f"differential/{seed}")
     cases = []
-    for i in range(random_count):
+    for i in range(random_formulas):
         for theory in ("partial", "linear"):
             text = workloads.render(workloads.random_formula(rng), list("abcd"))
             cases.append({"id": f"random/{i}/{theory}", "goal": text, "theory": theory})
@@ -136,87 +158,6 @@ def _goal_cases(seed: int, random_count: int, families: int) -> list[dict]:
         for theory in ("partial", "linear"):
             cases.append({"id": f"{name}/{theory}", "goal": text, "theory": theory})
     return cases
-
-
-# Words a mutant may replace by another of the same group: heads that take
-# the same arguments, polarities, atom kinds and the niladic conversions.
-_GROUPS = [
-    ("trans", "antisym"),
-    ("assm", "eqe1", "eqe2"),
-    ("and", "or"),
-    ("atom", "arg"),
-    ("binop", "then"),
-    ("+", "-"),
-    ("le", "lt", "eq"),
-    ("lessle", "nlessle", "nle", "nless", "allconv", "negatom", "negneg", "negand", "negor", "andorl", "andorr"),
-]
-_GROUP_OF = {word: group for group in _GROUPS for word in group}
-
-
-def _read_sexpr(tokens: list[str]) -> list:
-    """Nested lists of the tokens; a ``#n=`` label and the item it names are one 2-tuple."""
-    stack: list[list] = [[]]
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-            continue
-        item = stack.pop() if tok == ")" else tok
-        top = stack[-1]
-        if top and isinstance(top[-1], str) and top[-1][0] == "#" and top[-1][-1] == "=":
-            top[-1] = (top[-1], item)
-        else:
-            top.append(item)
-    return stack[0][0]
-
-
-def _write_sexpr(item) -> str:
-    if isinstance(item, str):
-        return item
-    if isinstance(item, tuple):
-        return item[0] + _write_sexpr(item[1])
-    return "(" + " ".join(_write_sexpr(part) for part in item) + ")"
-
-
-def _sites(item, out: list) -> list:
-    """Every (list, index) that holds an item, in pre-order."""
-    if isinstance(item, tuple):
-        item = item[1]
-    if isinstance(item, list):
-        for k, part in enumerate(item):
-            out.append((item, k))
-            _sites(part, out)
-    return out
-
-
-def mutate_text(rng: random.Random, text: str) -> str:
-    """``text`` with one node changed: a word swapped within its group, a
-    variable id moved by one, two neighbouring arguments swapped, or a list
-    replaced by one of its list arguments."""
-    tree = _read_sexpr(text.replace("(", " ( ").replace(")", " ) ").split())
-    sites = _sites(tree, [])
-    for _ in range(100):
-        parent, k = rng.choice(sites)
-        part = parent[k]
-        op = rng.randrange(3)
-        if op == 0 and isinstance(part, str):
-            if part in _GROUP_OF:
-                parent[k] = rng.choice([w for w in _GROUP_OF[part] if w != part])
-            elif re.fullmatch(r"v\d+", part):
-                n = int(part[1:])
-                parent[k] = f"v{n + 1 if n == 0 or rng.random() < 0.5 else n - 1}"
-            else:
-                continue
-        elif op == 1 and k >= 1 and k + 1 < len(parent):
-            parent[k], parent[k + 1] = parent[k + 1], parent[k]
-        elif op == 2 and isinstance(part, list):
-            inner = [p for p in part[1:] if isinstance(p, (list, tuple))]
-            if not inner:
-                continue
-            parent[k] = rng.choice(inner)
-        else:
-            continue
-        return _write_sexpr(tree)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +202,20 @@ def _extract(rev: str, into: Path) -> str:
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     archive = into / "src.tar"
-    subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), commit, "src"], check=True)
+    subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "-o", str(archive), commit, "src", "tests/helpers.py"], check=True
+    )
     with tarfile.open(archive) as tar:
         tar.extractall(into / "tree")
     return commit
 
 
-def _children(jobs: list[tuple[str, Path, Path, Path | None]]) -> None:
-    """Run one child per (tree's src, case file, record file, text file) at once."""
+def _children(jobs: list[dict]) -> None:
+    """Run one child per job (see ``_run_child``) at once."""
     procs = []
-    for src, cases, out, texts in jobs:
-        cmd = [sys.executable, "-I", str(Path(__file__).resolve()), "--child", src, "--cases", str(cases), "--out", str(out)]
-        if texts is not None:
-            cmd += ["--texts", str(texts)]
-        procs.append((src, subprocess.Popen(cmd, stderr=subprocess.PIPE, text=True)))
+    for job in jobs:
+        cmd = [sys.executable, "-I", str(Path(__file__).resolve()), "--child", json.dumps(job)]
+        procs.append((job["src"], subprocess.Popen(cmd, stderr=subprocess.PIPE, text=True)))
     failed = []
     for src, proc in procs:
         _, err = proc.communicate()
@@ -289,58 +230,32 @@ def _load(path: Path) -> list[dict]:
         return [json.loads(line) for line in lines]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="REV", help="revision whose src/ is the reference")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--random", type=int, default=2000, help="random formulas per theory")
-    parser.add_argument("--families", type=int, default=3, help="chains and ladders of each size")
-    parser.add_argument("--mutants", type=int, default=8, help="mutants per reference certificate")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    parser.add_argument("--cases", help=argparse.SUPPRESS)
-    parser.add_argument("--out", help=argparse.SUPPRESS)
-    parser.add_argument("--texts", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        _run_child(args.child, args.cases, args.out, args.texts)
-        return 0
-    if not args.against:
-        parser.error("--against REV is required")
-
+def differential(rev: str, seed: int) -> int:
+    """Compare this checkout's ``src/`` with ``rev``'s and print the summary; the exit code."""
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
         work = Path(tmp)
         try:
-            commit = _extract(args.against, work)
+            commit = _extract(rev, work)
         except subprocess.CalledProcessError as exc:
-            print(f"error: cannot extract src/ of {args.against!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot extract src/ and tests/helpers.py of {rev!r}: {exc}", file=sys.stderr)
             return 2
         old_src, new_src = str(work / "tree" / "src"), str(ROOT / "src")
 
-        goals = work / "goals.jsonl"
-        goal_cases = _goal_cases(args.seed, args.random, args.families)
+        goals, mutant_cases = work / "goals.jsonl", work / "mutants.jsonl"
+        goal_cases = _goal_cases(seed, RANDOM_FORMULAS, FAMILIES)
         goals.write_text("".join(json.dumps(case) + "\n" for case in goal_cases))
-        texts = work / "texts.jsonl"
         _children([
-            (old_src, goals, work / "old-goals.jsonl", texts),
-            (new_src, goals, work / "new-goals.jsonl", None),
+            {"src": old_src, "cases": str(goals), "out": str(work / "old-goals.jsonl"),
+             "mutants": [str(mutant_cases), MUTANTS, seed]},
+            {"src": new_src, "cases": str(goals), "out": str(work / "new-goals.jsonl")},
+        ])
+        _children([
+            {"src": old_src, "cases": str(mutant_cases), "out": str(work / "old-mutants.jsonl")},
+            {"src": new_src, "cases": str(mutant_cases), "out": str(work / "new-mutants.jsonl")},
         ])
 
-        rng = random.Random(f"differential/mutants/{args.seed}")
-        mutants = work / "mutants.jsonl"
-        certificates = 0
-        with open(texts) as lines, open(mutants, "w") as cases:
-            for line in lines:
-                certificates += 1
-                source = json.loads(line)
-                for j in range(args.mutants):
-                    text = mutate_text(rng, source["cert"])
-                    cases.write(json.dumps({"id": f"{source['id']}/m{j}", "goal": source["goal"], "cert": text}) + "\n")
-        _children([
-            (old_src, mutants, work / "old-mutants.jsonl", None),
-            (new_src, mutants, work / "new-mutants.jsonl", None),
-        ])
-
-        old = _load(work / "old-goals.jsonl") + _load(work / "old-mutants.jsonl")
+        old_goals, old_mutants = _load(work / "old-goals.jsonl"), _load(work / "old-mutants.jsonl")
+        old = old_goals + old_mutants
         new = _load(work / "new-goals.jsonl") + _load(work / "new-mutants.jsonl")
 
     if len(old) != len(new) or any(a["id"] != b["id"] for a, b in zip(old, new)):
@@ -348,13 +263,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     same, classes = compare(old, new)
     differ = len(old) - same
+    certificates = sum(record.get("verdict") == "unsat" for record in old_goals)
     print(
-        f"differential against {args.against} ({commit[:12]}): {len(old)} records, {same} identical, "
-        f"{differ} differ ({len(goal_cases)} goals, {certificates} certificates, {certificates * args.mutants} mutants)"
+        f"differential against {rev} ({commit[:12]}): {len(old)} records, {same} identical, "
+        f"{differ} differ ({len(goal_cases)} goals, {certificates} certificates, {len(old_mutants)} mutants)"
     )
     for (field, _, _), (count, case, x, y) in sorted(classes.items(), key=lambda item: -item[1][0]):
-        print(f"  {count} x {field}: {case}\n    {args.against}: {str(x)[:300]}\n    this tree: {str(y)[:300]}")
+        print(f"  {count} x {field}: {case}\n    {rev}: {str(x)[:300]}\n    this tree: {str(y)[:300]}")
     return 0 if differ == 0 else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="revision whose src/ is the reference")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _run_child(json.loads(args.child))
+        return 0
+    if not args.against:
+        parser.error("--against REV is required")
+    return differential(args.against, args.seed)
 
 
 if __name__ == "__main__":
