@@ -601,12 +601,31 @@ def _parse_literal(r: _Reader) -> Literal:
 
 
 def _parse_formula(r: _Reader) -> tuple[Formula, int]:
-    """The next formula, hash-consed, and the number of nodes in its tree."""
-    tok = r.next()
-    if tok != "(":
-        if tok[0] == "#":
-            return _parse_label(r, tok)
-        raise r.error(f"expected '(', got {quote_token(tok)}")
+    """The next formula, hash-consed, and the number of nodes in its tree.
+
+    The labels in front of it are read in this frame, so a labelled formula
+    nests no deeper than a plain one.  A label binds only once its formula
+    closes, so a formula cannot refer to itself and no cycle can form.
+    """
+    tok, defined = r.next(), ()
+    while tok != "(":
+        digits, mark, labels = tok[1:-1], tok[-1], r.labels
+        if tok[0] != "#":
+            raise r.error(f"expected '(', got {quote_token(tok)}")
+        if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
+            raise r.error(f"expected a formula or a label, got {quote_token(tok)}")
+        if mark == "#":
+            node = labels.get(digits)
+            if node is None:
+                raise r.error(f"undefined label {quote_token(tok)}")
+            for label in defined:
+                labels[label] = node
+            return node
+        if digits in labels:
+            raise r.error(f"label {quote_token(tok)} is defined twice")
+        labels[digits] = None
+        defined += (digits,)
+        tok = r.next()
     head = r.next()
     if head == "atom":
         key: tuple = _literal_fields(r)
@@ -634,25 +653,8 @@ def _parse_formula(r: _Reader) -> tuple[Formula, int]:
         else:
             f = (And if head == "and" else Or)(left[0], right[0])
         node = r.formulas[key] = f, size
-    return node
-
-
-def _parse_label(r: _Reader, tok: str) -> tuple[Formula, int]:
-    # ``tok`` was read last.  A label binds only once its formula closes,
-    # so a formula cannot refer to itself and no cycle can form.
-    digits, mark = tok[1:-1], tok[-1]
-    if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
-        raise r.error(f"expected a formula or a label, got {quote_token(tok)}")
-    labels = r.labels
-    if mark == "#":
-        node = labels.get(digits)
-        if node is None:
-            raise r.error(f"undefined label {quote_token(tok)}")
-        return node
-    if digits in labels:
-        raise r.error(f"label {quote_token(tok)} is defined twice")
-    labels[digits] = None
-    labels[digits] = node = _parse_formula(r)
+    for label in defined:
+        r.labels[label] = node
     return node
 
 

@@ -84,13 +84,11 @@ def build_partial_model(
 def linear_extension(r: Relation) -> Relation:
     """Deterministic total order on the same carrier containing ``r``.
 
+    ``r`` must be a partial order, which ``build_partial_model`` verified.
     Kahn's algorithm over the strict part with a min-heap of the elements
     whose predecessors are all emitted, so the smallest available element
     comes first, then the chain induced by the resulting sequence.
     """
-    props = relation_props(r)
-    if not (props.refl and props.trans and props.antisym):
-        raise ValueError("linear_extension needs a partial order as input")
     indegree = dict.fromkeys(r.carrier, 0)
     succ: dict[int, list[int]] = {c: [] for c in r.carrier}
     for a, b in r.pairs:

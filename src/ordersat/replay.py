@@ -11,12 +11,12 @@ applies it with the structured checker's ``apply_conv``, so each conversion
 rule is stated once, as its row of ``certs._RULES`` (the README's
 conversion table); conversion names are not proof constants.
 
-A proposition is a judgement or an implication, and a judgement is one
-of the certificate's own formulas: a hypothesis proves the formula it
-assumes.  Falsity is the structured checker's ``FLS_FORMULA``, so both
-kernels conclude the same value.  Each axiom of ``SIGMA`` is one
-``_schema`` call, a pair of its binders and ``premises => conclusion``, as
-in its row of the README's replay axiom table.  The schemas for the two
+A judgement is one of the certificate's own formulas: a hypothesis proves
+the formula it assumes.  Falsity is the structured checker's
+``FLS_FORMULA``, so both kernels conclude the same value.  Each axiom of
+``SIGMA`` is a row ``(binders, premises, conclusion)``, the rule
+``[P1; ...; Pn] ==> C`` of its row in the README's replay axiom table,
+where a premise is a pair ``(hypotheses, goal)``.  The rows for the two
 propositional axioms bind formulas; a hole node that only ever appears
 inside ``SIGMA`` marks the positions an axiom instance fills in.
 
@@ -26,16 +26,15 @@ id.  A formula value is never walked: formula binders occur only as holes
 of ``conje`` and ``disje``, which bind no variables.  Substitution
 therefore replaces binders only: it never captures a variable, never
 renames, and never touches ``v0``, the variable of falsity ``v0 != v0``.
-It keeps every binder-free part of a schema as it is, so the falsity of
+It keeps every binder-free part of a row as it is, so the falsity of
 each instance is the kernel's own ``FLS_FORMULA``, not a copy.
 A ``PThm`` names an axiom, a term for each of its binders and, in order,
-its premise proofs: a premise ``h1 => ... => hn => c`` is proved by a proof
-of ``c`` in the context plus ``h1 ... hn``, and what that proof proves is
-matched against ``c`` in place, reading each term where its binder stands.
-Only the conclusion left after the last premise is instantiated, so an
-instance with fewer premise proofs proves the rest of its schema.  The
-context is one set, which a premise's hypotheses and a conversion's result
-join, if absent, only while their proof replays.
+exactly one proof for each of its premises: a premise ``(hs, c)`` is
+proved by a proof of ``c`` in the context plus the instances of ``hs``,
+and what that proof proves is matched against ``c`` in place, reading
+each term where its binder stands.  Only the conclusion is instantiated.
+The context is one set, which a premise's hypotheses and a conversion's
+result join, if absent, only while their proof replays.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
 from .core import (
+    LE,
     And,
     Atom,
     Formula,
@@ -113,25 +113,12 @@ class ConvP(GPrf):
 
 
 # ---------------------------------------------------------------------------
-# Propositions
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Implies:
-    hyp: Prop
-    concl: Prop
-
-    def __str__(self) -> str:
-        hyp = f"({self.hyp})" if isinstance(self.hyp, Implies) else str(self.hyp)
-        return f"{hyp} => {self.concl}"
-
-
-Prop = Formula | Implies
+# The axiom environment
 
 
 @dataclass
 class FmHole(Formula):
-    """Formula placeholder; occurs only inside axiom schemas."""
+    """Formula placeholder; occurs only inside the rows of ``SIGMA``."""
 
     __slots__ = ("hole", "_hash")
     hole: VarId
@@ -145,9 +132,6 @@ class FmHole(Formula):
         return f"v{self.hole}"
 
 
-# ---------------------------------------------------------------------------
-# The axiom environment
-
 _X, _Y, _Z = -1, -2, -3
 _C, _D = FmHole(_X), FmHole(_Y)
 
@@ -160,30 +144,18 @@ def _neg(atom: OrderAtom) -> Atom:
     return Atom(Literal(False, atom))
 
 
-def _schema(binders: tuple[VarId, ...], *parts: Prop) -> tuple[tuple[VarId, ...], Prop]:
-    """``binders`` and ``p1 => ... => pn => c`` for ``parts`` p1, ..., pn, c.
+Premise = tuple[tuple[Formula, ...], Formula]
 
-    One call states one row of the README's replay axiom table, and each
-    part is placed as it is, so ``FLS_FORMULA`` is the kernel's own object.
-    """
-    prop = parts[-1]
-    for premise in reversed(parts[:-1]):
-        prop = Implies(premise, prop)
-    return binders, prop
-
-
-SIGMA: dict[str, tuple[tuple[VarId, ...], Prop]] = {
-    "refl": _schema((_X,), _pos(le(_X, _X))),
-    "trans": _schema((_X, _Y, _Z), _pos(le(_X, _Y)), _pos(le(_Y, _Z)), _pos(le(_X, _Z))),
-    "antisym": _schema((_X, _Y), _pos(le(_X, _Y)), _pos(le(_Y, _X)), _pos(eq(_X, _Y))),
-    "eqe1": _schema((_X, _Y), _pos(eq(_X, _Y)), _pos(le(_X, _Y))),
-    "eqe2": _schema((_X, _Y), _pos(eq(_X, _Y)), _pos(le(_Y, _X))),
-    "contr_le": _schema((_X, _Y), _neg(le(_X, _Y)), _pos(le(_X, _Y)), FLS_FORMULA),
-    "contr_eq": _schema((_X, _Y), _neg(eq(_X, _Y)), _pos(eq(_X, _Y)), FLS_FORMULA),
-    "conje": _schema((_X, _Y), And(_C, _D), Implies(_C, Implies(_D, FLS_FORMULA)), FLS_FORMULA),
-    "disje": _schema(
-        (_X, _Y), Or(_C, _D), Implies(_C, FLS_FORMULA), Implies(_D, FLS_FORMULA), FLS_FORMULA
-    ),
+SIGMA: dict[str, tuple[tuple[VarId, ...], tuple[Premise, ...], Formula]] = {
+    "refl": ((_X,), (), _pos(le(_X, _X))),
+    "trans": ((_X, _Y, _Z), (((), _pos(le(_X, _Y))), ((), _pos(le(_Y, _Z)))), _pos(le(_X, _Z))),
+    "antisym": ((_X, _Y), (((), _pos(le(_X, _Y))), ((), _pos(le(_Y, _X)))), _pos(eq(_X, _Y))),
+    "eqe1": ((_X, _Y), (((), _pos(eq(_X, _Y))),), _pos(le(_X, _Y))),
+    "eqe2": ((_X, _Y), (((), _pos(eq(_X, _Y))),), _pos(le(_Y, _X))),
+    "contr_le": ((_X, _Y), (((), _neg(le(_X, _Y))), ((), _pos(le(_X, _Y)))), FLS_FORMULA),
+    "contr_eq": ((_X, _Y), (((), _neg(eq(_X, _Y))), ((), _pos(eq(_X, _Y)))), FLS_FORMULA),
+    "conje": ((_X, _Y), (((), And(_C, _D)), ((_C, _D), FLS_FORMULA)), FLS_FORMULA),
+    "disje": ((_X, _Y), (((), Or(_C, _D)), ((_C,), FLS_FORMULA), ((_D,), FLS_FORMULA)), FLS_FORMULA),
 }
 
 
@@ -222,23 +194,11 @@ def _subst_fm(f: Formula, env: Env) -> Formula:
     raise ReplayError(f"not a formula: {f}")
 
 
-def _subst(prop: Prop, env: Env) -> Prop:
-    """Instantiate the binders in ``env`` together, in one walk of ``prop``.
-
-    A value is placed at a hole or variable position and never walked again,
-    and a subtree that holds no binder in ``env`` is returned as it is.
-    """
-    if isinstance(prop, Implies):
-        hyp, concl = _subst(prop.hyp, env), _subst(prop.concl, env)
-        return prop if hyp is prop.hyp and concl is prop.concl else Implies(hyp, concl)
-    return _subst_fm(prop, env)
-
-
 def _match(part: Formula, env: Env, f: object) -> bool:
-    """Whether ``_subst(part, env) == f``, found by walking ``part`` and ``f`` together.
+    """Whether ``_subst_fm(part, env) == f``, found by walking ``part`` and ``f`` together.
 
     No instance is built, and all of ``part`` is walked even past a mismatch,
-    so a value of the wrong kind raises ``_subst``'s error wherever it sits.
+    so a value of the wrong kind raises ``_subst_fm``'s error wherever it sits.
     """
     if isinstance(part, Atom):
         a, (x, y) = part.lit.atom, _ends(part.lit.atom, env)
@@ -258,23 +218,23 @@ def _match(part: Formula, env: Env, f: object) -> bool:
 Context = AbstractSet[Formula]
 
 
-def replay(context: Context, proof: GPrf) -> Prop:
-    """Return the proposition proved by ``proof`` in ``context``.
+def replay(context: Context, proof: GPrf) -> Formula:
+    """Return the formula proved by ``proof`` in ``context``.
 
     Each failure mode is distinct: unknown constants, an axiom given the
-    wrong number of terms, unbound hypotheses, too many premise proofs, a
+    wrong number of terms or of premise proofs, unbound hypotheses, a
     premise proof of the wrong conclusion, and conversion failures.
     ``context`` is copied once and left as it is.
     """
     return _replay(set(context), proof)
 
 
-def _replay(scope: set[Formula], proof: GPrf) -> Prop:
+def _replay(scope: set[Formula], proof: GPrf) -> Formula:
     if isinstance(proof, PThm):
         row = SIGMA.get(proof.name)
         if row is None:
             raise ReplayError(f"unknown proof constant {proof.name!r}")
-        binders, prop = row
+        binders, premises, conclusion = row
         if len(proof.terms) != len(binders):
             raise ReplayError(f"axiom {proof.name} takes {len(binders)} terms, got {len(proof.terms)}")
         for term in proof.terms:
@@ -282,22 +242,22 @@ def _replay(scope: set[Formula], proof: GPrf) -> Prop:
                 raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
             if isinstance(term, Literal):
                 raise ReplayError("cannot instantiate with a bare literal term")
+        if len(proof.premises) != len(premises):
+            raise ReplayError(
+                f"axiom {proof.name} takes {len(premises)} premise proofs, got {len(proof.premises)}"
+            )
         env = dict(zip(binders, proof.terms))
-        for premise in proof.premises:
-            if not isinstance(prop, Implies):
-                raise ReplayError(f"proof application needs an implication, got {_subst(prop, env)}")
-            goal, hyps = prop.hyp, set()
-            while isinstance(goal, Implies):
-                hyps.add(_subst(goal.hyp, env))
-                goal = goal.concl
-            hyps -= scope
-            scope |= hyps
-            proved = _replay(scope, premise)
-            scope -= hyps
+        for (hyps, goal), premise in zip(premises, proof.premises):
+            if hyps:
+                added = {_subst_fm(hyp, env) for hyp in hyps} - scope
+                scope |= added
+                proved = _replay(scope, premise)
+                scope -= added
+            else:
+                proved = _replay(scope, premise)
             if not _match(goal, env, proved):
-                raise ReplayError(f"proof application mismatch: expected {_subst(goal, env)}, got {proved}")
-            prop = prop.concl
-        return _subst(prop, env)
+                raise ReplayError(f"proof application mismatch: expected {_subst_fm(goal, env)}, got {proved}")
+        return _subst_fm(conclusion, env)
     if isinstance(proof, Bound):
         if proof.hyp not in scope:
             raise ReplayError(f"unbound hypothesis {proof.hyp}")
@@ -326,8 +286,10 @@ def _export_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
     The conclusion is structural; replay re-validates it.
     """
     if isinstance(proof, AssmP):
-        a = proof.lit.atom
-        return Bound(Atom(proof.lit)), a.x, a.y
+        lit = proof.lit
+        if not lit.pos or lit.atom.kind != LE:
+            raise ExportError(f"assumption rule expects a positive <=, got {lit}")
+        return Bound(Atom(lit)), lit.atom.x, lit.atom.y
     if isinstance(proof, ReflP):
         return PThm("refl", (proof.var,)), proof.var, proof.var
     if isinstance(proof, (TransP, AntisymP)):
@@ -357,8 +319,9 @@ def export(proof: PropProof, goal: Formula) -> GPrf:
     The result replays to falsity in the context ``frozenset({goal})``,
     which assumes only the goal.  Its terms are the certificate's own
     variable ids and formulas, passed through as they are.  The compilation
-    is structural and performs no checking of its own; replaying is what
-    validates it.
+    is structural, and replaying is what validates it.  Its one check is
+    that an ``assm`` cites a positive ``<=``, as the structured kernel's
+    rule requires, since a hypothesis may cite any formula in scope.
     """
     del goal  # the goal only matters when the result is replayed
     return _export_prop(proof)

@@ -7,7 +7,8 @@ rewrite of an atom is the checker's own ``apply_conv`` of its rule, so the
 two agree by construction.  ``to_nnf`` and ``to_dnf`` build the formula and
 its certificate together, in one walk, with no simplification and no clause
 deduplication.  The solver applies them in the order ``to_nnf``, one
-``amap_fm`` pass of a ``deless`` rewrite, then ``to_dnf``.
+``amap_fm`` pass of a ``deless`` rewrite, then ``to_dnf``, which takes a
+negation-free formula and only distributes it.
 
 Every transformation returns its input object for a subtree it leaves
 unchanged, so the clauses of a DNF are, by identity, subterms of the formula
@@ -174,31 +175,25 @@ def _dist_and(left: Formula, right: Formula) -> tuple[Formula, ConvProof]:
     return And(left, right), _ALLCONV
 
 
-def _dist(f: Formula) -> tuple[Formula, ConvProof]:
+def to_dnf(f: Formula) -> tuple[Formula, ConvProof]:
+    """Convert a formula in negation normal form to DNF, with a conversion certificate.
+
+    ``f`` must contain no Neg node, as ``to_nnf`` leaves it; a negation
+    raises StructureError.  Conjunctions are distributed over disjunctions
+    outermost-first with a left bias.  The result contains no Or node below
+    an And node; ``apply_conv`` of the returned certificate on ``f``
+    reproduces it.
+    """
     if isinstance(f, Atom):
         return f, _ALLCONV
     if isinstance(f, (And, Or)):
-        left, pl = _dist(f.left)
-        right, pr = _dist(f.right)
+        left, pl = to_dnf(f.left)
+        right, pr = to_dnf(f.right)
         if isinstance(f, And) and (isinstance(left, Or) or isinstance(right, Or)):
             result, pd = _dist_and(left, right)
             return result, then(_binop(pl, pr), pd)
         return _rebuilt(f, left, right), _binop(pl, pr)
     raise StructureError(f"negation survived NNF: {f!r}")
-
-
-def to_dnf(f: Formula) -> tuple[Formula, ConvProof]:
-    """Convert to disjunctive normal form with a conversion certificate.
-
-    Negations are pushed into the atoms first (``to_nnf``, the identity on
-    a negation-free input), then conjunctions are distributed over
-    disjunctions outermost-first with a left bias.  The
-    result contains no Neg node and no Or node below an And node;
-    ``apply_conv`` of the returned certificate on ``f`` reproduces it.
-    """
-    nnf, p1 = to_nnf(f)
-    dnf, p2 = _dist(nnf)
-    return dnf, then(p1, p2)
 
 
 def is_dnf(f: Formula) -> bool:

@@ -67,8 +67,6 @@ from ordersat.replay import (
     ExportError,
     FmHole,
     GPrf,
-    Implies,
-    Prop,
     PThm,
     ReplayError,
     SubstValue,
@@ -166,8 +164,36 @@ def list_kahn_sequence(r: Relation) -> list[int]:
 # ---------------------------------------------------------------------------
 # Sequential instantiation, the oracle for the replay kernel's axiom instances
 #
-# One binder at a time, each step walking the whole partial instance: the
-# replay kernel's earlier substitution, kept as the reference.
+# One binder at a time, each step walking the whole partial instance of the
+# row stated as one curried implication: the replay kernel's earlier
+# propositions and substitution, kept as the reference.
+
+
+@dataclasses.dataclass(frozen=True)
+class Implies:
+    hyp: Prop
+    concl: Prop
+
+    def __str__(self) -> str:
+        hyp = f"({self.hyp})" if isinstance(self.hyp, Implies) else str(self.hyp)
+        return f"{hyp} => {self.concl}"
+
+
+Prop = Formula | Implies
+
+
+def curried(premises, conclusion: Formula) -> Prop:
+    """A ``SIGMA`` row's premises and conclusion as ``p1 => ... => pn => c``.
+
+    A premise ``(hyps, goal)`` reads ``h1 => ... => hm => goal``.
+    """
+    prop: Prop = conclusion
+    for hyps, goal in reversed(premises):
+        premise: Prop = goal
+        for hyp in reversed(hyps):
+            premise = Implies(hyp, premise)
+        prop = Implies(premise, prop)
+    return prop
 
 
 def _rename_lit(lit: Literal, old: VarId, new: VarId) -> Literal:
@@ -216,7 +242,8 @@ def _subst(prop: Prop, binder: VarId, value: SubstValue) -> Prop:
 
 def sequential_instance(name: str, terms: list[SubstValue | Literal]) -> Prop:
     """The axiom ``name`` at ``terms``, its binders instantiated one at a time."""
-    binders, target = SIGMA[name]
+    binders, premises, conclusion = SIGMA[name]
+    target = curried(premises, conclusion)
     if len(terms) != len(binders):
         raise ReplayError(f"axiom {name} takes {len(binders)} terms, got {len(terms)}")
     for binder, term in zip(binders, terms):

@@ -425,11 +425,10 @@ def test_check_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys, kern
     assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
 
 
-def test_solve_refutes_a_formula_under_twenty_thousand_negations(tmp_path):
-    # Hashing, comparing and sizing such a formula's certificate once
-    # overflowed the C stack (SIGSEGV), so the CLI runs in a child process.
+def _solve_then_check_in_a_child(tmp_path, goal: str) -> None:
+    """``solve`` ``goal`` and check its certificate with both kernels, each in a child process."""
     source = tmp_path / "goal.txt"
-    source.write_text("~" * 20_000 + "x <= y & ~(x <= y)\n")
+    source.write_text(goal)
     cert = tmp_path / "proof.cert"
     package_root = os.path.dirname(os.path.dirname(ordersat.__file__))
     commands = [
@@ -446,6 +445,35 @@ def test_solve_refutes_a_formula_under_twenty_thousand_negations(tmp_path):
             timeout=120,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), command
+
+
+def test_solve_refutes_a_formula_under_twenty_thousand_negations(tmp_path):
+    # Hashing, comparing and sizing such a formula's certificate once
+    # overflowed the C stack (SIGSEGV), so the CLI runs in a child process.
+    _solve_then_check_in_a_child(tmp_path, "~" * 20_000 + "x <= y & ~(x <= y)\n")
+
+
+def test_both_kernels_accept_the_certificate_of_a_twenty_thousand_literal_conjunction(tmp_path):
+    # Its certificate nests 20,000 labelled conjunctions, which the reader
+    # once read in two call frames each and so ran out of stack.
+    literals = [f"x{i} <= y{i}" for i in range(19_999)] + ["~(x0 <= x0)"]
+    _solve_then_check_in_a_child(tmp_path, " & ".join(literals) + "\n")
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_both_kernels_reject_an_assumption_that_is_not_a_positive_le(tmp_path, capsys, kernel):
+    source = tmp_path / "goal.txt"
+    source.write_text("x = y & ~(x = y)\n")
+    cert = tmp_path / "proof.cert"
+    assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    text = cert.read_text()
+    derived = "(antisym (eqe1 (+ eq v0 v1)) (eqe2 (+ eq v0 v1)))"
+    assert derived in text
+    # The assumption holds in the goal, but the assm rule takes only a positive <=.
+    cert.write_text(text.replace(derived, "(assm (+ eq v0 v1))"))
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 3
+    assert capsys.readouterr().out == "rejected: assumption rule expects a positive <=, got v0 = v1\n"
 
 
 def _too_deep(*args, **kwargs):

@@ -72,11 +72,6 @@ def test_linear_extension_examples():
     assert linear_extension(diamond) == expected
 
 
-def test_linear_extension_rejects_non_posets():
-    with pytest.raises(ValueError):
-        linear_extension(Relation.make({0, 1}, {(0, 1), (1, 0), (0, 0), (1, 1)}))
-
-
 def test_linear_extension_properties_random():
     rng = random.Random(3)
     for _ in range(300):

@@ -54,11 +54,10 @@ from ordersat.replay import (
     ExportError,
     FmHole,
     GPrf,
-    Implies,
     PThm,
     ReplayError,
     _match,
-    _subst,
+    _subst_fm,
     export,
     replay,
     replay_refutation,
@@ -66,6 +65,8 @@ from ordersat.replay import (
 from ordersat.selfcheck import clause_formula, iter_clauses
 
 from helpers import (
+    Implies,
+    curried,
     curried_export,
     curried_replay,
     mutate_cert,
@@ -95,18 +96,21 @@ def test_sigma_names():
     }
 
 
-def _readme_row(binders, prop, names) -> str:
-    """The ``SIGMA`` row ``(binders, prop)`` in the notation of the README's replay axiom table."""
-    return f"!{' '.join(names[b] for b in binders)}. {_readme_notation(prop, names)}"
+def _readme_row(binders, premises, conclusion, names) -> str:
+    """The ``SIGMA`` row in the notation of the README's replay axiom table.
+
+    A premise with hypotheses reads ``(h1 => ... => goal)``.
+    """
+    parts = []
+    for hyps, goal in premises:
+        premise = " => ".join(_readme_notation(f, names) for f in (*hyps, goal))
+        parts.append(f"({premise})" if hyps else premise)
+    parts.append(_readme_notation(conclusion, names))
+    return f"!{' '.join(names[b] for b in binders)}. {' => '.join(parts)}"
 
 
 def _readme_notation(prop, names) -> str:
-    """``prop`` in the notation of the README's replay axiom table."""
-    if isinstance(prop, Implies):
-        hyp = _readme_notation(prop.hyp, names)
-        if isinstance(prop.hyp, Implies):
-            hyp = f"({hyp})"
-        return f"{hyp} => {_readme_notation(prop.concl, names)}"
+    """The formula ``prop`` in the notation of the README's replay axiom table."""
     if prop is FLS_FORMULA:
         return "Fls"
     if isinstance(prop, FmHole):
@@ -130,8 +134,8 @@ def test_sigma_states_the_rows_of_the_readme_axiom_table():
     # Variable binders read x, y, z; the formula binders of conje and disje read c, d.
     variables, formulas = {-1: "x", -2: "y", -3: "z"}, {-1: "c", -2: "d"}
     rendered = {
-        name: _readme_row(*schema, formulas if name in ("conje", "disje") else variables)
-        for name, schema in SIGMA.items()
+        name: _readme_row(*row, formulas if name in ("conje", "disje") else variables)
+        for name, row in SIGMA.items()
     }
     assert rendered == rows
 
@@ -166,22 +170,35 @@ def test_replay_premise_mismatch():
 
 
 def test_replay_needs_a_premise_for_each_premise_proof():
-    with pytest.raises(ReplayError, match="^proof application needs an implication, got v0 <= v0$"):
-        replay(frozenset(), PThm("refl", (0,), (PThm("refl", (0,)),)))
+    # Too many premise proofs are rejected before any of them replays.
     xy, yz = Atom(pos(le(0, 1))), Atom(pos(le(1, 2)))
-    extra = PThm("trans", (0, 1, 2), (Bound(xy), Bound(yz), Bound(xy)))
-    with pytest.raises(ReplayError, match="^proof application needs an implication, got v0 <= v2$"):
-        replay(frozenset({xy, yz}), extra)
+    with pytest.raises(ReplayError, match="^axiom refl takes 0 premise proofs, got 1$"):
+        replay(frozenset(), PThm("refl", (0,), (PThm("refl", (0,)),)))
+    for premises in ((Bound(xy), Bound(yz), Bound(xy)), (Bound(yz), Bound(yz), Bound(yz))):
+        with pytest.raises(ReplayError, match="^axiom trans takes 2 premise proofs, got 3$"):
+            replay(frozenset({xy}), PThm("trans", (0, 1, 2), premises))
+    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
+    body = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
+    with pytest.raises(ReplayError, match="^axiom conje takes 2 premise proofs, got 3$"):
+        replay(frozenset({And(c, d)}), PThm("conje", (c, d), (Bound(And(c, d)), body, body)))
+    with pytest.raises(ReplayError, match="^axiom disje takes 3 premise proofs, got 4$"):
+        replay(frozenset({Or(c, d)}), PThm("disje", (c, d), (Bound(Or(c, d)), body, body, body)))
 
 
-def test_fewer_premise_proofs_prove_the_rest_of_the_schema():
-    x, y, z = 4, 5, 6
-    xy = Atom(pos(le(x, y)))
-    proof = PThm("trans", (x, y, z), (Bound(xy),))
-    assert replay(frozenset({xy}), proof) == Implies(Atom(pos(le(y, z))), Atom(pos(le(x, z))))
-    c, d = Atom(pos(le(0, 1))), Atom(neg(eq(1, 2)))
-    proof = PThm("conje", (c, d), (Bound(And(c, d)),))
-    assert replay(frozenset({And(c, d)}), proof) == Implies(Implies(c, Implies(d, FLS_FORMULA)), FLS_FORMULA)
+def test_an_axiom_takes_exactly_one_proof_per_premise():
+    # Too few premise proofs are rejected before any of them replays, so no
+    # instance ever proves an implication.
+    xy, yz = Atom(pos(le(0, 1))), Atom(pos(le(1, 2)))
+    assert replay(frozenset({xy, yz}), PThm("trans", (0, 1, 2), (Bound(xy), Bound(yz)))) == Atom(pos(le(0, 2)))
+    for premises in ((), (Bound(xy),)):
+        with pytest.raises(ReplayError, match=f"^axiom trans takes 2 premise proofs, got {len(premises)}$"):
+            replay(frozenset({xy}), PThm("trans", (0, 1, 2), premises))
+    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
+    body = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
+    with pytest.raises(ReplayError, match="^axiom conje takes 2 premise proofs, got 1$"):
+        replay(frozenset({And(c, d)}), PThm("conje", (c, d), (Bound(And(c, d)),)))
+    with pytest.raises(ReplayError, match="^axiom disje takes 3 premise proofs, got 2$"):
+        replay(frozenset({Or(c, d)}), PThm("disje", (c, d), (Bound(Or(c, d)), body)))
 
 
 def test_a_premise_discharges_the_hypotheses_it_names_and_only_there():
@@ -274,18 +291,29 @@ def test_replay_axiom_takes_one_term_per_binder():
         replay(frozenset(), PThm("refl", ()))
 
 
+def _instance(name, terms):
+    """The row ``name`` with each part instantiated at ``terms`` by ``_subst_fm``, curried."""
+    binders, premises, conclusion = SIGMA[name]
+    return curried(*_subst_row(premises, conclusion, dict(zip(binders, terms))))
+
+
+def _subst_row(premises, conclusion, env):
+    """A row's premises and conclusion with ``env`` substituted into each part by ``_subst_fm``."""
+    premises = tuple((tuple(_subst_fm(h, env) for h in hyps), _subst_fm(goal, env)) for hyps, goal in premises)
+    return premises, _subst_fm(conclusion, env)
+
+
 def test_substitution_matches_direct_instantiation():
     # Instantiating trans at every triple equals writing the instance down.
     for x, y, z in itertools.product(range(4), repeat=3):
-        proof = PThm("trans", (x, y, z))
         expected = Implies(
             Atom(pos(le(x, y))),
             Implies(Atom(pos(le(y, z))), Atom(pos(le(x, z)))),
         )
-        assert replay(frozenset(), proof) == expected
-    # Same for the one-binder axiom.
+        assert _instance("trans", (x, y, z)) == expected
+    # Same for the one-binder axiom, which replay instantiates on its own.
     for x in range(4):
-        assert replay(frozenset(), PThm("refl", (x,))) == Atom(pos(le(x, x)))
+        assert replay(frozenset(), PThm("refl", (x,))) == _instance("refl", (x,)) == Atom(pos(le(x, x)))
     # And for every two-binder literal axiom.
     instances = {
         "antisym": lambda x, y: Implies(
@@ -302,8 +330,7 @@ def test_substitution_matches_direct_instantiation():
     }
     for name, instance in instances.items():
         for x, y in itertools.product(range(4), repeat=2):
-            proof = PThm(name, (x, y))
-            assert replay(frozenset(), proof) == instance(x, y), (name, x, y)
+            assert _instance(name, (x, y)) == instance(x, y), (name, x, y)
 
 
 def test_replay_rejects_binder_ids_in_terms():
@@ -314,36 +341,35 @@ def test_replay_rejects_binder_ids_in_terms():
 
 def test_a_term_of_the_wrong_kind_is_rejected_where_replay_first_reads_it():
     xy, c = Atom(pos(le(0, 1))), Atom(pos(le(2, 2)))
-    # trans reads z, here a formula, in its second premise and in its conclusion.
-    for premises in ((), (Bound(xy),), (Bound(xy), Bound(xy))):
-        with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
-            replay(frozenset({xy}), PThm("trans", (0, 1, c), premises))
+    # trans reads z, here a formula, first in its second premise.
+    with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
+        replay(frozenset({xy}), PThm("trans", (0, 1, c), (Bound(xy), Bound(xy))))
     # So an error in the first premise proof is reported before it.
     with pytest.raises(ReplayError, match=r"^unbound hypothesis v2 <= v2$"):
-        replay(frozenset({xy}), PThm("trans", (0, 1, c), (Bound(c),)))
+        replay(frozenset({xy}), PThm("trans", (0, 1, c), (Bound(c), Bound(xy))))
+    # refl reads x, here a formula, in its conclusion.
+    with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
+        replay(frozenset(), PThm("refl", (c,)))
     # disje reads d, here a variable id, in its first premise.
     with pytest.raises(ReplayError, match="^cannot fill a formula position with a variable$"):
-        replay(frozenset({Or(c, c)}), PThm("disje", (c, 3), (Bound(Or(c, c)),)))
+        replay(frozenset({Or(c, c)}), PThm("disje", (c, 3), (Bound(Or(c, c)), Bound(c), Bound(c))))
 
 
 def test_substitution_avoids_capture():
     # Instantiating x with the magnitudes of the other binder ids must not
     # confuse the instantiation of y and z.
-    proof = PThm("trans", (2, 3, 1))
     expected = Implies(
         Atom(pos(le(2, 3))),
         Implies(Atom(pos(le(3, 1))), Atom(pos(le(2, 1)))),
     )
-    assert replay(frozenset(), proof) == expected
+    assert _instance("trans", (2, 3, 1)) == expected
 
 
 def test_formula_instantiation_avoids_capture():
     # conje applied to formulas whose variables collide with the binder ids.
     c = Atom(pos(le(1, 2)))
     d = Atom(neg(eq(2, 2)))
-    proof = PThm("conje", (c, d))
-    prop = replay(frozenset(), proof)
-    assert prop == Implies(
+    assert _instance("conje", (c, d)) == Implies(
         And(c, d),
         Implies(Implies(c, Implies(d, FLS_FORMULA)), FLS_FORMULA),
     )
@@ -377,30 +403,32 @@ def _instances(draw):
 @given(_instances())
 def test_spine_instantiation_matches_the_sequential_oracle(instance):
     name, terms = instance
-    proof = PThm(name, tuple(terms))
     try:
         expected = sequential_instance(name, terms)
     except ReplayError:
+        premises = tuple(Bound(FLS_FORMULA) for _ in SIGMA[name][1])
         with pytest.raises(ReplayError):
-            replay(frozenset(), proof)
-    else:
-        assert replay(frozenset(), proof) == expected
+            replay(frozenset({FLS_FORMULA}), PThm(name, tuple(terms), premises))
+        return
+    assert _instance(name, terms) == expected
+    # Replay proves the instance's conclusion from a proof of each premise's goal.
+    goals, conclusion = [], expected
+    while isinstance(conclusion, Implies):
+        goal = conclusion.hyp
+        while isinstance(goal, Implies):
+            goal = goal.concl
+        goals.append(goal)
+        conclusion = conclusion.concl
+    proof = PThm(name, tuple(terms), tuple(Bound(goal) for goal in goals))
+    assert replay(frozenset(goals), proof) == conclusion
 
 
-def _row_parts(prop):
-    """Every formula part of a ``SIGMA`` row: each premise's hypotheses and conclusion, and its own."""
-    parts = []
-    while isinstance(prop, Implies):
-        premise = prop.hyp
-        while isinstance(premise, Implies):
-            parts.append(premise.hyp)
-            premise = premise.concl
-        parts.append(premise)
-        prop = prop.concl
-    return parts + [prop]
+def _row_parts(premises, conclusion):
+    """Every formula part of a ``SIGMA`` row: each premise's hypotheses and goal, and its conclusion."""
+    return [f for hyps, goal in premises for f in (*hyps, goal)] + [conclusion]
 
 
-_ROW_PARTS = [(name, part) for name, (_, prop) in SIGMA.items() for part in _row_parts(prop)]
+_ROW_PARTS = [(name, part) for name, (_, *row) in SIGMA.items() for part in _row_parts(*row)]
 
 
 def _root_mutants(f):
@@ -430,7 +458,7 @@ def _part_and_candidate(draw):
     values = st.one_of(kind, kind, st.integers(0, 5), _formulas, st.sampled_from([None, "v1"]))
     env = draw(st.dictionaries(st.sampled_from((-1, -2, -3)), values))
     try:
-        instance = _subst(part, env)
+        instance = _subst_fm(part, env)
     except ReplayError:
         return part, env, draw(_formulas)
     mutants = _root_mutants(instance) + [rebuild_formula(instance, random.Random(draw(st.integers(0, 99))))]
@@ -438,7 +466,8 @@ def _part_and_candidate(draw):
     return part, env, draw(st.one_of(st.sampled_from(candidates), _formulas))
 
 
-_XY, _CD = SIGMA["trans"][1].hyp, SIGMA["conje"][1].hyp
+# The goals of the first premises of trans and conje.
+_XY, _CD = SIGMA["trans"][1][0][1], SIGMA["conje"][1][0][1]
 
 
 @settings(max_examples=600, deadline=None)
@@ -451,7 +480,7 @@ _XY, _CD = SIGMA["trans"][1].hyp, SIGMA["conje"][1].hyp
 def test_matching_a_schema_part_agrees_with_instantiating_it(case):
     part, env, f = case
     try:
-        expected = _subst(part, env) == f
+        expected = _subst_fm(part, env) == f
     except ReplayError as exc:
         with pytest.raises(ReplayError, match=f"^{re.escape(str(exc))}$"):
             _match(part, env, f)
@@ -470,12 +499,11 @@ def test_a_schema_part_with_binders_does_not_match_itself():
 
 
 def _schema_formula_nodes():
-    nodes, stack = set(), [prop for _, prop in SIGMA.values()]
+    nodes, stack = set(), [part for _, part in _ROW_PARTS]
     while stack:
         node = stack.pop()
-        if isinstance(node, Formula):
-            nodes.add(node)
-        if isinstance(node, (Implies, And, Or, Neg)):
+        nodes.add(node)
+        if isinstance(node, (And, Or, Neg)):
             stack.extend(getattr(node, name) for name in node.__dataclass_fields__)
     return nodes
 
@@ -564,11 +592,12 @@ def test_instances_conclude_the_kernels_own_falsity():
     chain = PThm("trans", (x, m, y), (Bound(xm), Bound(my)))
     proof = PThm("contr_le", (x, y), (Bound(hyp), chain))
     assert replay(frozenset({hyp, xm, my}), proof) is FLS_FORMULA
-    c, d = Atom(pos(le(0, 1))), Atom(neg(eq(1, 2)))
-    # conje c d: (c & d) => (c => d => Fls) => Fls
-    instance = replay(frozenset(), PThm("conje", (c, d)))
-    assert instance.concl.hyp.concl.concl is FLS_FORMULA
-    assert instance.concl.concl is FLS_FORMULA
+    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
+    body = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
+    assert replay(frozenset({And(c, d)}), PThm("conje", (c, d), (Bound(And(c, d)), body))) is FLS_FORMULA
+    # conje c d: [c & d; (c, d) => Fls] ==> Fls
+    premises, conclusion = _subst_row(*SIGMA["conje"][1:], {-1: c, -2: d})
+    assert premises[1][1] is conclusion is FLS_FORMULA
 
 
 @pytest.mark.parametrize(
@@ -603,6 +632,8 @@ def test_replay_agrees_with_the_curried_kernel():
     # bound each hypothesis with its own abstraction is the reference, on
     # certificates and their mutants.  Only a premise mismatch may read
     # differently: it names the premise's conclusion, not the whole premise.
+    # And export rejects an assm of anything but a positive <=, as the
+    # structured kernel does, where the curried compiler passed it on.
     rng = random.Random(19)
     corpus = []
     for theory in Theory:
@@ -612,7 +643,7 @@ def test_replay_agrees_with_the_curried_kernel():
             verdict = decide(f, theory)
             if isinstance(verdict, Unsat):
                 corpus.append((f, verdict.certificate))
-    checked = changed = 0
+    checked = changed = assm = 0
     for f, cert in corpus:
         for proof in [cert] + [mutate_cert(rng, cert) for _ in range(3)]:
             new = _replayed(lambda p: export(p, f), replay, proof, f)
@@ -621,13 +652,17 @@ def test_replay_agrees_with_the_curried_kernel():
             checked += 1
             if new == old:
                 continue
+            if new[0] == "ExportError":
+                assert new[1].startswith("assumption rule expects a positive <=, got "), proof
+                assm += 1
+                continue
             changed += 1
             mismatch = "proof application mismatch: expected "
             assert new[0] == old[0] == "ReplayError", proof
             assert new[1].startswith(mismatch) and old[1].startswith(mismatch), proof
             assert old[1].endswith(new[1].split(", got ", 1)[1]), proof
     assert checked >= 1_500
-    assert changed > 0
+    assert changed > 0 and assm > 0
 
 
 def test_proof_terms_and_literals_carry_no_instance_dict():
@@ -640,7 +675,6 @@ def test_proof_terms_and_literals_carry_no_instance_dict():
         Bound(f),
         PThm("eqe1", (0, 1), (Bound(f),)),
         ConvP(f, Rule("lessle"), Bound(f)),
-        Implies(f, f),
         FmHole(-1),
         f,
         And(f, f),
@@ -823,42 +857,36 @@ def test_rejected_mutants_also_rejected_by_replay():
     assert min(checked.values()) > 100
 
 
-def _row_holds(binders, prop, rel, valuation, pool):
-    """Whether ``prop`` holds for every value of ``binders``, taken one at a time."""
+def _row_holds(binders, premises, conclusion, rel, valuation, pool):
+    """Whether the row holds for every value of ``binders``, taken one at a time."""
     if not binders:
-        return _prop_holds(prop, rel, valuation)
+
+        def holds(f):
+            return eval_formula(rel, valuation, f)
+
+        premises_hold = all(not all(map(holds, hyps)) or holds(goal) for hyps, goal in premises)
+        return not premises_hold or holds(conclusion)
     binder, rest = binders[0], binders[1:]
-    if _has_hole(prop, binder):
-        return all(_row_holds(rest, _subst(prop, {binder: f}), rel, valuation, pool) for f in pool)
+    if any(_has_hole(part, binder) for part in _row_parts(premises, conclusion)):
+        return all(
+            _row_holds(rest, *_subst_row(premises, conclusion, {binder: f}), rel, valuation, pool)
+            for f in pool
+        )
     return all(
-        _row_holds(rest, prop, rel, {**valuation, binder: c}, pool) for c in rel.carrier
+        _row_holds(rest, premises, conclusion, rel, {**valuation, binder: c}, pool) for c in rel.carrier
     )
 
 
-def _prop_holds(prop, rel, valuation):
-    if isinstance(prop, Formula):
-        return eval_formula(rel, valuation, prop)
-    if isinstance(prop, Implies):
-        return (not _prop_holds(prop.hyp, rel, valuation)) or _prop_holds(
-            prop.concl, rel, valuation
-        )
-    raise AssertionError(f"unexpected proposition {prop!r}")
-
-
-def _has_hole(prop, binder):
-    if isinstance(prop, Formula):
-        stack = [prop]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, FmHole) and f.hole == binder:
-                return True
-            if isinstance(f, (And, Or)):
-                stack.extend((f.left, f.right))
-            elif isinstance(f, Neg):
-                stack.append(f.arg)
-        return False
-    if isinstance(prop, Implies):
-        return _has_hole(prop.hyp, binder) or _has_hole(prop.concl, binder)
+def _has_hole(f, binder):
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, FmHole) and f.hole == binder:
+            return True
+        if isinstance(f, (And, Or)):
+            stack.extend((f.left, f.right))
+        elif isinstance(f, Neg):
+            stack.append(f.arg)
     return False
 
 
@@ -872,8 +900,8 @@ def test_sigma_axioms_semantically_valid():
         Or(Atom(pos(eq(1, 1))), Atom(pos(lt(0, 2)))),
         Neg(Atom(pos(le(2, 1)))),
     ]
-    for name, (binders, prop) in SIGMA.items():
+    for name, (binders, premises, conclusion) in SIGMA.items():
         for k in (1, 2, 3):
             for rel in enumerate_posets(k):
                 for valuation in iter_valuations({0, 1, 2}, rel.carrier):
-                    assert _row_holds(binders, prop, rel, valuation, pool), name
+                    assert _row_holds(binders, premises, conclusion, rel, valuation, pool), name

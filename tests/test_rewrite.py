@@ -39,6 +39,7 @@ from ordersat.rewrite import (
     disj_clauses,
     is_dnf,
     to_dnf,
+    to_nnf,
 )
 
 atoms = st.builds(
@@ -159,25 +160,30 @@ def test_to_dnf_examples():
     dnf, _ = to_dnf(And(Or(a, b), c))
     assert dnf == Or(And(a, c), And(b, c))
 
-    dnf, _ = to_dnf(Neg(Atom(pos(le(0, 1)))))
+    dnf, _ = to_dnf(to_nnf(Neg(Atom(pos(le(0, 1)))))[0])
     assert dnf == Atom(neg(le(0, 1)))
 
-    dnf, _ = to_dnf(Neg(And(a, b)))
+    dnf, _ = to_dnf(to_nnf(Neg(And(a, b)))[0])
     assert dnf == Or(Atom(a.lit.negate()), Atom(b.lit.negate()))
+
+    # to_dnf only distributes: it takes its input in negation normal form.
+    with pytest.raises(StructureError, match="^negation survived NNF"):
+        to_dnf(And(a, Neg(b)))
 
 
 @given(formulas)
 @settings(max_examples=200, deadline=None)
 def test_to_dnf_shape(f):
-    dnf, _ = to_dnf(f)
+    dnf, _ = to_dnf(to_nnf(f)[0])
     assert is_dnf(dnf)
 
 
 @given(formulas)
 @settings(max_examples=200, deadline=None)
 def test_to_dnf_certificate_applies(f):
-    dnf, proof = to_dnf(f)
-    assert apply_conv(proof, f) == dnf
+    nnf, _ = to_nnf(f)
+    dnf, proof = to_dnf(nnf)
+    assert apply_conv(proof, nnf) == dnf
 
 
 def _eval_propositional(f: Formula, assignment) -> bool:
@@ -194,7 +200,7 @@ def _eval_propositional(f: Formula, assignment) -> bool:
 @given(formulas)
 @settings(max_examples=150, deadline=None)
 def test_to_dnf_propositionally_equivalent(f):
-    dnf, _ = to_dnf(f)
+    dnf, _ = to_dnf(to_nnf(f)[0])
     distinct = sorted({l.atom for l in formula_literals(f)}, key=str)
     for values in itertools.product((False, True), repeat=len(distinct)):
         assignment = dict(zip(distinct, values))
@@ -240,5 +246,5 @@ def test_preprocess_has_one_conversion_that_applies(f):
 
 @given(formulas)
 def test_preprocess_partial_matches_deless_then_dnf(f):
-    assert preprocess(f, Theory.PARTIAL).result == to_dnf(amap_fm(deless_partial, f))[0]
+    assert preprocess(f, Theory.PARTIAL).result == to_dnf(to_nnf(amap_fm(deless_partial, f))[0])[0]
 
