@@ -33,7 +33,7 @@ from .certs import (
 from .closure import Sat, Unsat, decide
 from .model import Model
 from .oracle import MAX_CARRIER
-from .replay import ExportError, ReplayError, export, replay
+from .replay import ReplayError, replay
 from .selfcheck import run_agreement
 
 EXIT_OK = 0
@@ -163,18 +163,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         if args.kernel == "structured":
             conclusion = check_prop_proof({goal}, cert)
-            what = "certificate"
         else:
-            conclusion = replay(frozenset({goal}), export(cert, goal))
-            what = "proof term"
-    except (ProofError, ConversionError, ExportError, ReplayError) as exc:
+            conclusion = replay(frozenset({goal}), cert)
+    except (ProofError, ConversionError, ReplayError) as exc:
         print(f"rejected: {_bounded(exc)}")
         return EXIT_REJECTED
     except RecursionError:
         print(f"rejected: certificate nested too deeply for the {args.kernel} kernel")
         return EXIT_REJECTED
     if conclusion != FLS_FORMULA:
-        print(f"rejected: {_bounded(f'{what} concludes {conclusion}, not falsity')}")
+        print(f"rejected: {_bounded(f'certificate concludes {conclusion}, not falsity')}")
         return EXIT_REJECTED
     print("ok")
     return EXIT_OK

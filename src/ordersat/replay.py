@@ -1,40 +1,37 @@
-"""Generic replay kernel: proof terms and the axiom table.
+"""Generic replay kernel: a certificate read as instances of an axiom table.
 
-A second, structure-agnostic checker.  Certificates are compiled into a
-small lambda-free proof-term language (axiom instances with their premise
-proofs, hypotheses, conversions) and replayed against an axiom environment
-``SIGMA``.  The terms of that language are the certificate's
-own variable ids and formulas.  A hypothesis is named by the formula it
-assumes rather than by a de Bruijn index, so a context is a set of
-formulas.  A conversion step carries the certificate's own conversion and
-applies it with the structured checker's ``apply_conv``, so each conversion
-rule is stated once, as its row of ``certs._RULES`` (the README's
-conversion table); conversion names are not proof constants.
+A second, structure-agnostic checker.  It walks a structured certificate
+and reads each node as an instance of one axiom of ``SIGMA``, the README's
+replay axiom table, checking each instance where it stands, so no separate
+proof object is built (the LCF discipline).  ``contr`` is ``contr_le`` or
+``contr_eq`` by its literal's kind, and every other rule node is the row of
+its name.  ``lift`` adds nothing, ``assm`` cites a positive ``<=``, and
+``conv`` applies the certificate's conversion with the structured
+checker's ``apply_conv``, so each conversion rule is stated once, as its
+row of ``certs._RULES`` (the README's conversion table).
 
-A judgement is one of the certificate's own formulas: a hypothesis proves
-the formula it assumes.  Falsity is the structured checker's
-``FLS_FORMULA``, so both kernels conclude the same value.  Each axiom of
-``SIGMA`` is a row ``(binders, premises, conclusion)``, the rule
-``[P1; ...; Pn] ==> C`` of its row in the README's replay axiom table,
-where a premise is a pair ``(hypotheses, goal)``.  The rows for the two
-propositional axioms bind formulas; a hole node that only ever appears
-inside ``SIGMA`` marks the positions an axiom instance fills in.
+A row ``(binders, premises, conclusion)`` is the rule ``[P1; ...; Pn] ==>
+C``, a premise a pair ``(hypotheses, goal)``; a hole node that occurs only
+in ``SIGMA`` marks the formula positions of ``conje`` and ``disje``.  A
+node's fields give its row's terms: the variable of ``refl``, the ends of
+the literal of ``eqe1``, ``eqe2`` and ``contr``, and the formulas of
+``conje`` and ``disje``.  ``trans`` and ``antisym`` bind theirs as their
+premises are matched: the first premise conclusion that holds a binder
+binds it, and the later ones are checked against it.  A premise is proved
+by a sub-proof, replayed with the premise's hypotheses in the context, or
+by a formula the node cites (its literal, or its conjunction or
+disjunction), which must be in the context.  Only the conclusion is
+instantiated; a premise's goal is matched in place.
 
-Axiom binders are the negative ids -1, -2 and -3, and the kernel rejects a
-negative variable id as a term, so no instantiation value can be a bound
-id.  A formula value is never walked: formula binders occur only as holes
-of ``conje`` and ``disje``, which bind no variables.  Substitution
-therefore replaces binders only: it never captures a variable, never
-renames, and never touches ``v0``, the variable of falsity ``v0 != v0``.
-It keeps every binder-free part of a row as it is, so the falsity of
-each instance is the kernel's own ``FLS_FORMULA``, not a copy.
-A ``PThm`` names an axiom, a term for each of its binders and, in order,
-exactly one proof for each of its premises: a premise ``(hs, c)`` is
-proved by a proof of ``c`` in the context plus the instances of ``hs``,
-and what that proof proves is matched against ``c`` in place, reading
-each term where its binder stands.  Only the conclusion is instantiated.
-The context is one set, which a premise's hypotheses and a conversion's
-result join, if absent, only while their proof replays.
+Judgements are the certificate's own formulas, and falsity is the
+structured checker's ``FLS_FORMULA``.  No variable can be captured:
+substitution and matching walk only the rows of ``SIGMA``, whose variable
+positions hold the binders -1, -2 and -3 or the ``v0`` of falsity, and a
+value (a certificate's variable id or formula) placed at a binder's
+position is never walked again.  So no certificate variable, whatever its
+id, is taken for a binder, and each instance concludes the kernel's own
+``FLS_FORMULA``.  The context is one set; a premise's hypotheses and a
+conversion's result join it, if absent, only while their proof replays.
 """
 
 from __future__ import annotations
@@ -63,9 +60,8 @@ from .certs import (
     CertProof,
     ConjE,
     ContrP,
-    ConvProof,
-    ConvRule,
     ConversionError,
+    ConvRule,
     DisjE,
     EQE1P,
     EQE2P,
@@ -78,38 +74,7 @@ from .certs import (
 
 
 class ReplayError(OrderSatError):
-    """A proof term failed to replay."""
-
-
-class ExportError(OrderSatError):
-    """A structured certificate could not be compiled into a proof term."""
-
-
-# ---------------------------------------------------------------------------
-# Proof terms
-
-
-class GPrf:
-    __slots__ = ()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class PThm(GPrf):
-    name: str
-    terms: tuple[VarId | Formula, ...]
-    premises: tuple[GPrf, ...] = ()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Bound(GPrf):
-    hyp: Formula
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ConvP(GPrf):
-    source: Formula
-    conversion: ConvProof
-    proof: GPrf
+    """A certificate failed to replay."""
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +159,23 @@ def _subst_fm(f: Formula, env: Env) -> Formula:
     raise ReplayError(f"not a formula: {f}")
 
 
-def _match(part: Formula, env: Env, f: object) -> bool:
+def _match(part: Formula, env: dict[VarId, SubstValue], f: object) -> bool:
     """Whether ``_subst_fm(part, env) == f``, found by walking ``part`` and ``f`` together.
 
-    No instance is built, and all of ``part`` is walked even past a mismatch,
+    A binder at an end of an atom of ``part`` that ``env`` does not hold yet
+    is first bound, in ``env``, to the variable at that end of ``f``.  No
+    instance is built, and all of ``part`` is walked even past a mismatch,
     so a value of the wrong kind raises ``_subst_fm``'s error wherever it sits.
     """
     if isinstance(part, Atom):
-        a, (x, y) = part.lit.atom, _ends(part.lit.atom, env)
-        b = f.lit.atom if type(f) is Atom else None
+        a, b = part.lit.atom, f.lit.atom if type(f) is Atom else None
+        if b is not None:
+            # Only binders are negative in a row; ``v0`` of falsity is not one.
+            if a.x < 0:
+                env.setdefault(a.x, b.x)
+            if a.y < 0:
+                env.setdefault(a.y, b.y)
+        x, y = _ends(a, env)
         return b is not None and f.lit.pos == part.lit.pos and (b.kind, b.x, b.y) == (a.kind, x, y)
     if isinstance(part, (And, Or)):
         same = type(f) is type(part)
@@ -216,53 +189,60 @@ def _match(part: Formula, env: Env, f: object) -> bool:
 # Replay
 
 Context = AbstractSet[Formula]
+Node = PropProof | CertProof
 
 
-def replay(context: Context, proof: GPrf) -> Formula:
-    """Return the formula proved by ``proof`` in ``context``.
+def replay(context: Context, proof: Node) -> Formula:
+    """Return the formula that the certificate ``proof`` proves in ``context``.
 
-    Each failure mode is distinct: unknown constants, an axiom given the
-    wrong number of terms or of premise proofs, unbound hypotheses, a
-    premise proof of the wrong conclusion, and conversion failures.
     ``context`` is copied once and left as it is.
     """
     return _replay(set(context), proof)
 
 
-def _replay(scope: set[Formula], proof: GPrf) -> Formula:
-    if isinstance(proof, PThm):
-        row = SIGMA.get(proof.name)
-        if row is None:
-            raise ReplayError(f"unknown proof constant {proof.name!r}")
-        binders, premises, conclusion = row
-        if len(proof.terms) != len(binders):
-            raise ReplayError(f"axiom {proof.name} takes {len(binders)} terms, got {len(proof.terms)}")
-        for term in proof.terms:
-            if isinstance(term, int) and term < 0:
-                raise ReplayError(f"negative variable ids are reserved for axiom binders: v{term}")
-            if isinstance(term, Literal):
-                raise ReplayError("cannot instantiate with a bare literal term")
-        if len(proof.premises) != len(premises):
-            raise ReplayError(
-                f"axiom {proof.name} takes {len(premises)} premise proofs, got {len(proof.premises)}"
-            )
-        env = dict(zip(binders, proof.terms))
-        for (hyps, goal), premise in zip(premises, proof.premises):
-            if hyps:
-                added = {_subst_fm(hyp, env) for hyp in hyps} - scope
-                scope |= added
-                proved = _replay(scope, premise)
-                scope -= added
-            else:
-                proved = _replay(scope, premise)
-            if not _match(goal, env, proved):
-                raise ReplayError(f"proof application mismatch: expected {_subst_fm(goal, env)}, got {proved}")
-        return _subst_fm(conclusion, env)
-    if isinstance(proof, Bound):
-        if proof.hyp not in scope:
-            raise ReplayError(f"unbound hypothesis {proof.hyp}")
-        return proof.hyp
-    if isinstance(proof, ConvP):
+def _cite(scope: set[Formula], f: Formula) -> Formula:
+    if f not in scope:
+        raise ReplayError(f"unbound hypothesis {f}")
+    return f
+
+
+def _instance(scope: set[Formula], proof: Node) -> tuple[str, dict[VarId, SubstValue], tuple]:
+    """The row that ``proof`` instantiates, the terms its fields give, and its premises.
+
+    A premise is a sub-proof or a formula the node cites, looked up in ``scope``.
+    Nothing is replayed, so a certificate level costs one frame, of ``_replay``.
+    """
+    if isinstance(proof, ReflP):
+        return "refl", {_X: proof.var}, ()
+    if isinstance(proof, (TransP, AntisymP)):
+        return "trans" if isinstance(proof, TransP) else "antisym", {}, (proof.left, proof.right)
+    if isinstance(proof, (EQE1P, EQE2P, ContrP)):
+        a = proof.lit.atom
+        env: dict[VarId, SubstValue] = {_X: a.x, _Y: a.y}
+        if isinstance(proof, ContrP):
+            name = f"contr_{a.kind}"
+            if name not in SIGMA:
+                raise ReplayError("no contradiction axiom for strict atoms")
+            return name, env, (_cite(scope, Atom(proof.lit)), proof.proof)
+        return "eqe1" if isinstance(proof, EQE1P) else "eqe2", env, (_cite(scope, Atom(proof.lit)),)
+    if isinstance(proof, ConjE):
+        conjunction = _cite(scope, And(proof.left, proof.right))
+        return "conje", {_X: proof.left, _Y: proof.right}, (conjunction, proof.proof)
+    if isinstance(proof, DisjE):
+        disjunction = _cite(scope, Or(proof.left, proof.right))
+        return "disje", {_X: proof.left, _Y: proof.right}, (disjunction, proof.left_proof, proof.right_proof)
+    raise ReplayError(f"unknown certificate node {proof!r}")
+
+
+def _replay(scope: set[Formula], proof: Node) -> Formula:
+    while isinstance(proof, Lift):
+        proof = proof.proof
+    if isinstance(proof, AssmP):
+        lit = proof.lit
+        if not lit.pos or lit.atom.kind != LE:
+            raise ReplayError(f"assumption rule expects a positive <=, got {lit}")
+        return _cite(scope, Atom(lit))
+    if isinstance(proof, ConvRule):
         if proof.source not in scope:
             raise ReplayError(f"conversion source {proof.source} is not in the context")
         try:
@@ -274,76 +254,36 @@ def _replay(scope: set[Formula], proof: GPrf) -> Formula:
         proved = _replay(scope, proof.proof)
         scope -= added
         return proved
-    raise ReplayError(f"unknown proof term {proof!r}")
+    name, env, proofs = _instance(scope, proof)
+    _, premises, conclusion = SIGMA[name]
+    for (hyps, goal), premise in zip(premises, proofs):
+        if isinstance(premise, Formula):
+            proved = premise
+        elif hyps:
+            added = {_subst_fm(hyp, env) for hyp in hyps} - scope
+            scope |= added
+            proved = _replay(scope, premise)
+            scope -= added
+        else:
+            proved = _replay(scope, premise)
+        if not _match(goal, env, proved):
+            raise ReplayError(f"proof application mismatch: expected {_subst_fm(goal, env)}, got {proved}")
+    return _subst_fm(conclusion, env)
 
 
-# ---------------------------------------------------------------------------
-# Export from structured certificates
+def export(proof: PropProof, goal: Formula) -> PropProof:
+    """``proof`` itself, since replay reads the certificate.
 
-def _export_atom(proof: CertProof) -> tuple[GPrf, VarId, VarId]:
-    """The proof term of an atom proof and the two variables its conclusion relates.
-
-    The conclusion is structural; replay re-validates it.
+    Kept for ``bench/run.py``, ``bench/spans.py``, ``tests/test_acceptance.py``
+    and ``tools/differential.py`` (which also runs older trees that compile
+    before they replay); ROADMAP item 1 removes it.
     """
-    if isinstance(proof, AssmP):
-        lit = proof.lit
-        if not lit.pos or lit.atom.kind != LE:
-            raise ExportError(f"assumption rule expects a positive <=, got {lit}")
-        return Bound(Atom(lit)), lit.atom.x, lit.atom.y
-    if isinstance(proof, ReflP):
-        return PThm("refl", (proof.var,)), proof.var, proof.var
-    if isinstance(proof, (TransP, AntisymP)):
-        left, x, y = _export_atom(proof.left)
-        right, _, z = _export_atom(proof.right)
-        if isinstance(proof, TransP):
-            return PThm("trans", (x, y, z), (left, right)), x, z
-        return PThm("antisym", (x, y), (left, right)), x, y
-    if isinstance(proof, (EQE1P, EQE2P)):
-        a = proof.lit.atom
-        name, x, y = ("eqe1", a.x, a.y) if isinstance(proof, EQE1P) else ("eqe2", a.y, a.x)
-        return PThm(name, (a.x, a.y), (Bound(Atom(proof.lit)),)), x, y
-    if isinstance(proof, ContrP):
-        a = proof.lit.atom
-        name = f"contr_{a.kind}"
-        if name not in SIGMA:
-            raise ExportError("no contradiction axiom for strict atoms")
-        premises = (Bound(Atom(proof.lit)), _export_atom(proof.proof)[0])
-        # Falsity ``v0 != v0`` relates v0 to itself.
-        return PThm(name, (a.x, a.y), premises), 0, 0
-    raise ExportError(f"unknown atom proof node {proof!r}")
+    del goal
+    return proof
 
 
-def export(proof: PropProof, goal: Formula) -> GPrf:
-    """Compile a structured refutation of ``goal`` into a proof term.
-
-    The result replays to falsity in the context ``frozenset({goal})``,
-    which assumes only the goal.  Its terms are the certificate's own
-    variable ids and formulas, passed through as they are.  The compilation
-    is structural, and replaying is what validates it.  Its one check is
-    that an ``assm`` cites a positive ``<=``, as the structured kernel's
-    rule requires, since a hypothesis may cite any formula in scope.
-    """
-    del goal  # the goal only matters when the result is replayed
-    return _export_prop(proof)
-
-
-def _export_prop(proof: PropProof) -> GPrf:
-    if isinstance(proof, Lift):
-        return _export_atom(proof.proof)[0]
-    if isinstance(proof, ConjE):
-        premises = (Bound(And(proof.left, proof.right)), _export_prop(proof.proof))
-        return PThm("conje", (proof.left, proof.right), premises)
-    if isinstance(proof, DisjE):
-        disjunction = Bound(Or(proof.left, proof.right))
-        cases = (_export_prop(proof.left_proof), _export_prop(proof.right_proof))
-        return PThm("disje", (proof.left, proof.right), (disjunction, *cases))
-    if isinstance(proof, ConvRule):
-        return ConvP(proof.source, proof.conversion, _export_prop(proof.proof))
-    raise ExportError(f"unknown propositional proof node {proof!r}")
-
-
-def replay_refutation(proof: GPrf, goal: Formula) -> bool:
-    """True iff ``proof`` replays to falsity assuming only ``goal``."""
+def replay_refutation(proof: Node, goal: Formula) -> bool:
+    """True iff the certificate ``proof`` replays to falsity assuming only ``goal``."""
     try:
         return replay(frozenset({goal}), proof) == FLS_FORMULA
     except ReplayError:

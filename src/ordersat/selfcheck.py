@@ -28,7 +28,7 @@ from .certs import FLS_FORMULA, check_prop_proof
 from .closure import Sat, Unsat, decide
 from .model import verify_model
 from .oracle import brute_sat
-from .replay import export, replay_refutation
+from .replay import replay_refutation
 
 
 def literal_pool(num_vars: int) -> list[Literal]:
@@ -136,7 +136,7 @@ def check_case(f: Formula, theory: Theory, stats: AgreementStats) -> None:
             label = f"{label}: {exc}"
         if not ok:
             stats.cert_failures.append(label)
-        if not replay_refutation(export(verdict.certificate, f), f):
+        if not replay_refutation(verdict.certificate, f):
             stats.replay_failures.append(label)
     else:
         assert isinstance(verdict, Sat)

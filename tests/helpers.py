@@ -22,17 +22,15 @@ from ordersat.core import (
     Neg,
     Or,
     OrderAtom,
+    OrderSatError,
     ParseError,
     Relation,
     SymbolTable,
     Theory,
     VarId,
-    eq,
-    le,
     parse_input,
 )
 from ordersat.certs import (
-    FLS,
     NILADIC_CONVERSIONS,
     AntisymP,
     ArgConv,
@@ -60,17 +58,7 @@ from ordersat.certs import (
     serialize_literal,
 )
 from ordersat.closure import ProofMap, Unsat, decide, leq1_mapping
-from ordersat.replay import (
-    SIGMA,
-    Bound,
-    ConvP,
-    ExportError,
-    FmHole,
-    GPrf,
-    PThm,
-    ReplayError,
-    SubstValue,
-)
+from ordersat.replay import SIGMA, FmHole, ReplayError, SubstValue
 
 
 def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -690,13 +678,11 @@ def tokenizer_parse_input(text: str) -> tuple[Formula, SymbolTable]:
 
 
 # ---------------------------------------------------------------------------
-# The recursive structured kernel and the literal-carrying export, the
-# oracles for ``certs.check_prop_proof`` and ``replay.export``
+# The recursive structured kernel, the oracle for ``certs.check_prop_proof``
 #
 # The structured kernel's earlier check, which copied its frozenset context
-# at every ConjE, DisjE and ConvRule node, and the export that built a
-# Literal for every atom proof to carry its conclusion: kept verbatim as the
-# reference for conclusions, error messages and proof terms.
+# at every ConjE, DisjE and ConvRule node: kept verbatim as the reference for
+# conclusions and error messages.
 
 
 def recursive_check_prop_proof(context: Iterable[Formula], proof: PropProof) -> Formula:
@@ -728,71 +714,40 @@ def _check_prop(context: frozenset[Formula], proof: PropProof) -> Formula:
     raise ProofError(f"unknown propositional proof node {proof!r}")
 
 
-def _export_atom(proof: CertProof) -> tuple[GPrf, Literal]:
-    """The proof term of an atom proof and the literal it concludes.
-
-    The conclusion is structural; replay re-validates it.
-    """
-    if isinstance(proof, AssmP):
-        return Bound(Atom(proof.lit)), proof.lit
-    if isinstance(proof, ReflP):
-        return PThm("refl", (proof.var,)), Literal(True, le(proof.var, proof.var))
-    if isinstance(proof, TransP):
-        left, c1 = _export_atom(proof.left)
-        right, c2 = _export_atom(proof.right)
-        x, y, z = c1.atom.x, c1.atom.y, c2.atom.y
-        return PThm("trans", (x, y, z), (left, right)), Literal(True, le(x, z))
-    if isinstance(proof, AntisymP):
-        left, c1 = _export_atom(proof.left)
-        right, _ = _export_atom(proof.right)
-        x, y = c1.atom.x, c1.atom.y
-        return PThm("antisym", (x, y), (left, right)), Literal(True, eq(x, y))
-    if isinstance(proof, EQE1P):
-        a = proof.lit.atom
-        premise = Bound(Atom(proof.lit))
-        return PThm("eqe1", (a.x, a.y), (premise,)), Literal(True, le(a.x, a.y))
-    if isinstance(proof, EQE2P):
-        a = proof.lit.atom
-        premise = Bound(Atom(proof.lit))
-        return PThm("eqe2", (a.x, a.y), (premise,)), Literal(True, le(a.y, a.x))
-    if isinstance(proof, ContrP):
-        a = proof.lit.atom
-        if a.kind == "le":
-            axiom = "contr_le"
-        elif a.kind == "eq":
-            axiom = "contr_eq"
-        else:
-            raise ExportError("no contradiction axiom for strict atoms")
-        premises = (Bound(Atom(proof.lit)), _export_atom(proof.proof)[0])
-        return PThm(axiom, (a.x, a.y), premises), FLS
-    raise ExportError(f"unknown atom proof node {proof!r}")
-
-
-def literal_export(proof: PropProof) -> GPrf:
-    """``replay.export`` as the literal-carrying compiler computed it."""
-    if isinstance(proof, Lift):
-        return _export_atom(proof.proof)[0]
-    if isinstance(proof, ConjE):
-        conjunction = Bound(And(proof.left, proof.right))
-        premises = (conjunction, literal_export(proof.proof))
-        return PThm("conje", (proof.left, proof.right), premises)
-    if isinstance(proof, DisjE):
-        disjunction = Bound(Or(proof.left, proof.right))
-        left_case = literal_export(proof.left_proof)
-        right_case = literal_export(proof.right_proof)
-        return PThm("disje", (proof.left, proof.right), (disjunction, left_case, right_case))
-    if isinstance(proof, ConvRule):
-        return ConvP(proof.source, proof.conversion, literal_export(proof.proof))
-    raise ExportError(f"unknown propositional proof node {proof!r}")
-
-
 # ---------------------------------------------------------------------------
 # The curried proof terms, the oracle for the replay kernel's rule instances
 #
-# The export and replay that applied an axiom instance to its premise proofs
-# one ``AppP`` at a time and bound each hypothesis a premise assumes with its
-# own ``AbsP``: kept verbatim as the reference for verdicts and messages.
-# Its axiom instances are placed by ``sequential_instance``.
+# The export that compiled a certificate into proof terms, and the replay
+# that applied an axiom instance to its premise proofs one ``AppP`` at a time
+# and bound each hypothesis a premise assumes with its own ``AbsP``: kept
+# verbatim as the reference for verdicts and messages.  Its axiom instances
+# are placed by ``sequential_instance``.
+
+
+class ExportError(OrderSatError):
+    """A structured certificate could not be compiled into a proof term."""
+
+
+class GPrf:
+    __slots__ = ()
+
+
+@dataclasses.dataclass(frozen=True)
+class PThm(GPrf):
+    name: str
+    terms: tuple[VarId | Formula, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class Bound(GPrf):
+    hyp: Formula
+
+
+@dataclasses.dataclass(frozen=True)
+class ConvP(GPrf):
+    source: Formula
+    conversion: ConvProof
+    proof: GPrf
 
 
 @dataclasses.dataclass(frozen=True)

@@ -58,13 +58,12 @@ from ordersat.certs import (
 )
 from ordersat.closure import Unsat, decide
 from ordersat.oracle import brute_sat
-from ordersat.replay import ExportError, ReplayError, export, replay, replay_refutation
+from ordersat.replay import ReplayError, replay, replay_refutation
 from ordersat.selfcheck import clause_formula, iter_clauses
 from ordersat.sexpr import tokenize
 
 from helpers import (
     doubling_cert,
-    literal_export,
     mutate_cert,
     plain_serialize_cert,
     random_formula,
@@ -491,8 +490,8 @@ def _kernel_verdicts(goal, cert):
     except (ProofError, ConversionError):
         structured = False
     try:
-        replayed = replay(frozenset({goal}), export(cert, goal)) == FLS_FORMULA
-    except (ExportError, ReplayError):
+        replayed = replay(frozenset({goal}), cert) == FLS_FORMULA
+    except ReplayError:
         replayed = False
     return structured, replayed
 
@@ -645,15 +644,13 @@ def test_mutation_robustness_small():
 def _outcome(compute, *args):
     try:
         return compute(*args)
-    except (ProofError, ConversionError, ExportError) as exc:
+    except (ProofError, ConversionError) as exc:
         return type(exc), str(exc)
 
 
-def test_kernels_agree_with_the_recursive_checker_and_the_literal_export():
-    # The recursive frozenset checker and the export that carried a Literal
-    # per atom proof are the references, on certificates and their mutants.
-    # Export now also rejects an assm of anything but a positive <=, which
-    # the structured kernel never accepts either.
+def test_structured_kernel_agrees_with_the_recursive_checker():
+    # The recursive frozenset checker is the reference, on certificates and
+    # their mutants.
     rng = random.Random(15)
     corpus = []
     for theory in (Theory.PARTIAL, Theory.LINEAR):
@@ -667,19 +664,13 @@ def test_kernels_agree_with_the_recursive_checker_and_the_literal_export():
             verdict = decide(f, theory)
             assert isinstance(verdict, Unsat)
             corpus.append((f, verdict.certificate))
-    checked = assm = 0
+    checked = 0
     for f, cert in corpus:
         for proof in [cert] + [mutate_cert(rng, cert) for _ in range(3)]:
             expected = _outcome(recursive_check_prop_proof, {f}, proof)
             assert _outcome(check_prop_proof, {f}, proof) == expected, proof
-            exported = _outcome(export, proof, f)
-            if isinstance(exported, tuple) and exported[1].startswith("assumption rule expects a positive <="):
-                assert exported[0] is ExportError and expected != FLS_FORMULA, proof
-                assm += 1
-            else:
-                assert exported == _outcome(literal_export, proof), proof
             checked += 1
-    assert checked >= 1_000 and assm > 0
+    assert checked >= 1_000
 
 
 def test_assumptions_stay_in_their_case_and_out_of_the_callers_set():
@@ -724,14 +715,14 @@ def test_structured_kernel_checks_a_spine_in_linear_memory_and_constant_stack():
 
 
 def test_replay_kernel_replays_a_spine_in_linear_memory():
-    # Export plus replay of the same spines.  A context copied for every
+    # Replay of the same spines.  A context copied for every
     # conje body peaked at 175 MB at n = 2,000; one scoped context does not.
     peaks = []
     for n in (1000, 2000):
         f, cert = wide_conjunction(n)
         tracemalloc.start()
         try:
-            assert replay_refutation(export(cert, f), f)
+            assert replay_refutation(cert, f)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -33,11 +33,19 @@ from ordersat.core import (
 )
 from ordersat.certs import (
     FLS_FORMULA,
+    AntisymP,
+    AssmP,
     BinopConv,
+    ConjE,
+    ContrP,
     ConvRule,
+    DisjE,
+    EQE1P,
+    EQE2P,
     Lift,
     ReflP,
     Rule,
+    TransP,
     apply_conv,
     cert_size,
     check_prop_proof,
@@ -49,12 +57,7 @@ from ordersat.closure import Unsat, decide
 from ordersat.oracle import enumerate_posets
 from ordersat.replay import (
     SIGMA,
-    Bound,
-    ConvP,
-    ExportError,
     FmHole,
-    GPrf,
-    PThm,
     ReplayError,
     _match,
     _subst_fm,
@@ -65,6 +68,7 @@ from ordersat.replay import (
 from ordersat.selfcheck import clause_formula, iter_clauses
 
 from helpers import (
+    ExportError,
     Implies,
     curried,
     curried_export,
@@ -73,6 +77,7 @@ from helpers import (
     random_formula,
     rebuild_formula,
     sequential_instance,
+    wide_conjunction,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -141,91 +146,169 @@ def test_sigma_states_the_rows_of_the_readme_axiom_table():
 
 
 def test_replay_axiom_lookup():
-    assert replay(frozenset(), PThm("refl", (3,))) == Atom(pos(le(3, 3)))
-    with pytest.raises(ReplayError, match="unknown proof constant"):
-        replay(frozenset(), PThm("modus_ponens", ()))
-    # Conversions are certificate nodes inside convp, not proof constants.
-    with pytest.raises(ReplayError, match="unknown proof constant 'lessle'"):
-        replay(frozenset(), PThm("lessle", ()))
+    # A node is read as the row of its class; a conversion is not a proof node.
+    assert replay(frozenset(), Lift(ReflP(3))) == Atom(pos(le(3, 3)))
+    with pytest.raises(ReplayError, match=r"^unknown certificate node Rule\(name='lessle'\)$"):
+        replay(frozenset(), Rule("lessle"))
+    with pytest.raises(ReplayError, match=r"^unknown certificate node Atom\("):
+        replay(frozenset(), Lift(Atom(pos(le(0, 1)))))
 
 
 def test_replay_trans_by_hand():
     x, y, z = 4, 5, 6
-    hyp_xy = Atom(pos(le(x, y)))
-    hyp_yz = Atom(pos(le(y, z)))
-    context = frozenset({hyp_xy, hyp_yz})
-    proof = PThm("trans", (x, y, z), (Bound(hyp_xy), Bound(hyp_yz)))
-    assert replay(context, proof) == Atom(pos(le(x, z)))
+    hyp_xy, hyp_yz = pos(le(x, y)), pos(le(y, z))
+    context = frozenset({Atom(hyp_xy), Atom(hyp_yz)})
+    assert replay(context, Lift(TransP(AssmP(hyp_xy), AssmP(hyp_yz)))) == Atom(pos(le(x, z)))
+    # The first premise binds the middle variable, and the second is checked against it.
+    with pytest.raises(ReplayError, match="^proof application mismatch: expected v5 <= v5, got v4 <= v5$"):
+        replay(context, Lift(TransP(AssmP(hyp_xy), AssmP(hyp_xy))))
 
 
 def test_replay_bound_requires_context():
-    with pytest.raises(ReplayError, match="unbound"):
-        replay(frozenset(), Bound(Atom(pos(le(0, 1)))))
+    # Each formula a node cites must be in the context: an assm's, eqe's or
+    # contr's literal, a conje's conjunction and a disje's disjunction.
+    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
+    body = Lift(ContrP(d.lit, AssmP(c.lit)))
+    cited = [
+        (Lift(AssmP(c.lit)), "v0 <= v1"),
+        (Lift(EQE1P(pos(eq(0, 1)))), "v0 = v1"),
+        (Lift(EQE2P(pos(eq(0, 1)))), "v0 = v1"),
+        (body, r"~\(v0 <= v1\)"),
+        (ConjE(c, d, body), r"\(v0 <= v1 & ~\(v0 <= v1\)\)"),
+        (DisjE(c, d, body, body), r"\(v0 <= v1 \| ~\(v0 <= v1\)\)"),
+    ]
+    for proof, hypothesis in cited:
+        with pytest.raises(ReplayError, match=f"^unbound hypothesis {hypothesis}$"):
+            replay(frozenset(), proof)
 
 
 def test_replay_premise_mismatch():
-    proof = PThm("eqe1", (0, 1), (PThm("refl", (0,)),))
-    with pytest.raises(ReplayError, match="^proof application mismatch: expected v0 = v1, got v0 <= v0$"):
-        replay(frozenset(), proof)
+    xy = Atom(pos(le(0, 1)))
+    with pytest.raises(ReplayError, match="^proof application mismatch: expected v0 = v1, got v0 <= v1$"):
+        replay(frozenset({xy}), Lift(EQE1P(xy.lit)))
+
+
+# One valid certificate per row of ``SIGMA``: the context it replays in, the
+# node that instantiates the row, and what wraps that node into a refutation.
+_LE01, _LE10, _LE12, _EQ01 = pos(le(0, 1)), pos(le(1, 0)), pos(le(1, 2)), pos(eq(0, 1))
+_ROW_CASES = {
+    "refl": ({neg(le(3, 3))}, ReflP(3), lambda node: Lift(ContrP(neg(le(3, 3)), node))),
+    "trans": (
+        {neg(le(0, 2)), _LE01, _LE12},
+        TransP(AssmP(_LE01), AssmP(_LE12)),
+        lambda node: Lift(ContrP(neg(le(0, 2)), node)),
+    ),
+    "antisym": (
+        {neg(eq(0, 1)), _LE01, _LE10},
+        AntisymP(AssmP(_LE01), AssmP(_LE10)),
+        lambda node: Lift(ContrP(neg(eq(0, 1)), node)),
+    ),
+    "eqe1": ({neg(le(0, 1)), _EQ01}, EQE1P(_EQ01), lambda node: Lift(ContrP(neg(le(0, 1)), node))),
+    "eqe2": ({neg(le(1, 0)), _EQ01}, EQE2P(_EQ01), lambda node: Lift(ContrP(neg(le(1, 0)), node))),
+    "contr_le": ({neg(le(0, 1)), _LE01}, ContrP(neg(le(0, 1)), AssmP(_LE01)), Lift),
+    "contr_eq": (
+        {neg(eq(0, 1)), _LE01, _LE10},
+        ContrP(neg(eq(0, 1)), AntisymP(AssmP(_LE01), AssmP(_LE10))),
+        Lift,
+    ),
+    "conje": (
+        {And(Atom(_LE01), Atom(neg(le(0, 1))))},
+        ConjE(Atom(_LE01), Atom(neg(le(0, 1))), Lift(ContrP(neg(le(0, 1)), AssmP(_LE01)))),
+        lambda node: node,
+    ),
+    "disje": (
+        {Or(Atom(_LE01), Atom(_LE12)), neg(le(0, 1)), neg(le(1, 2))},
+        DisjE(
+            Atom(_LE01),
+            Atom(_LE12),
+            Lift(ContrP(neg(le(0, 1)), AssmP(_LE01))),
+            Lift(ContrP(neg(le(1, 2)), AssmP(_LE12))),
+        ),
+        lambda node: node,
+    ),
+}
+
+
+def _context(items) -> frozenset:
+    return frozenset(Atom(item) if isinstance(item, Literal) else item for item in items)
+
+
+def _cited(node):
+    """The formula that ``node`` cites in the context, if any."""
+    if isinstance(node, ConjE):
+        return And(node.left, node.right)
+    if isinstance(node, DisjE):
+        return Or(node.left, node.right)
+    return Atom(node.lit) if hasattr(node, "lit") else None
 
 
 def test_replay_needs_a_premise_for_each_premise_proof():
-    # Too many premise proofs are rejected before any of them replays.
-    xy, yz = Atom(pos(le(0, 1))), Atom(pos(le(1, 2)))
-    with pytest.raises(ReplayError, match="^axiom refl takes 0 premise proofs, got 1$"):
-        replay(frozenset(), PThm("refl", (0,), (PThm("refl", (0,)),)))
-    for premises in ((Bound(xy), Bound(yz), Bound(xy)), (Bound(yz), Bound(yz), Bound(yz))):
-        with pytest.raises(ReplayError, match="^axiom trans takes 2 premise proofs, got 3$"):
-            replay(frozenset({xy}), PThm("trans", (0, 1, 2), premises))
-    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
-    body = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
-    with pytest.raises(ReplayError, match="^axiom conje takes 2 premise proofs, got 3$"):
-        replay(frozenset({And(c, d)}), PThm("conje", (c, d), (Bound(And(c, d)), body, body)))
-    with pytest.raises(ReplayError, match="^axiom disje takes 3 premise proofs, got 4$"):
-        replay(frozenset({Or(c, d)}), PThm("disje", (c, d), (Bound(Or(c, d)), body, body, body)))
+    # Replay pairs a row's premises with what the node gives for them, so
+    # each node must give exactly one sub-proof or cited formula per premise.
+    assert set(_ROW_CASES) == set(SIGMA)
+    for name, (context, node, _) in _ROW_CASES.items():
+        read, _, premises = kernel._instance(set(_context(context)), node)
+        assert read == name
+        assert len(premises) == len(SIGMA[name][1]), name
+
+
+def test_replay_axiom_takes_one_term_per_binder():
+    # A binder's term comes from the node's fields or, where they do not
+    # give it, from the first premise goal that holds it; replay binds them all.
+    for name, (context, node, _) in _ROW_CASES.items():
+        _, env, _ = kernel._instance(set(_context(context)), node)
+        binders, premises, _ = SIGMA[name]
+        in_goals = {end for _, goal in premises if isinstance(goal, Atom) for end in (goal.lit.atom.x, goal.lit.atom.y)}
+        assert set(env) <= set(binders), name
+        assert set(binders) - set(env) <= in_goals, name
+        # The cases use no negative id, so a binder left unbound would show in the conclusion.
+        proved = replay(_context(context), Lift(node) if isinstance(node, certs.CertProof) else node)
+        assert min(proved.lit.atom.x, proved.lit.atom.y) >= 0, name
 
 
 def test_an_axiom_takes_exactly_one_proof_per_premise():
-    # Too few premise proofs are rejected before any of them replays, so no
-    # instance ever proves an implication.
-    xy, yz = Atom(pos(le(0, 1))), Atom(pos(le(1, 2)))
-    assert replay(frozenset({xy, yz}), PThm("trans", (0, 1, 2), (Bound(xy), Bound(yz)))) == Atom(pos(le(0, 2)))
-    for premises in ((), (Bound(xy),)):
-        with pytest.raises(ReplayError, match=f"^axiom trans takes 2 premise proofs, got {len(premises)}$"):
-            replay(frozenset({xy}), PThm("trans", (0, 1, 2), premises))
-    c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
-    body = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
-    with pytest.raises(ReplayError, match="^axiom conje takes 2 premise proofs, got 1$"):
-        replay(frozenset({And(c, d)}), PThm("conje", (c, d), (Bound(And(c, d)),)))
-    with pytest.raises(ReplayError, match="^axiom disje takes 3 premise proofs, got 2$"):
-        replay(frozenset({Or(c, d)}), PThm("disje", (c, d), (Bound(Or(c, d)), body)))
+    # Every premise is checked: a wrong proof of any one of them, or a cited
+    # formula missing from the context, is rejected.
+    for name, (context, node, wrap) in _ROW_CASES.items():
+        context = _context(context)
+        assert replay(context, wrap(node)) is FLS_FORMULA, name
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, (certs.CertProof, certs.PropProof)):
+                wrong = ReflP(7) if isinstance(value, certs.CertProof) else Lift(ReflP(7))
+                broken = dataclasses.replace(node, **{field.name: wrong})
+                with pytest.raises(ReplayError, match="^proof application mismatch: "):
+                    replay(context, wrap(broken))
+        cited = _cited(node)
+        if cited is not None:
+            with pytest.raises(ReplayError, match="^unbound hypothesis "):
+                replay(context - {cited}, wrap(node))
 
 
 def test_a_premise_discharges_the_hypotheses_it_names_and_only_there():
     c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
-    uses_both = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
+    uses_both = Lift(ContrP(d.lit, AssmP(c.lit)))
     context = {And(c, d)}
     before = set(context)
     # The conje body proof may use c and d.
-    assert replay(context, PThm("conje", (c, d), (Bound(And(c, d)), uses_both))) is FLS_FORMULA
+    assert replay(context, ConjE(c, d, uses_both)) is FLS_FORMULA
     assert context == before
-    # The conjunction's own premise proof is replayed without them.
-    with pytest.raises(ReplayError, match=r"^unbound hypothesis v0 <= v1$"):
-        replay(context, PThm("conje", (c, d), (Bound(c), uses_both)))
+    # Nothing outside the body may.
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis ~\(v0 <= v1\)$"):
+        replay(context, uses_both)
     # A disje case sees only its own disjunct, and not the hypotheses that
     # a conje in the other case discharged.
     e, f = Atom(pos(le(2, 3))), Atom(pos(le(3, 2)))
-    conje = PThm("conje", (c, d), (Bound(And(c, d)), uses_both))
+    conje = ConjE(c, d, uses_both)
     for cases in ((uses_both, conje), (conje, uses_both)):
-        proof = PThm("disje", (e, f), (Bound(Or(e, f)), *cases))
         with pytest.raises(ReplayError, match=r"^unbound hypothesis ~\(v0 <= v1\)$"):
-            replay(frozenset({Or(e, f), And(c, d)}), proof)
-    uses_e = PThm("contr_le", (2, 3), (Bound(Atom(neg(le(2, 3)))), Bound(e)))
+            replay(frozenset({Or(e, f), And(c, d)}), DisjE(e, f, *cases))
+    uses_e = Lift(ContrP(neg(le(2, 3)), AssmP(e.lit)))
     context = frozenset({Or(e, f), Atom(neg(le(2, 3)))})
     with pytest.raises(ReplayError, match=r"^unbound hypothesis v2 <= v3$"):
-        replay(context, PThm("disje", (e, f), (Bound(Or(e, f)), uses_e, uses_e)))
+        replay(context, DisjE(e, f, uses_e, uses_e))
     context = frozenset({Or(e, e), Atom(neg(le(2, 3)))})
-    assert replay(context, PThm("disje", (e, e), (Bound(Or(e, e)), uses_e, uses_e))) is FLS_FORMULA
+    assert replay(context, DisjE(e, e, uses_e, uses_e)) is FLS_FORMULA
 
 
 def test_a_disje_case_sees_no_conversion_made_in_the_other_case():
@@ -234,14 +317,14 @@ def test_a_disje_case_sees_no_conversion_made_in_the_other_case():
     e, g = Atom(pos(le(0, 1))), Atom(pos(eq(0, 1)))
     source, not_e = Neg(e), Atom(neg(le(0, 1)))
     assert apply_conv(Rule("negatom"), source) == not_e
-    refutes_e = ConvP(source, Rule("negatom"), PThm("contr_le", (0, 1), (Bound(not_e), Bound(e))))
-    refutes_g = PThm("contr_le", (0, 1), (Bound(not_e), PThm("eqe1", (0, 1), (Bound(g),))))
+    refutes_e = ConvRule(source, Rule("negatom"), Lift(ContrP(not_e.lit, AssmP(e.lit))))
+    refutes_g = Lift(ContrP(not_e.lit, EQE1P(g.lit)))
 
     def disje(right):
-        return PThm("disje", (e, g), (Bound(Or(e, g)), refutes_e, right))
+        return DisjE(e, g, refutes_e, right)
 
     context = frozenset({Or(e, g), source})
-    assert replay(context, disje(ConvP(source, Rule("negatom"), refutes_g))) is FLS_FORMULA
+    assert replay(context, disje(ConvRule(source, Rule("negatom"), refutes_g))) is FLS_FORMULA
     # The right case cites the conversion result made inside the left case.
     with pytest.raises(ReplayError, match=r"^unbound hypothesis ~\(v0 <= v1\)$"):
         replay(context, disje(refutes_g))
@@ -252,28 +335,26 @@ def test_a_disje_case_sees_no_conversion_made_in_the_other_case():
 def test_a_conje_part_assumed_before_its_body_outlives_the_body():
     c, d = Atom(pos(le(0, 1))), Atom(pos(le(1, 0)))
     not_eq, not_c, not_d = Atom(neg(eq(0, 1))), Atom(neg(le(0, 1))), Atom(neg(le(1, 0)))
-    body = PThm("contr_eq", (0, 1), (Bound(not_eq), PThm("antisym", (0, 1), (Bound(c), Bound(d)))))
-    conje = PThm("conje", (c, d), (Bound(And(c, d)), body))
+    conje = ConjE(c, d, Lift(ContrP(not_eq.lit, AntisymP(AssmP(c.lit), AssmP(d.lit)))))
     e, f = Atom(pos(eq(2, 3))), Atom(pos(eq(3, 2)))
 
     def disje(right):
-        return PThm("disje", (e, f), (Bound(Or(e, f)), conje, right))
+        return DisjE(e, f, conje, right)
 
     # c was assumed before the conje, so the later case still sees it; d was not.
     context = frozenset({Or(e, f), And(c, d), not_eq, not_c, not_d, c})
-    uses_c = PThm("contr_le", (0, 1), (Bound(not_c), Bound(c)))
-    assert replay(context, disje(uses_c)) is FLS_FORMULA
+    assert replay(context, disje(Lift(ContrP(not_c.lit, AssmP(c.lit))))) is FLS_FORMULA
     with pytest.raises(ReplayError, match=r"^unbound hypothesis v1 <= v0$"):
-        replay(context, disje(PThm("contr_le", (1, 0), (Bound(not_d), Bound(d)))))
+        replay(context, disje(Lift(ContrP(not_d.lit, AssmP(d.lit)))))
 
 
 @pytest.mark.parametrize("make", [frozenset, set])
 def test_replay_leaves_the_callers_context_as_it_was(make):
     c, d, e = Atom(pos(le(0, 1))), Atom(neg(le(0, 1))), Atom(pos(le(2, 3)))
     source = Neg(Atom(pos(le(0, 1))))
-    accepted = PThm("conje", (c, d), (Bound(And(c, d)), PThm("contr_le", (0, 1), (Bound(d), Bound(c)))))
+    accepted = ConjE(c, d, Lift(ContrP(d.lit, AssmP(c.lit))))
     # The conversion adds d and the conje adds c and e before its body fails.
-    rejected = ConvP(source, Rule("negatom"), PThm("conje", (c, e), (Bound(And(c, e)), Bound(e))))
+    rejected = ConvRule(source, Rule("negatom"), ConjE(c, e, Lift(AssmP(e.lit))))
     context = make({And(c, d), And(c, e), source})
     before = frozenset(context)
     assert replay(context, accepted) is FLS_FORMULA
@@ -281,14 +362,6 @@ def test_replay_leaves_the_callers_context_as_it_was(make):
     with pytest.raises(ReplayError, match=r"^proof application mismatch: expected ~\(v0 = v0\), got v2 <= v3$"):
         replay(context, rejected)
     assert context == before and type(context) is make
-
-
-def test_replay_axiom_takes_one_term_per_binder():
-    for terms in ((0, 1), (0, 1, 2, 3)):
-        with pytest.raises(ReplayError, match=f"^axiom trans takes 3 terms, got {len(terms)}$"):
-            replay(frozenset(), PThm("trans", terms))
-    with pytest.raises(ReplayError, match="^axiom refl takes 1 terms, got 0$"):
-        replay(frozenset(), PThm("refl", ()))
 
 
 def _instance(name, terms):
@@ -313,7 +386,7 @@ def test_substitution_matches_direct_instantiation():
         assert _instance("trans", (x, y, z)) == expected
     # Same for the one-binder axiom, which replay instantiates on its own.
     for x in range(4):
-        assert replay(frozenset(), PThm("refl", (x,))) == _instance("refl", (x,)) == Atom(pos(le(x, x)))
+        assert replay(frozenset(), Lift(ReflP(x))) == _instance("refl", (x,)) == Atom(pos(le(x, x)))
     # And for every two-binder literal axiom.
     instances = {
         "antisym": lambda x, y: Implies(
@@ -333,26 +406,40 @@ def test_substitution_matches_direct_instantiation():
             assert _instance(name, (x, y)) == instance(x, y), (name, x, y)
 
 
-def test_replay_rejects_binder_ids_in_terms():
-    # Negative ids are reserved for axiom binders; no term may mention one.
-    with pytest.raises(ReplayError, match="^negative variable ids are reserved for axiom binders: v-1$"):
-        replay(frozenset(), PThm("refl", (-1,)))
+def test_both_kernels_accept_negative_variable_ids():
+    # Terms are read from certificate fields and only a row's binder positions
+    # are ever substituted, so a negative id, even one equal to a binder id,
+    # is a variable like any other.
+    lit = Literal(False, le(-1, -1))
+    goal, cert = Atom(lit), Lift(ContrP(lit, ReflP(-1)))
+    assert check_prop_proof({goal}, cert) == FLS_FORMULA
+    assert replay(frozenset({goal}), cert) is FLS_FORMULA
+    # trans binds x, y and z to -2, -1 and -3, each another binder's id.
+    context = {Atom(neg(le(-2, -3))), Atom(pos(le(-2, -1))), Atom(pos(le(-1, -3)))}
+    cert = Lift(ContrP(neg(le(-2, -3)), TransP(AssmP(pos(le(-2, -1))), AssmP(pos(le(-1, -3))))))
+    assert check_prop_proof(context, cert) == replay(context, cert) == FLS_FORMULA
+    # Both reject a chain that does not meet.
+    unmet = Lift(ContrP(neg(le(-2, -3)), TransP(AssmP(pos(le(-1, -3))), AssmP(pos(le(-2, -1))))))
+    with pytest.raises(certs.ProofError, match="^transitivity premises do not chain: "):
+        check_prop_proof(context | {Atom(pos(le(-1, -3)))}, unmet)
+    with pytest.raises(ReplayError, match="^proof application mismatch: expected v-3 <= v-1, got v-2 <= v-1$"):
+        replay(context, unmet)
 
 
 def test_a_term_of_the_wrong_kind_is_rejected_where_replay_first_reads_it():
-    xy, c = Atom(pos(le(0, 1))), Atom(pos(le(2, 2)))
-    # trans reads z, here a formula, first in its second premise.
-    with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
-        replay(frozenset({xy}), PThm("trans", (0, 1, c), (Bound(xy), Bound(xy))))
-    # So an error in the first premise proof is reported before it.
-    with pytest.raises(ReplayError, match=r"^unbound hypothesis v2 <= v2$"):
-        replay(frozenset({xy}), PThm("trans", (0, 1, c), (Bound(c), Bound(xy))))
+    # A certificate read from text gives each field its kind; a hand-built
+    # one may not, and replay reads a formula in a variable position as an error.
+    c = Atom(pos(le(2, 2)))
     # refl reads x, here a formula, in its conclusion.
     with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
-        replay(frozenset(), PThm("refl", (c,)))
-    # disje reads d, here a variable id, in its first premise.
-    with pytest.raises(ReplayError, match="^cannot fill a formula position with a variable$"):
-        replay(frozenset({Or(c, c)}), PThm("disje", (c, 3), (Bound(Or(c, c)), Bound(c), Bound(c))))
+        replay(frozenset(), Lift(ReflP(c)))
+    # contr reads x and y, here formulas, first in the literal it cites, so
+    # a missing citation is reported before them.
+    odd = Literal(False, OrderAtom("le", c, c))
+    with pytest.raises(ReplayError, match="^unbound hypothesis "):
+        replay(frozenset(), Lift(ContrP(odd, ReflP(0))))
+    with pytest.raises(ReplayError, match="^cannot substitute a formula for a variable position$"):
+        replay(frozenset({Atom(odd)}), Lift(ContrP(odd, ReflP(0))))
 
 
 def test_substitution_avoids_capture():
@@ -399,6 +486,24 @@ def _instances(draw):
     return name, draw(st.lists(st.one_of(kind, _terms), min_size=count, max_size=count))
 
 
+# A proof of falsity that cites the falsity atom.
+_FALSITY = Lift(ContrP(FLS_FORMULA.lit, AntisymP(ReflP(0), ReflP(0))))
+
+# The certificate node that instantiates each row at given terms, its
+# premises proved by citing their goals, or by _FALSITY.
+_NODE_AT = {
+    "refl": lambda x: ReflP(x),
+    "trans": lambda x, y, z: TransP(AssmP(pos(le(x, y))), AssmP(pos(le(y, z)))),
+    "antisym": lambda x, y: AntisymP(AssmP(pos(le(x, y))), AssmP(pos(le(y, x)))),
+    "eqe1": lambda x, y: EQE1P(pos(eq(x, y))),
+    "eqe2": lambda x, y: EQE2P(pos(eq(x, y))),
+    "contr_le": lambda x, y: ContrP(neg(le(x, y)), AssmP(pos(le(x, y)))),
+    "contr_eq": lambda x, y: ContrP(neg(eq(x, y)), AntisymP(AssmP(pos(le(x, y))), AssmP(pos(le(y, x))))),
+    "conje": lambda c, d: ConjE(c, d, _FALSITY),
+    "disje": lambda c, d: DisjE(c, d, _FALSITY, _FALSITY),
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(_instances())
 def test_spine_instantiation_matches_the_sequential_oracle(instance):
@@ -406,21 +511,20 @@ def test_spine_instantiation_matches_the_sequential_oracle(instance):
     try:
         expected = sequential_instance(name, terms)
     except ReplayError:
-        premises = tuple(Bound(FLS_FORMULA) for _ in SIGMA[name][1])
-        with pytest.raises(ReplayError):
-            replay(frozenset({FLS_FORMULA}), PThm(name, tuple(terms), premises))
-        return
+        return  # no certificate node has such terms
     assert _instance(name, terms) == expected
-    # Replay proves the instance's conclusion from a proof of each premise's goal.
-    goals, conclusion = [], expected
+    # Replay of the row's node proves the instance's conclusion from the premises' goals.
+    goals, conclusion = [FLS_FORMULA], expected
     while isinstance(conclusion, Implies):
         goal = conclusion.hyp
         while isinstance(goal, Implies):
             goal = goal.concl
         goals.append(goal)
         conclusion = conclusion.concl
-    proof = PThm(name, tuple(terms), tuple(Bound(goal) for goal in goals))
-    assert replay(frozenset(goals), proof) == conclusion
+    if name == "contr_eq":
+        goals += [Atom(pos(le(terms[0], terms[1]))), Atom(pos(le(terms[1], terms[0])))]
+    node = _NODE_AT[name](*terms)
+    assert replay(frozenset(goals), Lift(node) if isinstance(node, certs.CertProof) else node) == conclusion
 
 
 def _row_parts(premises, conclusion):
@@ -478,14 +582,19 @@ _XY, _CD = SIGMA["trans"][1][0][1], SIGMA["conje"][1][0][1]
 @example((_CD, {-1: Atom(pos(le(0, 1))), -2: 3}, Atom(pos(le(0, 1)))))
 @example((_CD, {-1: Atom(pos(le(0, 1))), -2: 3}, And(Atom(pos(le(1, 1))), Atom(pos(le(0, 1))))))
 def test_matching_a_schema_part_agrees_with_instantiating_it(case):
+    # Matching first binds, from ``f``, each binder that ``env`` does not
+    # hold yet, so it agrees with instantiating at what it bound.
     part, env, f = case
+    bound = dict(env)
     try:
-        expected = _subst_fm(part, env) == f
+        matched = _match(part, bound, f)
     except ReplayError as exc:
         with pytest.raises(ReplayError, match=f"^{re.escape(str(exc))}$"):
-            _match(part, env, f)
+            _subst_fm(part, bound)
     else:
-        assert _match(part, env, f) is expected
+        assert matched is (_subst_fm(part, bound) == f)
+    assert env.items() <= bound.items()
+    assert set(bound) - set(env) <= {-1, -2, -3}
 
 
 def test_a_schema_part_with_binders_does_not_match_itself():
@@ -517,7 +626,6 @@ def test_instantiation_walks_only_schema_nodes(monkeypatch, make, size, theory):
     f, _ = parse_input(make(random.Random(1), size))
     verdict = decide(f, theory)
     assert isinstance(verdict, Unsat)
-    proof = export(verdict.certificate, f)
     walked = []
     subst_fm = kernel._subst_fm
 
@@ -526,7 +634,7 @@ def test_instantiation_walks_only_schema_nodes(monkeypatch, make, size, theory):
         return subst_fm(node, *args)
 
     monkeypatch.setattr(kernel, "_subst_fm", recording)
-    assert replay_refutation(proof, f)
+    assert replay_refutation(verdict.certificate, f)
     assert walked
     assert set(walked) <= _schema_formula_nodes()
     assert len(walked) <= 4 * cert_size(verdict.certificate)
@@ -537,20 +645,26 @@ def test_convp_applies_the_certificate_conversion():
     source = Atom(pos(lt(0, 1)))
     context = frozenset({source})
     rewritten = apply_conv(Rule("lessle"), source)
-    proof = ConvP(source, Rule("lessle"), Bound(rewritten))
-    assert replay(context, proof) == rewritten
+    assert rewritten == And(Atom(pos(le(0, 1))), Atom(neg(eq(0, 1))))
+    antisym = AntisymP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 0))))
+    uses_result = ConjE(rewritten.left, rewritten.right, Lift(ContrP(neg(eq(0, 1)), antisym)))
+    with_yx = context | {Atom(pos(le(1, 0)))}
+    assert replay(with_yx, ConvRule(source, Rule("lessle"), uses_result)) is FLS_FORMULA
+    with pytest.raises(ReplayError, match=r"^unbound hypothesis \(v0 <= v1 & ~\(v0 = v1\)\)$"):
+        replay(with_yx, uses_result)
     f = Or(Neg(Atom(pos(le(0, 1)))), Neg(Atom(pos(eq(0, 1)))))
     both = BinopConv(Rule("negatom"), Rule("negatom"))
-    result = Or(Atom(neg(le(0, 1))), Atom(neg(eq(0, 1))))
-    proof = ConvP(f, both, Bound(result))
-    assert replay(frozenset({f}), proof) == result
+    not_le, not_eq = Atom(neg(le(0, 1))), Atom(neg(eq(0, 1)))
+    cases = DisjE(not_le, not_eq, Lift(ContrP(not_le.lit, ReflP(0))), Lift(ContrP(not_eq.lit, ReflP(0))))
+    with pytest.raises(ReplayError, match=r"^proof application mismatch: expected v0 <= v1, got v0 <= v0$"):
+        replay(frozenset({f}), ConvRule(f, both, cases))
     # One that does not apply is a replay error, as is a source not assumed.
     with pytest.raises(ReplayError, match="^conversion failed: nlessle does not apply to v0 < v1$"):
-        replay(context, ConvP(source, Rule("nlessle"), Bound(source)))
+        replay(context, ConvRule(source, Rule("nlessle"), Lift(ReflP(0))))
     with pytest.raises(ReplayError, match="conversion failed: BinopConv needs a binary connective"):
-        replay(context, ConvP(source, both, Bound(source)))
+        replay(context, ConvRule(source, both, Lift(ReflP(0))))
     with pytest.raises(ReplayError, match="is not in the context"):
-        replay(frozenset(), ConvP(source, Rule("lessle"), Bound(source)))
+        replay(frozenset(), ConvRule(source, Rule("lessle"), Lift(ReflP(0))))
 
 
 def test_replay_keeps_no_formula_alive_after_the_call():
@@ -559,7 +673,7 @@ def test_replay_keeps_no_formula_alive_after_the_call():
     verdict = decide(f, Theory.PARTIAL)
     cert = parse_cert(serialize_cert(verdict.certificate))
     assert isinstance(cert, ConvRule)
-    assert replay_refutation(export(cert, f), f)
+    assert replay_refutation(cert, f)
     source = weakref.ref(cert.source)
     del f, verdict, cert
     gc.collect()
@@ -567,9 +681,11 @@ def test_replay_keeps_no_formula_alive_after_the_call():
 
 
 def test_export_lift_refl():
+    # export is the identity, kept for callers that compile before they replay.
     root = Atom(pos(le(0, 1)))
-    proof = export(Lift(ReflP(0)), root)
-    assert replay(frozenset({root}), proof) == Atom(pos(le(0, 0)))
+    cert = Lift(ReflP(0))
+    assert export(cert, root) is cert
+    assert replay(frozenset({root}), cert) == Atom(pos(le(0, 0)))
 
 
 def test_export_motivating_example():
@@ -580,60 +696,52 @@ def test_export_motivating_example():
     )
     verdict = decide(f, Theory.PARTIAL)
     assert isinstance(verdict, Unsat)
-    proof = export(verdict.certificate, f)
-    assert replay(frozenset({f}), proof) == FLS_FORMULA
-    assert replay_refutation(proof, f)
+    assert replay(frozenset({f}), verdict.certificate) == FLS_FORMULA
+    assert replay_refutation(verdict.certificate, f)
 
 
 def test_instances_conclude_the_kernels_own_falsity():
     # Instantiation keeps every binder-free part of a schema as it is.
     x, m, y = 2, 7, 5
     hyp, xm, my = Atom(neg(le(x, y))), Atom(pos(le(x, m))), Atom(pos(le(m, y)))
-    chain = PThm("trans", (x, m, y), (Bound(xm), Bound(my)))
-    proof = PThm("contr_le", (x, y), (Bound(hyp), chain))
+    proof = Lift(ContrP(hyp.lit, TransP(AssmP(xm.lit), AssmP(my.lit))))
     assert replay(frozenset({hyp, xm, my}), proof) is FLS_FORMULA
     c, d = Atom(pos(le(0, 1))), Atom(neg(le(0, 1)))
-    body = PThm("contr_le", (0, 1), (Bound(d), Bound(c)))
-    assert replay(frozenset({And(c, d)}), PThm("conje", (c, d), (Bound(And(c, d)), body))) is FLS_FORMULA
+    body = Lift(ContrP(d.lit, AssmP(c.lit)))
+    assert replay(frozenset({And(c, d)}), ConjE(c, d, body)) is FLS_FORMULA
     # conje c d: [c & d; (c, d) => Fls] ==> Fls
     premises, conclusion = _subst_row(*SIGMA["conje"][1:], {-1: c, -2: d})
     assert premises[1][1] is conclusion is FLS_FORMULA
 
 
-@pytest.mark.parametrize(
-    "make, size, theory", [(chain_text, 200, Theory.PARTIAL), (ladder_text, 5, Theory.LINEAR)]
-)
-def test_export_builds_few_proof_term_nodes_per_certificate_node(make, size, theory):
-    # One node per axiom instance: an instance carries all of its terms and
-    # its premise proofs.
-    f, _ = parse_input(make(random.Random(1), size))
-    verdict = decide(f, theory)
-    assert isinstance(verdict, Unsat)
-    nodes, stack = 0, [export(verdict.certificate, f)]
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        for name in node.__dataclass_fields__:
-            value = getattr(node, name)
-            children = value if isinstance(value, tuple) else (value,)
-            stack.extend(child for child in children if isinstance(child, GPrf))
-    assert nodes <= 1.5 * cert_size(verdict.certificate)
-
-
-def _replayed(compile, check, proof, f):
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="deep recursion overflows the C stack before 3.11")
+def test_both_kernels_accept_a_forty_five_thousand_literal_conjunction():
+    # One conje node per literal: replay takes one call frame per certificate
+    # level, so it reaches this depth under the package's recursion limit of 50,000.
+    f, cert = wide_conjunction(45_000)
+    assert check_prop_proof({f}, cert) == FLS_FORMULA
     try:
-        return "proves", check(frozenset({f}), compile(proof))
+        accepted = replay_refutation(cert, f)
+    except RecursionError:
+        accepted = None  # fail without printing 50,000 frames, which takes minutes
+    assert accepted is True
+
+
+def _replayed(check, *args):
+    try:
+        return "proves", check(*args)
     except (ExportError, ReplayError) as exc:
-        return type(exc).__name__, str(exc)
+        return "rejects", str(exc)
 
 
 def test_replay_agrees_with_the_curried_kernel():
-    # The kernel that applied an instance to one premise proof at a time and
-    # bound each hypothesis with its own abstraction is the reference, on
-    # certificates and their mutants.  Only a premise mismatch may read
-    # differently: it names the premise's conclusion, not the whole premise.
-    # And export rejects an assm of anything but a positive <=, as the
-    # structured kernel does, where the curried compiler passed it on.
+    # The export into proof terms and the kernel that applied an instance to
+    # one premise proof at a time and bound each hypothesis with its own
+    # abstraction are the reference, on certificates and their mutants.
+    # Only a premise mismatch may read differently: it names the premise's
+    # conclusion, not the whole premise.  And replay rejects an assm of
+    # anything but a positive <=, as the structured kernel does, where the
+    # curried compiler passed it on.
     rng = random.Random(19)
     corpus = []
     for theory in Theory:
@@ -646,19 +754,18 @@ def test_replay_agrees_with_the_curried_kernel():
     checked = changed = assm = 0
     for f, cert in corpus:
         for proof in [cert] + [mutate_cert(rng, cert) for _ in range(3)]:
-            new = _replayed(lambda p: export(p, f), replay, proof, f)
-            old = _replayed(curried_export, curried_replay, proof, f)
+            new = _replayed(replay, frozenset({f}), proof)
+            old = _replayed(lambda p: curried_replay(frozenset({f}), curried_export(p)), proof)
             assert (new == ("proves", FLS_FORMULA)) == (old == ("proves", FLS_FORMULA)), proof
             checked += 1
             if new == old:
                 continue
-            if new[0] == "ExportError":
-                assert new[1].startswith("assumption rule expects a positive <=, got "), proof
+            if new[1].startswith("assumption rule expects a positive <=, got "):
                 assm += 1
                 continue
             changed += 1
             mismatch = "proof application mismatch: expected "
-            assert new[0] == old[0] == "ReplayError", proof
+            assert new[0] == old[0] == "rejects", proof
             assert new[1].startswith(mismatch) and old[1].startswith(mismatch), proof
             assert old[1].endswith(new[1].split(", got ", 1)[1]), proof
     assert checked >= 1_500
@@ -671,10 +778,6 @@ def test_proof_terms_and_literals_carry_no_instance_dict():
     slotted = [
         lit,
         lit.atom,
-        PThm("refl", (0,)),
-        Bound(f),
-        PThm("eqe1", (0, 1), (Bound(f),)),
-        ConvP(f, Rule("lessle"), Bound(f)),
         FmHole(-1),
         f,
         And(f, f),
@@ -732,7 +835,7 @@ def _certificate_formulas(cert) -> list[Formula]:
 
 def test_the_pipeline_leaves_every_node_as_it_was_built():
     # Nodes are not frozen, so nothing but this test stops a layer from
-    # assigning to a field: deciding, both kernels and export must leave
+    # assigning to a field: deciding, and both kernels must leave
     # each certificate writing its first text and each stored hash current.
     rng = random.Random(23)
     goals = [random_formula(rng, 4, 3) for _ in range(300)]
@@ -748,7 +851,7 @@ def test_the_pipeline_leaves_every_node_as_it_was_built():
             texts = [serialize_cert(cert) for cert in certificates]
             for cert in certificates:
                 assert check_prop_proof({f}, cert) == FLS_FORMULA
-                assert replay(frozenset({f}), export(cert, f)) == FLS_FORMULA
+                assert replay(frozenset({f}), cert) == FLS_FORMULA
             assert [serialize_cert(cert) for cert in certificates] == texts
             for formula in [f, *(g for cert in certificates for g in _certificate_formulas(cert))]:
                 for node in _formula_nodes(formula):
@@ -771,12 +874,12 @@ def test_both_kernels_conclude_the_same_falsity():
             if not isinstance(verdict, Unsat):
                 continue
             c = verdict.certificate
-            assert check_prop_proof({f}, c) == replay(frozenset({f}), export(c, f)) == FLS_FORMULA
+            assert check_prop_proof({f}, c) == replay(frozenset({f}), c) == FLS_FORMULA
             concluded += 1
     assert concluded > 50
-    # A hypothesis proves the very formula it assumes.
-    h = goals[0]
-    assert replay(frozenset({h}), Bound(h)) is h
+    # An assm proves the very formula it cites.
+    h = Atom(pos(le(0, 1)))
+    assert replay(frozenset({h}), Lift(AssmP(h.lit))) == h
 
 
 # ``~(x <= y) & y <= x`` holds in the two-element chain, so no certificate
@@ -793,7 +896,7 @@ def test_both_kernels_reject_a_wrong_nle_side():
     f, _ = parse_input("~(x <= y) & y <= x")
     cert = parse_cert(_WRONG_SIDE_CERT)
     assert not is_refutation(f, cert)
-    assert not replay_refutation(export(cert, f), f)
+    assert not replay_refutation(cert, f)
 
 
 @pytest.mark.xfail(strict=True, reason="replay applies certs.apply_conv; ROADMAP item 6")
@@ -808,15 +911,13 @@ def test_replay_rejects_a_wrong_nle_side_despite_a_faulty_structured_rule(monkey
 
     monkeypatch.setitem(certs._RULES, "nle", (True, nle_to_the_wrong_side))
     f, _ = parse_input("~(x <= y) & y <= x")
-    assert not replay_refutation(export(parse_cert(_WRONG_SIDE_CERT), f), f)
+    assert not replay_refutation(parse_cert(_WRONG_SIDE_CERT), f)
 
 
 def test_export_strict_contradiction_unsupported():
-    from ordersat.certs import ContrP, AssmP
-
     bad = Lift(ContrP(neg(lt(0, 1)), AssmP(pos(le(0, 1)))))
-    with pytest.raises(ExportError, match="strict"):
-        export(bad, Atom(pos(le(0, 1))))
+    with pytest.raises(ReplayError, match="^no contradiction axiom for strict atoms$"):
+        replay(frozenset({Atom(neg(lt(0, 1))), Atom(pos(le(0, 1)))}), bad)
 
 
 def test_checker_agreement_on_small_corpus():
@@ -825,16 +926,9 @@ def test_checker_agreement_on_small_corpus():
         f = clause_formula(clause)
         verdict = decide(f, Theory.PARTIAL)
         if isinstance(verdict, Unsat):
-            assert replay_refutation(export(verdict.certificate, f), f)
+            assert replay_refutation(verdict.certificate, f)
             matched += 1
     assert matched > 200
-
-
-def _replay_accepts(proof, f):
-    try:
-        return replay_refutation(export(proof, f), f)
-    except ExportError:
-        return False
 
 
 def test_rejected_mutants_also_rejected_by_replay():
@@ -853,7 +947,7 @@ def test_rejected_mutants_also_rejected_by_replay():
                 if mutant == verdict.certificate:
                     continue
                 checked[theory] += 1
-                assert is_refutation(f, mutant) == _replay_accepts(mutant, f), (theory, f, mutant)
+                assert is_refutation(f, mutant) == replay_refutation(mutant, f), (theory, f, mutant)
     assert min(checked.values()) > 100
 
 
