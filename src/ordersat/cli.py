@@ -118,8 +118,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     if isinstance(verdict, Unsat):
-        if args.cert and not _write(args.cert, serialize_cert(verdict.certificate) + "\n"):
-            return EXIT_USAGE
+        if args.cert:
+            try:
+                text = serialize_cert(verdict.certificate)
+            except RecursionError:
+                print("internal error: certificate nested too deeply to write", file=sys.stderr)
+                return EXIT_INTERNAL
+            if not _write(args.cert, text + "\n"):
+                return EXIT_USAGE
         size = cert_size(verdict.certificate)
         clause_index = None
     else:

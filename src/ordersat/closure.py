@@ -2,19 +2,23 @@
 
 The solver side of the artifact: positive literals seed a map from variable
 pairs to atom-level certificates, and the map is closed under transitivity
-by one breadth-first search per source.  The closure records each pair it
-adds as a midpoint, not a proof; negative literals are searched for a
-contradiction against it, clause by clause, and ``pair_proof`` builds the
-shortest ``trans`` chain only for a pair a contradiction cites.  The first
-open clause keeps its closure for the model.  ``decide`` glues this to the
-rewrite passes (``preprocess``: negation normal form, strict elimination,
-DNF, one conversion) and re-checks every certificate with the trusted
-kernel.
+one source row at a time: a row is one breadth-first search from its
+source, built when a contradiction or a model first reads it
+(``--algorithm fw`` builds every pair at once instead).  The closure
+records each pair it adds as a midpoint, not a proof; negative literals are
+searched for a contradiction against it, clause by clause, and
+``pair_proof`` builds the shortest ``trans`` chain only for a pair a
+contradiction cites.  A negative literal reads at most the rows of its two
+variables; the first open clause keeps its closure for the model, which
+reads every row once.  ``decide`` glues this to the rewrite passes
+(``preprocess``: negation normal form, strict elimination, DNF, one
+conversion) and re-checks every certificate with the trusted kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,7 +73,7 @@ from .rewrite import (
 # A map from variable pairs to what proves them: a base pair's one-step
 # certificate, or, for a pair ``(x, z)`` the closure derived, a midpoint ``y``
 # with ``(x, y)`` and ``(y, z)`` in the map.  ``pair_proof`` builds the rest.
-ProofMap = dict[Pair, CertProof | VarId]
+ProofMap = Mapping[Pair, CertProof | VarId]
 
 
 def leq1_member_list(lit: Literal) -> list[tuple[Pair, CertProof]]:
@@ -84,9 +88,9 @@ def leq1_member_list(lit: Literal) -> list[tuple[Pair, CertProof]]:
     return []
 
 
-def leq1_mapping(literals: Sequence[Literal]) -> ProofMap:
+def leq1_mapping(literals: Sequence[Literal]) -> dict[Pair, CertProof]:
     """Union of leq1_member_list over the sequence; first writer wins."""
-    mapping: ProofMap = {}
+    mapping: dict[Pair, CertProof] = {}
     for lit in literals:
         for key, proof in leq1_member_list(lit):
             if key not in mapping:
@@ -94,39 +98,92 @@ def leq1_mapping(literals: Sequence[Literal]) -> ProofMap:
     return mapping
 
 
-def trancl_mapping(mapping: ProofMap) -> ProofMap:
-    """Transitive closure of the key set, recording midpoints.
+def bfs_row(succ: Mapping[VarId, list[VarId]], x: VarId) -> dict[VarId, VarId]:
+    """The pairs ``(x, z)`` the closure derives from source ``x``, by midpoint.
 
-    One breadth-first search per source over successor lists kept in
-    ``mapping`` order: a pair ``(x, z)`` first reached from ``(x, y)`` by
-    the base pair ``(y, z)`` is recorded as its midpoint ``y``, so
-    ``pair_proof`` builds every certificate as a shortest ``trans`` chain.
-    Cost O(V·(V+E)) dictionary lookups for V variables and E pairs of
-    ``mapping``, and no certificate is built.  Existing entries, self-loops
-    included, are never overwritten.
+    One breadth-first search from ``x`` over the successor lists ``succ``:
+    each ``z`` first reached from ``y`` by the base pair ``(y, z)`` maps to
+    the midpoint ``y``, in discovery order.  Base pairs ``(x, z)`` (the
+    successors of ``x``) are not in the row.
     """
-    result: ProofMap = dict(mapping)
-    succ: dict[VarId, list[VarId]] = {}
-    for x, y in mapping:
-        succ.setdefault(x, []).append(y)
-    for x, out in succ.items():
-        queue = list(out)
-        for y in queue:  # grows while it is walked: discovery order
-            for z in succ.get(y, ()):
-                key = (x, z)
-                if key not in result:
-                    result[key] = y
-                    queue.append(z)
-    return result
+    out = succ.get(x, ())
+    seen = set(out)
+    row: dict[VarId, VarId] = {}
+    queue = list(out)
+    for y in queue:  # grows while it is walked: discovery order
+        for z in succ.get(y, ()):
+            if z not in seen:
+                seen.add(z)
+                row[z] = y
+                queue.append(z)
+    return row
+
+
+class _RowClosure(Mapping[Pair, CertProof | VarId]):
+    """A closed map whose source rows are built on first read.
+
+    A base pair maps to its certificate.  A derived pair ``(x, z)`` maps to
+    its midpoint from ``bfs_row(succ, x)``, which runs the first time any
+    pair of source ``x`` is looked up, or when the map is iterated or sized.
+    Iteration gives the base pairs in order, then each source's row, sources
+    in the order they first occur in the base.
+    """
+
+    __slots__ = ("_base", "_succ", "_rows")
+
+    def __init__(self, base: ProofMap) -> None:
+        self._base = dict(base)
+        self._succ: dict[VarId, list[VarId]] = {}
+        for x, y in self._base:
+            self._succ.setdefault(x, []).append(y)
+        self._rows: dict[VarId, dict[VarId, VarId]] = {}
+
+    def _row(self, x: VarId) -> dict[VarId, VarId]:
+        row = self._rows.get(x)
+        if row is None:
+            row = self._rows[x] = bfs_row(self._succ, x)
+        return row
+
+    def __getitem__(self, key: Pair) -> CertProof | VarId:
+        proof = self._base.get(key)
+        if proof is not None:
+            return proof
+        x, z = key
+        row = self._row(x)
+        if z in row:
+            return row[z]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Pair]:
+        yield from self._base
+        for x in self._succ:
+            for z in self._row(x):
+                yield x, z
+
+    def __len__(self) -> int:
+        return len(self._base) + sum(len(self._row(x)) for x in self._succ)
+
+
+def trancl_mapping(mapping: ProofMap) -> ProofMap:
+    """Transitive closure of the key set, recording midpoints, built on demand.
+
+    A pair ``(x, z)`` first reached from ``(x, y)`` by the base pair
+    ``(y, z)`` is recorded as its midpoint ``y``, so ``pair_proof`` builds
+    every certificate as a shortest ``trans`` chain.  Each source's row is one
+    breadth-first search, O(V+E) dictionary lookups for V variables and E
+    pairs of ``mapping``, run only when the row is first read; no certificate
+    is built.  Existing entries, self-loops included, are never overwritten.
+    """
+    return _RowClosure(mapping)
 
 
 def trancl_floyd_warshall(mapping: ProofMap) -> ProofMap:
-    """Same contract as trancl_mapping via the cubic all-pairs scheme.
+    """Same contract as trancl_mapping via the cubic all-pairs scheme, eagerly.
 
     A pair ``(i, j)`` first found through ``k`` is recorded as the midpoint
     ``k``: its certificate composes those of ``(i, k)`` and ``(k, j)``.
     """
-    result: ProofMap = dict(mapping)
+    result: dict[Pair, CertProof | VarId] = dict(mapping)
     vertices = sorted({v for key in mapping for v in key})
     for k in vertices:
         for i in vertices:
@@ -326,7 +383,7 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
         lits = found.literals
         extra = formula_vars(f) - literal_vars(lits)
         build = build_linear_model if theory is Theory.LINEAR else build_partial_model
-        m = build(lits, found.closure.keys(), extra_vars=extra)
+        m = build(lits, set(found.closure), extra_vars=extra)
         if not verify_model(m, lits):
             raise InvariantViolation("model failed verification")
         return Sat(m, found.index)

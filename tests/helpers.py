@@ -100,6 +100,27 @@ def rounds_closure(mapping: ProofMap) -> ProofMap:
     return result
 
 
+def eager_trancl(mapping: ProofMap) -> dict:
+    """``trancl_mapping`` as it was when it built every row at once.
+
+    Kept verbatim as the oracle for the row-at-a-time closure: its keys,
+    midpoints and iteration order.
+    """
+    result = dict(mapping)
+    succ: dict[VarId, list[VarId]] = {}
+    for x, y in mapping:
+        succ.setdefault(x, []).append(y)
+    for x, out in succ.items():
+        queue = list(out)
+        for y in queue:  # grows while it is walked: discovery order
+            for z in succ.get(y, ()):
+                key = (x, z)
+                if key not in result:
+                    result[key] = y
+                    queue.append(z)
+    return result
+
+
 def closed(lits: Iterable[Literal]) -> ProofMap:
     """Closed certificate map of a clause's positive literals, by the oracle.
 

@@ -424,6 +424,31 @@ def test_check_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys, kern
     assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
 
 
+def _long_chain(tmp_path, n: int):
+    """``x0 <= x1 & … & x(n-1) <= xn & ~(x0 <= xn)``: its refutation is n ``trans`` deep."""
+    source = tmp_path / "chain.txt"
+    literals = [f"x{i} <= x{i + 1}" for i in range(n)] + [f"~(x0 <= x{n})"]
+    source.write_text(" & ".join(literals) + "\n")
+    return source
+
+
+@needs_stackless_calls
+def test_solve_refutes_a_thirty_thousand_step_chain(tmp_path, capsys):
+    # Its closure has 450 million pairs, and the refutation reads one row.
+    source = _long_chain(tmp_path, 30_000)
+    assert run(["solve", str(source), "--theory", "partial"]) == 0
+    assert capsys.readouterr() == ("unsat\n", "")
+
+
+@needs_stackless_calls
+def test_solve_cert_too_deep_to_write_is_an_internal_error(tmp_path, capsys):
+    source = _long_chain(tmp_path, 30_000)
+    cert = tmp_path / "chain.cert"
+    assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 4
+    assert capsys.readouterr() == ("", "internal error: certificate nested too deeply to write\n")
+    assert not cert.exists()
+
+
 def _solve_then_check_in_a_child(tmp_path, goal: str) -> None:
     """``solve`` ``goal`` and check its certificate with both kernels, each in a child process."""
     source = tmp_path / "goal.txt"

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,7 @@ from ordersat.rewrite import StructureError, conj_list, disj_clauses
 
 from helpers import (
     closed,
+    eager_trancl,
     naive_closure,
     proof_carrying_floyd_warshall,
     random_formula,
@@ -160,6 +163,21 @@ def test_trancl_matches_round_based_closure(literals):
 
 
 @given(_positive_literals)
+@settings(max_examples=400, deadline=None)
+def test_row_at_a_time_closure_equals_the_eager_one(literals):
+    m = leq1_mapping(literals)
+    lazy, expected = trancl_mapping(m), eager_trancl(m)
+    assert list(lazy.items()) == list(expected.items())
+    assert len(lazy) == len(expected)
+    # Sized before anything is read, and looked up before it is walked.
+    assert len(trancl_mapping(m)) == len(expected)
+    fresh = trancl_mapping(m)
+    assert {key: fresh[key] for key in reversed(expected)} == expected
+    pairs = itertools.product(range(9), repeat=2)
+    assert {key for key in pairs if key in trancl_mapping(m)} == expected.keys()
+
+
+@given(_positive_literals)
 @settings(max_examples=300, deadline=None)
 def test_floyd_warshall_midpoints_build_the_proof_carrying_certificates(literals):
     m = leq1_mapping(literals)
@@ -168,10 +186,24 @@ def test_floyd_warshall_midpoints_build_the_proof_carrying_certificates(literals
     assert {key: pair_proof(closed, *key) for key in closed} == expected
 
 
+def _counting_rows(monkeypatch) -> list:
+    """Patch ``closure.bfs_row`` to record the source of each row it builds."""
+    sources = []
+    original = closure.bfs_row
+
+    def counting(succ, x):
+        sources.append(x)
+        return original(succ, x)
+
+    monkeypatch.setattr(closure, "bfs_row", counting)
+    return sources
+
+
 def test_a_cycle_builds_only_the_chains_its_contradiction_cites(monkeypatch):
     # x0 <= x1 <= ... <= x(n-1) <= x0 & x0 != x(n-1): the closure has n²
-    # pairs, and the refutation cites two chains of fewer than n steps each.
-    n = 200
+    # pairs, and the refutation cites two chains of fewer than n steps each,
+    # read from at most two rows.
+    n = 2000
     atoms = [Atom(pos(le(i, (i + 1) % n))) for i in range(n)]
     goal = Atom(neg(eq(0, n - 1)))
     for atom in reversed(atoms):
@@ -183,9 +215,30 @@ def test_a_cycle_builds_only_the_chains_its_contradiction_cites(monkeypatch):
         return TransP(left, right)
 
     monkeypatch.setattr(closure, "TransP", counting_trans)
+    rows = _counting_rows(monkeypatch)
     verdict = decide(goal, Theory.PARTIAL)
     assert isinstance(verdict, Unsat)
     assert 0 < len(built) <= 2 * n
+    assert 0 < len(rows) <= 2
+
+
+def test_a_wide_conjunction_refuted_by_refl_builds_no_row(monkeypatch):
+    # x0 <= x1 & ... & x(n-1) <= xn & ~(x0 <= x0): the closure has n²/2
+    # pairs, and the contradiction needs only refl.
+    n = 2000
+    goal = Atom(neg(le(0, 0)))
+    for i in reversed(range(n)):
+        goal = And(Atom(pos(le(i, i + 1))), goal)
+    rows = _counting_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        verdict = decide(goal, Theory.PARTIAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(verdict, Unsat)
+    assert rows == []
+    assert peak < 30 * 2**20
 
 
 def test_is_in_leq_examples():
