@@ -26,12 +26,14 @@ Falsity is the distinguished literal ``FLS``, the always-false ``v0 != v0``.
 Elimination nodes restate subformulas of the formulas above them, so the
 text states each formula once: the writer labels the first occurrence of a
 formula object that recurs ``#n=`` and writes ``#n#`` wherever it recurs.
-The reader, in one pass over the tokens, hash-conses every formula it
-builds, so equal formulas are one object however the text states them, and
-both kernels compare them by identity first.  It refuses a formula with
-more nodes than the text has tokens, which only labels could name, so a
-kernel that prints or walks a formula the text states does work in
-proportion to the text, not to the formula's exponentially larger tree.
+The reader, in one pass over the tokens with no Python call per token,
+hash-conses every formula it builds, keying a node by its head and the
+objects of its parts, so equal formulas are one object however the text
+states them, and both kernels compare them by identity first.  It reads
+each distinct variable token and literal once per text.  It refuses a
+formula with more nodes than the text has tokens, which only labels could
+name, so a kernel that prints or walks a formula the text states does work
+in proportion to the text, not to the formula's exponentially larger tree.
 """
 
 from __future__ import annotations
@@ -528,164 +530,154 @@ def serialize_cert(p: PropProof) -> str:
 # Reading
 
 
-class _Reader:
-    """Cursor over the tokens of one certificate text.
+_FORMULA_HEADS: dict[str, type] = {"atom": Atom, "and": And, "or": Or, "neg": Neg}
 
-    Formulas are hash-consed as they are built: a node is keyed by its head
-    and the objects of its children, an atom by its literal, so equal
-    formulas are one object wherever the text states them, and both kernels
-    compare them by identity first.  ``#n=`` binds label ``n`` to the
-    formula after it once that formula closes, and ``#n#`` yields that same
-    object.  With labels a short text could name a formula whose tree is
-    exponentially larger, which would take as long to print, so no formula
-    may have more nodes than the text has tokens, as none stated without
-    labels does.  The tables belong to the reader, so nothing is kept from
-    one ``parse_cert`` call to the next.
+
+class _Reader:
+    """The tokens of one certificate text and the tables of one reading.
+
+    The parse functions take each token with ``next(reader.rest)``, a call
+    into C, and compare parentheses inline, so no Python function runs per
+    token; a token's index is worked out only for an error message.  The
+    tables hash-cons formulas, check each distinct variable token once and
+    build each distinct literal once.  They belong to the reader, so nothing
+    is kept from one ``parse_cert`` call to the next.
     """
 
-    __slots__ = ("text", "tokens", "pos", "formulas", "labels")
+    __slots__ = ("text", "tokens", "rest", "vids", "lits", "formulas", "labels")
 
     def __init__(self, text: str) -> None:
         self.text = text
+        # Through the module, so that bench/spans.py's rebound ``sexpr.tokenize`` times it.
         self.tokens = sexpr.tokenize(text)
-        self.pos = 0
+        self.rest = iter(self.tokens)
+        # A variable token to its id, and a literal's fields to the literal.
+        self.vids: dict[str, VarId] = {}
+        self.lits: dict[tuple[str, str, VarId, VarId], Literal] = {}
         # A node's key to the node and the number of nodes in its tree.
-        self.formulas: dict[tuple, tuple[Formula, int]] = {}
-        # A label's digits to its formula, or to None while that formula is read.
+        self.formulas: dict[object, tuple[Formula, int]] = {}
+        # A reference ``#n#`` to its formula, or to None while that formula is read.
         self.labels: dict[str, tuple[Formula, int] | None] = {}
 
-    def next(self, expected: str | None = None) -> str:
-        pos = self.pos
-        if pos == len(self.tokens):
-            raise ParseError(f"syntax error at offset {len(self.text)}: unexpected end of input")
-        tok = self.tokens[pos]
-        self.pos = pos + 1
-        if expected is not None and tok != expected:
-            raise self.error(f"expected {expected!r}, got {quote_token(tok)}", pos)
-        return tok
-
-    def error(self, message: str, k: int | None = None) -> ParseError:
-        """``message`` at token ``k``, by default the token read last."""
-        offset = sexpr.offset_of(self.text, self.tokens, self.pos - 1 if k is None else k)
-        return ParseError(f"syntax error at offset {offset}: {message}")
+    def error(self, message: str) -> ParseError:
+        """``message`` at the token read last, which a ``{}`` in it quotes."""
+        k = len(self.tokens) - self.rest.__length_hint__() - 1
+        offset = sexpr.offset_of(self.text, self.tokens, k)
+        return ParseError(f"syntax error at offset {offset}: {message.format(quote_token(self.tokens[k]))}")
 
 
-def _parse_var(r: _Reader) -> VarId:
-    tok = r.next()
+def _var(r: _Reader, tok: str) -> VarId:
+    """The id of the variable token ``tok``, the token read last; checked once per text."""
     digits = tok[1:]
     if not tok.startswith("v") or not (digits.isascii() and digits.isdigit()):
-        raise r.error(f"expected a variable like v0, got {quote_token(tok)}")
+        raise r.error("expected a variable like v0, got {}")
     try:
-        return int(digits)
+        r.vids[tok] = var = int(digits)
     except ValueError:  # more digits than int() converts
         raise r.error(f"variable id of {len(digits)} digits is too long") from None
-
-
-def _literal_fields(r: _Reader) -> tuple[bool, str, VarId, VarId]:
-    r.next("(")
-    sign = r.next()
-    if sign not in ("+", "-"):
-        raise r.error(f"expected polarity + or -, got {quote_token(sign)}")
-    kind = r.next()
-    if kind not in ("le", "lt", "eq"):
-        raise r.error(f"expected atom kind le/lt/eq, got {quote_token(kind)}")
-    x = _parse_var(r)
-    y = _parse_var(r)
-    r.next(")")
-    return sign == "+", kind, x, y
+    return var
 
 
 def _parse_literal(r: _Reader) -> Literal:
-    sign, kind, x, y = _literal_fields(r)
-    return Literal(sign, OrderAtom(kind, x, y))
+    rest, vids = r.rest, r.vids
+    if next(rest) != "(":
+        raise r.error("expected '(', got {}")
+    sign = next(rest)
+    if sign != "+" and sign != "-":
+        raise r.error("expected polarity + or -, got {}")
+    kind = next(rest)
+    if kind != "le" and kind != "lt" and kind != "eq":
+        raise r.error("expected atom kind le/lt/eq, got {}")
+    x = vids[tok] if (tok := next(rest)) in vids else _var(r, tok)
+    y = vids[tok] if (tok := next(rest)) in vids else _var(r, tok)
+    if next(rest) != ")":
+        raise r.error("expected ')', got {}")
+    lit = r.lits.get(key := (sign, kind, x, y))
+    if lit is None:
+        lit = r.lits[key] = Literal(sign == "+", OrderAtom(kind, x, y))
+    return lit
 
 
 def _parse_formula(r: _Reader) -> tuple[Formula, int]:
     """The next formula, hash-consed, and the number of nodes in its tree.
 
-    The labels in front of it are read in this frame, so a labelled formula
-    nests no deeper than a plain one.  A label binds only once its formula
-    closes, so a formula cannot refer to itself and no cycle can form.
+    The labels in front of it are read in this frame, so they add no nesting,
+    and bind once it closes, so no formula can refer to itself.
     """
-    tok, defined = r.next(), ()
+    rest, labels = r.rest, r.labels
+    tok, defined = next(rest), ()
     while tok != "(":
-        digits, mark, labels = tok[1:-1], tok[-1], r.labels
-        if tok[0] != "#":
-            raise r.error(f"expected '(', got {quote_token(tok)}")
-        if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
-            raise r.error(f"expected a formula or a label, got {quote_token(tok)}")
-        if mark == "#":
-            node = labels.get(digits)
-            if node is None:
-                raise r.error(f"undefined label {quote_token(tok)}")
-            for label in defined:
-                labels[label] = node
+        node = labels.get(tok)
+        if node is not None:
+            for ref in defined:
+                labels[ref] = node
             return node
-        if digits in labels:
-            raise r.error(f"label {quote_token(tok)} is defined twice")
-        labels[digits] = None
-        defined += (digits,)
-        tok = r.next()
-    head = r.next()
+        digits, mark = tok[1:-1], tok[-1]
+        if tok[0] != "#":
+            raise r.error("expected '(', got {}")
+        if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
+            raise r.error("expected a formula or a label, got {}")
+        if mark == "#":
+            raise r.error("undefined label {}")
+        if (ref := f"#{digits}#") in labels:
+            raise r.error("label {} is defined twice")
+        labels[ref] = None
+        defined += (ref,)
+        tok = next(rest)
+    head = next(rest)
     if head == "atom":
-        key: tuple = _literal_fields(r)
+        parts: tuple = (_parse_literal(r),)
+        key: object = id(parts[0])  # one literal object per literal in a text
         size = 1
-    elif head in ("and", "or"):
-        left = _parse_formula(r)
-        right = _parse_formula(r)
-        key = (head, id(left[0]), id(right[0]))
-        size = 1 + left[1] + right[1]
+    elif head == "and" or head == "or":
+        left, right = _parse_formula(r), _parse_formula(r)
+        parts, key, size = (left[0], right[0]), (head, id(left[0]), id(right[0])), 1 + left[1] + right[1]
     elif head == "neg":
         arg = _parse_formula(r)
-        key = (head, id(arg[0]))
-        size = 1 + arg[1]
+        parts, key, size = (arg[0],), (head, id(arg[0])), 1 + arg[1]
     else:
-        raise r.error(f"expected a formula head, got {quote_token(head)}")
-    r.next(")")
+        raise r.error("expected a formula head, got {}")
+    if next(rest) != ")":
+        raise r.error("expected ')', got {}")
     node = r.formulas.get(key)
     if node is None:
         if size > len(r.tokens):
             raise r.error(f"formula of {size} nodes is larger than the text of {len(r.tokens)} tokens")
-        if head == "atom":
-            f: Formula = Atom(Literal(key[0], OrderAtom(key[1], key[2], key[3])))
-        elif head == "neg":
-            f = Neg(arg[0])
-        else:
-            f = (And if head == "and" else Or)(left[0], right[0])
-        node = r.formulas[key] = f, size
-    for label in defined:
-        r.labels[label] = node
+        node = r.formulas[key] = _FORMULA_HEADS[head](*parts), size
+    for ref in defined:
+        labels[ref] = node
     return node
 
 
 def _parse_atom_proof(r: _Reader) -> CertProof:
-    r.next("(")
-    name = r.next()
-    if name == "assm":
-        node: CertProof = AssmP(_parse_literal(r))
+    rest = r.rest
+    if next(rest) != "(":
+        raise r.error("expected '(', got {}")
+    name = next(rest)
+    if name == "trans" or name == "antisym":
+        node: CertProof = (TransP if name == "trans" else AntisymP)(_parse_atom_proof(r), _parse_atom_proof(r))
+    elif name == "assm":
+        node = AssmP(_parse_literal(r))
     elif name == "refl":
-        node = ReflP(_parse_var(r))
-    elif name in ("trans", "antisym"):
-        node = (TransP if name == "trans" else AntisymP)(_parse_atom_proof(r), _parse_atom_proof(r))
-    elif name in ("eqe1", "eqe2"):
+        node = ReflP(r.vids[tok] if (tok := next(rest)) in r.vids else _var(r, tok))
+    elif name == "eqe1" or name == "eqe2":
         node = (EQE1P if name == "eqe1" else EQE2P)(_parse_literal(r))
     elif name == "contr":
-        lit = _parse_literal(r)
-        node = ContrP(lit, _parse_atom_proof(r))
+        node = ContrP(_parse_literal(r), _parse_atom_proof(r))
     else:
-        raise r.error(f"expected an atom proof head, got {quote_token(name)}")
-    r.next(")")
+        raise r.error("expected an atom proof head, got {}")
+    if next(rest) != ")":
+        raise r.error("expected ')', got {}")
     return node
 
 
 def _parse_conv_proof(r: _Reader) -> ConvProof:
-    tok = r.next()
-    if tok != "(":
-        rule = NILADIC_CONVERSIONS.get(tok)
-        if rule is None:
-            raise r.error(f"unknown conversion {quote_token(tok)}")
-        return rule
-    name = r.next()
+    rest = r.rest
+    if (tok := next(rest)) != "(":
+        if tok not in NILADIC_CONVERSIONS:
+            raise r.error("unknown conversion {}")
+        return NILADIC_CONVERSIONS[tok]
+    name = next(rest)
     if name == "atom":
         node: ConvProof = AtomConv(_parse_conv_proof(r))
     elif name == "arg":
@@ -695,36 +687,43 @@ def _parse_conv_proof(r: _Reader) -> ConvProof:
     elif name == "then":
         node = ThenConv(_parse_conv_proof(r), _parse_conv_proof(r))
     else:
-        raise r.error(f"expected a conversion head, got {quote_token(name)}")
-    r.next(")")
+        raise r.error("expected a conversion head, got {}")
+    if next(rest) != ")":
+        raise r.error("expected ')', got {}")
     return node
 
 
 def _parse_cert(r: _Reader) -> PropProof:
-    r.next("(")
-    name = r.next()
-    if name == "lift":
-        node: PropProof = Lift(_parse_atom_proof(r))
-    elif name == "conje":
-        node = ConjE(_parse_formula(r)[0], _parse_formula(r)[0], _parse_cert(r))
+    rest = r.rest
+    if next(rest) != "(":
+        raise r.error("expected '(', got {}")
+    name = next(rest)
+    if name == "conje":
+        node: PropProof = ConjE(_parse_formula(r)[0], _parse_formula(r)[0], _parse_cert(r))
+    elif name == "lift":
+        node = Lift(_parse_atom_proof(r))
     elif name == "disje":
         node = DisjE(_parse_formula(r)[0], _parse_formula(r)[0], _parse_cert(r), _parse_cert(r))
     elif name == "conv":
         node = ConvRule(_parse_formula(r)[0], _parse_conv_proof(r), _parse_cert(r))
     else:
-        raise r.error(f"expected a certificate head, got {quote_token(name)}")
-    r.next(")")
+        raise r.error("expected a certificate head, got {}")
+    if next(rest) != ")":
+        raise r.error("expected ')', got {}")
     return node
 
 
 def parse_cert(text: str) -> PropProof:
     """Inverse of serialize_cert, in one pass over the tokens of ``text``.
 
-    Equal formulas read to one object, and ``#n#`` to the object labelled
-    ``#n=``.  A ParseError names the offset of the offending token.
+    Equal formulas read to one object.  A ParseError names the offset of
+    the offending token; running out of tokens is the end of input.
     """
     r = _Reader(text)
-    cert = _parse_cert(r)
-    if r.pos < len(r.tokens):
-        raise r.error(f"trailing input {quote_token(r.tokens[r.pos])}", r.pos)
+    try:
+        cert = _parse_cert(r)
+    except StopIteration:
+        raise ParseError(f"syntax error at offset {len(text)}: unexpected end of input") from None
+    if next(r.rest, None) is not None:
+        raise r.error("trailing input {}")
     return cert

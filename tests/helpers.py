@@ -29,7 +29,9 @@ from ordersat.core import (
     Theory,
     VarId,
     parse_input,
+    quote_token,
 )
+from ordersat import sexpr
 from ordersat.certs import (
     NILADIC_CONVERSIONS,
     AntisymP,
@@ -696,6 +698,216 @@ def tokenizer_parse_input(text: str) -> tuple[Formula, SymbolTable]:
     """``core.parse_input`` as the per-character reader computed it."""
     table = SymbolTable()
     return _Parser(text, table).parse(), table
+
+
+# ---------------------------------------------------------------------------
+# The cursor-based certificate reader, the oracle for ``certs.parse_cert``
+#
+# The certificate reader's earlier code, which took every token through a
+# Python method call and looked each variable and literal up afresh: kept
+# verbatim as the reference for certificates and error messages.
+
+
+class _ReferenceReader:
+    """Cursor over the tokens of one certificate text.
+
+    Formulas are hash-consed as they are built: a node is keyed by its head
+    and the objects of its children, an atom by its literal, so equal
+    formulas are one object wherever the text states them, and both kernels
+    compare them by identity first.  ``#n=`` binds label ``n`` to the
+    formula after it once that formula closes, and ``#n#`` yields that same
+    object.  With labels a short text could name a formula whose tree is
+    exponentially larger, which would take as long to print, so no formula
+    may have more nodes than the text has tokens, as none stated without
+    labels does.  The tables belong to the reader, so nothing is kept from
+    one ``parse_cert`` call to the next.
+    """
+
+    __slots__ = ("text", "tokens", "pos", "formulas", "labels")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = sexpr.tokenize(text)
+        self.pos = 0
+        # A node's key to the node and the number of nodes in its tree.
+        self.formulas: dict[tuple, tuple[Formula, int]] = {}
+        # A label's digits to its formula, or to None while that formula is read.
+        self.labels: dict[str, tuple[Formula, int] | None] = {}
+
+    def next(self, expected: str | None = None) -> str:
+        pos = self.pos
+        if pos == len(self.tokens):
+            raise ParseError(f"syntax error at offset {len(self.text)}: unexpected end of input")
+        tok = self.tokens[pos]
+        self.pos = pos + 1
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, got {quote_token(tok)}", pos)
+        return tok
+
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """``message`` at token ``k``, by default the token read last."""
+        offset = sexpr.offset_of(self.text, self.tokens, self.pos - 1 if k is None else k)
+        return ParseError(f"syntax error at offset {offset}: {message}")
+
+
+def _ref_parse_var(r: _ReferenceReader) -> VarId:
+    tok = r.next()
+    digits = tok[1:]
+    if not tok.startswith("v") or not (digits.isascii() and digits.isdigit()):
+        raise r.error(f"expected a variable like v0, got {quote_token(tok)}")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise r.error(f"variable id of {len(digits)} digits is too long") from None
+
+
+def _ref_literal_fields(r: _ReferenceReader) -> tuple[bool, str, VarId, VarId]:
+    r.next("(")
+    sign = r.next()
+    if sign not in ("+", "-"):
+        raise r.error(f"expected polarity + or -, got {quote_token(sign)}")
+    kind = r.next()
+    if kind not in ("le", "lt", "eq"):
+        raise r.error(f"expected atom kind le/lt/eq, got {quote_token(kind)}")
+    x = _ref_parse_var(r)
+    y = _ref_parse_var(r)
+    r.next(")")
+    return sign == "+", kind, x, y
+
+
+def _ref_parse_literal(r: _ReferenceReader) -> Literal:
+    sign, kind, x, y = _ref_literal_fields(r)
+    return Literal(sign, OrderAtom(kind, x, y))
+
+
+def _ref_parse_formula(r: _ReferenceReader) -> tuple[Formula, int]:
+    """The next formula, hash-consed, and the number of nodes in its tree.
+
+    The labels in front of it are read in this frame, so a labelled formula
+    nests no deeper than a plain one.  A label binds only once its formula
+    closes, so a formula cannot refer to itself and no cycle can form.
+    """
+    tok, defined = r.next(), ()
+    while tok != "(":
+        digits, mark, labels = tok[1:-1], tok[-1], r.labels
+        if tok[0] != "#":
+            raise r.error(f"expected '(', got {quote_token(tok)}")
+        if mark not in "=#" or not (digits.isascii() and digits.isdigit()):
+            raise r.error(f"expected a formula or a label, got {quote_token(tok)}")
+        if mark == "#":
+            node = labels.get(digits)
+            if node is None:
+                raise r.error(f"undefined label {quote_token(tok)}")
+            for label in defined:
+                labels[label] = node
+            return node
+        if digits in labels:
+            raise r.error(f"label {quote_token(tok)} is defined twice")
+        labels[digits] = None
+        defined += (digits,)
+        tok = r.next()
+    head = r.next()
+    if head == "atom":
+        key: tuple = _ref_literal_fields(r)
+        size = 1
+    elif head in ("and", "or"):
+        left = _ref_parse_formula(r)
+        right = _ref_parse_formula(r)
+        key = (head, id(left[0]), id(right[0]))
+        size = 1 + left[1] + right[1]
+    elif head == "neg":
+        arg = _ref_parse_formula(r)
+        key = (head, id(arg[0]))
+        size = 1 + arg[1]
+    else:
+        raise r.error(f"expected a formula head, got {quote_token(head)}")
+    r.next(")")
+    node = r.formulas.get(key)
+    if node is None:
+        if size > len(r.tokens):
+            raise r.error(f"formula of {size} nodes is larger than the text of {len(r.tokens)} tokens")
+        if head == "atom":
+            f: Formula = Atom(Literal(key[0], OrderAtom(key[1], key[2], key[3])))
+        elif head == "neg":
+            f = Neg(arg[0])
+        else:
+            f = (And if head == "and" else Or)(left[0], right[0])
+        node = r.formulas[key] = f, size
+    for label in defined:
+        r.labels[label] = node
+    return node
+
+
+def _ref_parse_atom_proof(r: _ReferenceReader) -> CertProof:
+    r.next("(")
+    name = r.next()
+    if name == "assm":
+        node: CertProof = AssmP(_ref_parse_literal(r))
+    elif name == "refl":
+        node = ReflP(_ref_parse_var(r))
+    elif name in ("trans", "antisym"):
+        node = (TransP if name == "trans" else AntisymP)(_ref_parse_atom_proof(r), _ref_parse_atom_proof(r))
+    elif name in ("eqe1", "eqe2"):
+        node = (EQE1P if name == "eqe1" else EQE2P)(_ref_parse_literal(r))
+    elif name == "contr":
+        lit = _ref_parse_literal(r)
+        node = ContrP(lit, _ref_parse_atom_proof(r))
+    else:
+        raise r.error(f"expected an atom proof head, got {quote_token(name)}")
+    r.next(")")
+    return node
+
+
+def _ref_parse_conv_proof(r: _ReferenceReader) -> ConvProof:
+    tok = r.next()
+    if tok != "(":
+        rule = NILADIC_CONVERSIONS.get(tok)
+        if rule is None:
+            raise r.error(f"unknown conversion {quote_token(tok)}")
+        return rule
+    name = r.next()
+    if name == "atom":
+        node: ConvProof = AtomConv(_ref_parse_conv_proof(r))
+    elif name == "arg":
+        node = ArgConv(_ref_parse_conv_proof(r))
+    elif name == "binop":
+        node = BinopConv(_ref_parse_conv_proof(r), _ref_parse_conv_proof(r))
+    elif name == "then":
+        node = ThenConv(_ref_parse_conv_proof(r), _ref_parse_conv_proof(r))
+    else:
+        raise r.error(f"expected a conversion head, got {quote_token(name)}")
+    r.next(")")
+    return node
+
+
+def _ref_parse_cert(r: _ReferenceReader) -> PropProof:
+    r.next("(")
+    name = r.next()
+    if name == "lift":
+        node: PropProof = Lift(_ref_parse_atom_proof(r))
+    elif name == "conje":
+        node = ConjE(_ref_parse_formula(r)[0], _ref_parse_formula(r)[0], _ref_parse_cert(r))
+    elif name == "disje":
+        node = DisjE(_ref_parse_formula(r)[0], _ref_parse_formula(r)[0], _ref_parse_cert(r), _ref_parse_cert(r))
+    elif name == "conv":
+        node = ConvRule(_ref_parse_formula(r)[0], _ref_parse_conv_proof(r), _ref_parse_cert(r))
+    else:
+        raise r.error(f"expected a certificate head, got {quote_token(name)}")
+    r.next(")")
+    return node
+
+
+def reference_parse_cert(text: str) -> PropProof:
+    """Inverse of serialize_cert, in one pass over the tokens of ``text``.
+
+    Equal formulas read to one object, and ``#n#`` to the object labelled
+    ``#n=``.  A ParseError names the offset of the offending token.
+    """
+    r = _ReferenceReader(text)
+    cert = _ref_parse_cert(r)
+    if r.pos < len(r.tokens):
+        raise r.error(f"trailing input {quote_token(r.tokens[r.pos])}", r.pos)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ordersat.core import (
     And,
     Atom,
+    Formula,
     Literal,
     Neg,
     Or,
@@ -68,6 +70,7 @@ from helpers import (
     plain_serialize_cert,
     random_formula,
     recursive_check_prop_proof,
+    reference_parse_cert,
     wide_conjunction,
 )
 
@@ -755,3 +758,73 @@ def test_cert_size_counts_proof_nodes_and_no_formulas():
         assert cert_size(node) == size, node
     with pytest.raises(ValueError):
         cert_size(x)
+
+
+# ---------------------------------------------------------------------------
+# The reader against its reference
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+_REPLACEMENTS = ["bogus", "(", ")", "#0#", "#99=", "v1", "le", "atom", ""]
+
+
+def _reader_corpus():
+    rng = random.Random(25)
+    texts = []
+    for theory in Theory:
+        texts += [serialize_cert(cert) for cert in _unsat_certificates(rng, 4, theory)]
+        for make, size in ((chain_text, 6), (ladder_text, 2)):
+            goal, _ = parse_input(make(rng, size))
+            texts.append(serialize_cert(decide(goal, theory).certificate))
+    return texts
+
+
+def test_reader_agrees_with_the_reference_on_prefixes_and_replaced_tokens():
+    # Every proper prefix that ends with a token, every text with one token
+    # replaced or deleted, and the text with a token after its end read to an
+    # equal certificate or to the same ParseError text under both readers.
+    compared = 0
+    for text in _reader_corpus():
+        marks = list(re.finditer(r"[()]|[^\s()]+", text))
+        variants = [text, text + " x"] + [text[: m.end()] for m in marks[:-1]]
+        variants += [f"{text[: m.start()]} {new} {text[m.end() :]}" for m in marks for new in _REPLACEMENTS]
+        for variant in variants:
+            assert _read(parse_cert, variant) == _read(reference_parse_cert, variant), variant
+            compared += 1
+    assert compared > 20_000
+
+
+def _formulas_and_literals(cert):
+    """The distinct formula and literal objects ``cert`` holds, by id."""
+    found, stack = {}, [cert]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Formula, Literal)):
+            if id(node) in found:
+                continue
+            found[id(node)] = node
+        if dataclasses.is_dataclass(node):
+            stack += [getattr(node, field.name) for field in dataclasses.fields(node)]
+    return found
+
+
+def test_each_reading_builds_its_own_objects_and_shares_equal_ones():
+    # Two readings of one text share no formula and no literal, so no table
+    # outlives a parse_cert call; within one reading, equal formulas are one
+    # object and so are equal literals, however often the text states them.
+    goal, _ = parse_input(chain_text(random.Random(7), 12))
+    cert = decide(goal, Theory.LINEAR).certificate
+    for text in (serialize_cert(cert), plain_serialize_cert(cert)):
+        first, second = parse_cert(text), parse_cert(text)
+        assert first == second
+        objects = _formulas_and_literals(first)
+        assert not objects.keys() & _formulas_and_literals(second).keys()
+        for kind in (Formula, Literal):
+            same = [node for node in objects.values() if isinstance(node, kind)]
+            assert len(same) == len(set(same)) > 10

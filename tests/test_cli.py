@@ -424,6 +424,31 @@ def test_check_deeply_nested_certificate_is_a_parse_error(tmp_path, capsys, kern
     assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
 
 
+_ATOM = "(atom (+ le v0 v1))"
+
+
+# The other recursive read paths, as deep as the atom proof above: a
+# formula, a conversion and the certificate's spine.
+@needs_stackless_calls
+@pytest.mark.parametrize(
+    "deep",
+    [
+        "(conv " + "(neg " * 100_000,
+        f"(conv {_ATOM} " + "(then " * 100_000,
+        f"(conje {_ATOM} {_ATOM} " * 100_000,
+    ],
+    ids=["formula", "conversion", "spine"],
+)
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_deeply_nested_formula_conversion_or_spine_is_a_parse_error(tmp_path, capsys, kernel, deep):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y & ~(x <= y)\n")
+    cert = tmp_path / "deep.cert"
+    cert.write_text(deep)
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 2
+    assert capsys.readouterr().err == "error: goal or certificate nested too deeply\n"
+
+
 def _long_chain(tmp_path, n: int):
     """``x0 <= x1 & … & x(n-1) <= xn & ~(x0 <= xn)``: its refutation is n ``trans`` deep."""
     source = tmp_path / "chain.txt"
