@@ -32,8 +32,9 @@ objects of its parts, so equal formulas are one object however the text
 states them, and both kernels compare them by identity first.  It reads
 each distinct variable token and literal once per text.  It refuses a
 formula with more nodes than the text has tokens, which only labels could
-name, so a kernel that prints or walks a formula the text states does work
-in proportion to the text, not to the formula's exponentially larger tree.
+name, so a kernel that walks a formula the text states does work in
+proportion to the text, not to the formula's exponentially larger tree;
+printing one is bounded by ``Formula.__str__``.
 """
 
 from __future__ import annotations

@@ -41,10 +41,6 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 3
 EXIT_INTERNAL = 4
 
-# A ``rejected:`` or ``internal error:`` line quotes at most this many
-# characters of its message.
-MAX_MESSAGE = 1000
-
 
 # ---------------------------------------------------------------------------
 # Model output
@@ -66,14 +62,6 @@ def format_model(m: Model, table: SymbolTable | None = None) -> str:
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def _bounded(message: object) -> str:
-    """``message`` as text, or its first ``MAX_MESSAGE`` characters and its length."""
-    text = str(message)
-    if len(text) <= MAX_MESSAGE:
-        return text
-    return f"{text[:MAX_MESSAGE]}… ({len(text)} characters)"
 
 
 def _read(path: str) -> str:
@@ -110,7 +98,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         verdict = decide(formula, theory, algorithm=args.algorithm)
     except InvariantViolation as exc:
-        print(f"internal error: {_bounded(exc)}", file=sys.stderr)
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except RecursionError:
         print("internal error: formula nested too deeply to decide", file=sys.stderr)
@@ -172,13 +160,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             conclusion = replay(frozenset({goal}), cert)
     except (ProofError, ConversionError, ReplayError) as exc:
-        print(f"rejected: {_bounded(exc)}")
+        print(f"rejected: {exc}")
         return EXIT_REJECTED
     except RecursionError:
         print(f"rejected: certificate nested too deeply for the {args.kernel} kernel")
         return EXIT_REJECTED
     if conclusion != FLS_FORMULA:
-        print(f"rejected: {_bounded(f'certificate concludes {conclusion}, not falsity')}")
+        print(f"rejected: certificate concludes {conclusion}, not falsity")
         return EXIT_REJECTED
     print("ok")
     return EXIT_OK

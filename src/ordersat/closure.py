@@ -7,10 +7,10 @@ source, built when a contradiction or a model first reads it
 (``--algorithm fw`` builds every pair at once instead).  The closure
 records each pair it adds as a midpoint, not a proof; negative literals are
 searched for a contradiction against it, clause by clause, and
-``pair_proof`` builds the shortest ``trans`` chain only for a pair a
-contradiction cites.  A negative literal reads at most the rows of its two
-variables; the first open clause keeps its closure for the model, which
-reads every row once.  ``decide`` glues this to the rewrite passes
+``pair_proof`` builds the shortest ``trans`` chain, balanced, only for a
+pair a contradiction cites.  A negative literal reads at most the rows of
+its two variables; the first open clause keeps its closure for the model,
+which reads every row once.  ``decide`` glues this to the rewrite passes
 (``preprocess``: negation normal form, strict elimination, DNF, one
 conversion) and re-checks every certificate with the trusted kernel.
 """
@@ -181,7 +181,8 @@ def trancl_floyd_warshall(mapping: ProofMap) -> ProofMap:
     """Same contract as trancl_mapping via the cubic all-pairs scheme, eagerly.
 
     A pair ``(i, j)`` first found through ``k`` is recorded as the midpoint
-    ``k``: its certificate composes those of ``(i, k)`` and ``(k, j)``.
+    ``k``: its certificate's chain is that of ``(i, k)`` followed by that of
+    ``(k, j)``.
     """
     result: dict[Pair, CertProof | VarId] = dict(mapping)
     vertices = sorted({v for key in mapping for v in key})
@@ -198,32 +199,27 @@ def trancl_floyd_warshall(mapping: ProofMap) -> ProofMap:
 def pair_proof(leqm: ProofMap, x: VarId, z: VarId) -> CertProof | None:
     """Certificate for the pair ``(x, z)`` of a closed map, if it is in it.
 
-    A base pair's certificate is stored; a derived pair's is
-    ``TransP(proof(x, y), proof(y, z))`` for its midpoint ``y``, built here
-    with an explicit stack, each pair of the tree once.
+    A base pair's certificate is stored.  A derived pair's midpoints are
+    expanded, on an explicit stack, into its chain of base steps in order,
+    and neighbouring proofs are joined by ``TransP`` until one is left, so
+    an n-step chain nests ⌈log₂ n⌉ ``trans`` deep.
     """
     top = leqm.get((x, z))
     if not isinstance(top, int):
         return top
-    built: dict[Pair, CertProof] = {}
-
-    def ready(key: Pair) -> CertProof | None:
-        value = leqm[key]
-        return built.get(key) if isinstance(value, int) else value
-
+    steps: list[CertProof] = []
     stack = [(x, z)]
     while stack:
-        a, c = key = stack[-1]
+        a, c = key = stack.pop()
         b = leqm[key]
-        left, right = ready((a, b)), ready((b, c))
-        if left is None:
-            stack.append((a, b))
-        elif right is None:
-            stack.append((b, c))
+        if isinstance(b, int):
+            stack += (b, c), (a, b)
         else:
-            built[key] = TransP(left, right)
-            stack.pop()
-    return built[(x, z)]
+            steps.append(b)
+    while len(steps) > 1:
+        joined = [TransP(left, right) for left, right in zip(steps[::2], steps[1::2])]
+        steps = joined + steps[len(joined) * 2 :]
+    return steps[0]
 
 
 def is_in_leq(leqm: ProofMap, x: VarId, y: VarId) -> CertProof | None:

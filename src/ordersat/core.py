@@ -101,12 +101,16 @@ def neg(atom: OrderAtom) -> Literal:
     return Literal(False, atom)
 
 
+MAX_FORMULA_TEXT = 400  # a formula prints as at most this many characters
+
+
 class Formula:
     """Base class of the formula tree; nodes are Atom, And, Or and Neg.
 
     Each node stores its hash in ``_hash`` when it is built, from its literal
-    or its children's stored hashes, and ``==`` walks an explicit stack.  Any
-    other subclass stores a ``_hash`` too and brings its own ``==``.
+    or its children's stored hashes, and ``==`` and ``str`` walk an explicit
+    stack.  Any other subclass stores a ``_hash`` too and brings its own
+    ``==`` and its own text.
 
     Nodes are never changed after they are built, so a stored hash stays
     the hash of the tree.  They are not frozen only because a frozen
@@ -144,6 +148,24 @@ class Formula:
                 return False
         return True
 
+    def __str__(self) -> str:
+        """The text, or its first ``MAX_FORMULA_TEXT - 1`` characters and "…", from an explicit stack."""
+        parts: list[str] = []
+        size = 0
+        stack: list[Formula | str] = [self]
+        while stack and size <= MAX_FORMULA_TEXT:
+            node = stack.pop()
+            if type(node) is And or type(node) is Or:
+                stack += ")", node.right, (" & " if type(node) is And else " | "), node.left, "("
+            elif type(node) is Neg:
+                stack += node.arg, "~"
+            else:  # a piece of text, an atom, or a subclass that brings its own text
+                text = str(node.lit) if type(node) is Atom else str(node)
+                parts.append(text)
+                size += len(text)
+        text = "".join(parts)
+        return text if size <= MAX_FORMULA_TEXT else text[: MAX_FORMULA_TEXT - 1] + "…"
+
 
 @dataclass(eq=False)
 class Atom(Formula):
@@ -152,9 +174,6 @@ class Atom(Formula):
 
     def __post_init__(self) -> None:
         self._hash = hash(self.lit)
-
-    def __str__(self) -> str:
-        return str(self.lit)
 
 
 @dataclass(eq=False)
@@ -166,9 +185,6 @@ class And(Formula):
     def __post_init__(self) -> None:
         self._hash = hash((1, self.left._hash, self.right._hash))
 
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(eq=False)
 class Or(Formula):
@@ -179,9 +195,6 @@ class Or(Formula):
     def __post_init__(self) -> None:
         self._hash = hash((2, self.left._hash, self.right._hash))
 
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
-
 
 @dataclass(eq=False)
 class Neg(Formula):
@@ -190,9 +203,6 @@ class Neg(Formula):
 
     def __post_init__(self) -> None:
         self._hash = hash((3, self.arg._hash))
-
-    def __str__(self) -> str:
-        return f"~{self.arg}"
 
 
 class Theory(Enum):

@@ -198,28 +198,31 @@ def to_dnf(f: Formula) -> tuple[Formula, ConvProof]:
 
 def is_dnf(f: Formula) -> bool:
     """Shape check: disjunction of conjunctions of atoms."""
-    if isinstance(f, Or):
-        return is_dnf(f.left) and is_dnf(f.right)
-    return _is_clause(f)
+    return all(type(g) is Atom for clause in _leaves(f, Or) for g in _leaves(clause, And))
 
 
-def _is_clause(f: Formula) -> bool:
-    if isinstance(f, And):
-        return _is_clause(f.left) and _is_clause(f.right)
-    return isinstance(f, Atom)
+def _leaves(f: Formula, kind: type) -> list[Formula]:
+    """The maximal subtrees of ``f`` that are not ``kind`` nodes, left to right, by a loop."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        while type(g) is kind:
+            stack.append(g.right)
+            g = g.left
+        out.append(g)
+    return out
 
 
 def conj_list(f: Formula) -> list[Literal]:
     """Atoms of a pure conjunction, left to right."""
-    if isinstance(f, Atom):
-        return [f.lit]
-    if isinstance(f, And):
-        return conj_list(f.left) + conj_list(f.right)
-    raise StructureError(f"not a conjunction of atoms: {f}")
+    leaves = _leaves(f, And)
+    for g in leaves:
+        if type(g) is not Atom:
+            raise StructureError(f"not a conjunction of atoms: {g}")
+    return [g.lit for g in leaves]
 
 
 def disj_clauses(f: Formula) -> list[Formula]:
     """Maximal non-disjunction subtrees of a DNF, left to right."""
-    if isinstance(f, Or):
-        return disj_clauses(f.left) + disj_clauses(f.right)
-    return [f]
+    return _leaves(f, Or)

@@ -119,7 +119,6 @@ def check_case(f: Formula, theory: Theory, stats: AgreementStats) -> None:
     A model is checked against ``f`` itself and the theory's order axioms,
     independently of the clause the solver built it from.
     """
-    label = f"{theory.value}: {f}"
     expected = brute_sat(f, theory)
     verdict = decide(f, theory)
     stats.checked += 1
@@ -127,22 +126,23 @@ def check_case(f: Formula, theory: Theory, stats: AgreementStats) -> None:
     if isinstance(verdict, Unsat):
         stats.unsat[theory] = stats.unsat.get(theory, 0) + 1
         if expected:
-            stats.disagreements.append(f"{label}: decide unsat, oracle sat")
+            stats.disagreements.append(f"{theory.value}: {f}: decide unsat, oracle sat")
             return
+        error = ""
         try:
             ok = check_prop_proof({f}, verdict.certificate) == FLS_FORMULA
         except Exception as exc:  # noqa: BLE001
             ok = False
-            label = f"{label}: {exc}"
+            error = f": {exc}"
         if not ok:
-            stats.cert_failures.append(label)
+            stats.cert_failures.append(f"{theory.value}: {f}{error}")
         if not replay_refutation(verdict.certificate, f):
-            stats.replay_failures.append(label)
+            stats.replay_failures.append(f"{theory.value}: {f}{error}")
     else:
         assert isinstance(verdict, Sat)
         stats.sat[theory] = stats.sat.get(theory, 0) + 1
         if not expected:
-            stats.disagreements.append(f"{label}: decide sat, oracle unsat")
+            stats.disagreements.append(f"{theory.value}: {f}: decide sat, oracle unsat")
             return
         m = verdict.model
         try:
@@ -154,7 +154,7 @@ def check_case(f: Formula, theory: Theory, stats: AgreementStats) -> None:
         except EvaluationError:
             ok = False
         if not ok:
-            stats.model_failures.append(label)
+            stats.model_failures.append(f"{theory.value}: {f}")
 
 
 def run_agreement(

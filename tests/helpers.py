@@ -61,6 +61,7 @@ from ordersat.certs import (
 )
 from ordersat.closure import ProofMap, Unsat, decide, leq1_mapping
 from ordersat.replay import SIGMA, FmHole, ReplayError, SubstValue
+from ordersat.rewrite import StructureError
 
 
 def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -150,6 +151,20 @@ def proof_carrying_floyd_warshall(mapping: ProofMap) -> ProofMap:
                 if right is not None:
                     result[(i, j)] = TransP(left, right)
     return result
+
+
+def trans_steps(proof: CertProof) -> list[CertProof]:
+    """The steps of a ``trans`` chain in order: the proofs below its ``TransP`` nodes."""
+    if isinstance(proof, TransP):
+        return trans_steps(proof.left) + trans_steps(proof.right)
+    return [proof]
+
+
+def trans_depth(proof: CertProof) -> int:
+    """The most ``TransP`` nodes on a path from ``proof`` down to a step."""
+    if isinstance(proof, TransP):
+        return 1 + max(trans_depth(proof.left), trans_depth(proof.right))
+    return 0
 
 
 def list_kahn_sequence(r: Relation) -> list[int]:
@@ -426,6 +441,31 @@ def rebuild_formula(f: Formula, rng: random.Random | None = None) -> Formula:
         return kind(left, right)
 
     return build(f)
+
+
+def recursive_str(f: Formula) -> str:
+    """A formula's whole text, as each node's own recursive ``__str__`` printed it.
+
+    Kept as the oracle for the bounded, explicit-stack ``Formula.__str__``.
+    """
+    if isinstance(f, Atom):
+        return str(f.lit)
+    if isinstance(f, And):
+        return f"({recursive_str(f.left)} & {recursive_str(f.right)})"
+    if isinstance(f, Or):
+        return f"({recursive_str(f.left)} | {recursive_str(f.right)})"
+    if isinstance(f, Neg):
+        return f"~{recursive_str(f.arg)}"
+    return str(f)
+
+
+def recursive_conj_list(f: Formula) -> list[Literal]:
+    """``rewrite.conj_list`` as it was when it recursed and concatenated, the oracle for its loop."""
+    if isinstance(f, Atom):
+        return [f.lit]
+    if isinstance(f, And):
+        return recursive_conj_list(f.left) + recursive_conj_list(f.right)
+    raise StructureError(f"not a conjunction of atoms: {f}")
 
 
 def _formula_size(node: Formula) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ordersat
-from ordersat.core import And, Atom, Neg, ParseError, eq, le, lt, pos
+from ordersat.core import MAX_FORMULA_TEXT, And, Atom, Neg, ParseError, eq, le, lt, pos
 from ordersat.certs import ProofError, check_prop_proof, parse_cert, serialize_cert
 from ordersat import cli
 from ordersat.cli import format_model, parse_input, run
@@ -300,7 +300,7 @@ def test_check_quotes_a_bounded_prefix_of_a_long_token(tmp_path, capsys, kernel)
 @pytest.mark.parametrize("kernel", ["structured", "replay"])
 def test_check_bounds_a_rejection_that_quotes_a_huge_formula(tmp_path, capsys, kernel):
     # The certificate of a 2,000-literal conjunction against a goal that
-    # differs in its last literal: both kernels name the whole formula.
+    # differs in its last literal: both kernels quote the formula, cut short.
     literals = [f"x{i} <= y{i}" for i in range(1999)]
     source = tmp_path / "goal.txt"
     source.write_text(" & ".join(literals + ["~(x0 <= x0)"]) + "\n")
@@ -317,16 +317,26 @@ def test_check_bounds_a_rejection_that_quotes_a_huge_formula(tmp_path, capsys, k
         else:
             replay(frozenset({goal}), proof)
     message = str(caught.value)
-    assert len(message) > 30_000
+    assert message.count("…") == 1 and len(message) < MAX_FORMULA_TEXT + 100
     assert run(["check", str(cert), "--goal", str(other), "--kernel", kernel]) == 3
     out = capsys.readouterr().out
-    assert out == f"rejected: {message[:1000]}… ({len(message)} characters)\n"
+    assert out == f"rejected: {message}\n"
     assert len(out.encode()) < 1100
 
 
-def test_short_messages_are_not_cut():
-    assert cli._bounded("x" * 1000) == "x" * 1000
-    assert cli._bounded("x" * 1001) == "x" * 1000 + "… (1001 characters)"
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_a_rejection_quotes_a_formula_that_fits_in_full(tmp_path, capsys, kernel):
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y & ~(x <= y)\n")
+    other = tmp_path / "other.txt"
+    other.write_text("x <= y & ~(y <= x)\n")
+    cert = tmp_path / "proof.cert"
+    assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(["check", str(cert), "--goal", str(other), "--kernel", kernel]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: conversion source (v0 <= v1 & ~v0 <= v1) is not ")
+    assert "…" not in out
 
 
 @pytest.mark.parametrize("kernel", ["structured", "replay"])
@@ -450,7 +460,7 @@ def test_check_deeply_nested_formula_conversion_or_spine_is_a_parse_error(tmp_pa
 
 
 def _long_chain(tmp_path, n: int):
-    """``x0 <= x1 & … & x(n-1) <= xn & ~(x0 <= xn)``: its refutation is n ``trans`` deep."""
+    """``x0 <= x1 & … & x(n-1) <= xn & ~(x0 <= xn)``: its refutation is a chain of n steps."""
     source = tmp_path / "chain.txt"
     literals = [f"x{i} <= x{i + 1}" for i in range(n)] + [f"~(x0 <= x{n})"]
     source.write_text(" & ".join(literals) + "\n")
@@ -465,35 +475,78 @@ def test_solve_refutes_a_thirty_thousand_step_chain(tmp_path, capsys):
     assert capsys.readouterr() == ("unsat\n", "")
 
 
-@needs_stackless_calls
-def test_solve_cert_too_deep_to_write_is_an_internal_error(tmp_path, capsys):
-    source = _long_chain(tmp_path, 30_000)
-    cert = tmp_path / "chain.cert"
+def test_solve_cert_too_deep_to_write_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "goal.txt"
+    source.write_text(MOTIVATING_EXAMPLE)
+    cert = tmp_path / "proof.cert"
+    monkeypatch.setattr(cli, "serialize_cert", _too_deep)
     assert run(["solve", str(source), "--theory", "partial", "--cert", str(cert)]) == 4
     assert capsys.readouterr() == ("", "internal error: certificate nested too deeply to write\n")
     assert not cert.exists()
 
 
-def _solve_then_check_in_a_child(tmp_path, goal: str) -> None:
-    """``solve`` ``goal`` and check its certificate with both kernels, each in a child process."""
+def _in_a_child(*argv: str) -> subprocess.CompletedProcess:
+    """``ordersat`` run on ``argv`` in a child process, so that a crash cannot take the tests down."""
+    package_root = os.path.dirname(os.path.dirname(ordersat.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "ordersat.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        timeout=120,
+    )
+
+
+def _solve_in_a_child(tmp_path, goal: str):
+    """``goal`` written to a file and solved with ``--cert``; the goal's and the certificate's paths."""
     source = tmp_path / "goal.txt"
     source.write_text(goal)
     cert = tmp_path / "proof.cert"
-    package_root = os.path.dirname(os.path.dirname(ordersat.__file__))
-    commands = [
-        ["solve", str(source), "--theory", "partial", "--cert", str(cert)],
-        ["check", str(cert), "--goal", str(source), "--kernel", "structured"],
-        ["check", str(cert), "--goal", str(source), "--kernel", "replay"],
-    ]
-    for command, expected in zip(commands, ["unsat\n", "ok\n", "ok\n"]):
-        done = subprocess.run(
-            [sys.executable, "-m", "ordersat.cli", *command],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=package_root),
-            timeout=120,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, expected, ""), command
+    done = _in_a_child("solve", str(source), "--theory", "partial", "--cert", str(cert))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "unsat\n", "")
+    return source, cert
+
+
+def _solve_then_check_in_a_child(tmp_path, goal: str) -> None:
+    """``solve`` ``goal`` and check its certificate with both kernels, each in a child process."""
+    source, cert = _solve_in_a_child(tmp_path, goal)
+    for kernel in ("structured", "replay"):
+        done = _in_a_child("check", str(cert), "--goal", str(source), "--kernel", kernel)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", ""), kernel
+
+
+def _check_a_mismatch_in_a_child(tmp_path, goal: str, other: str) -> None:
+    """The certificate of ``goal`` checked against ``other``: one short ``rejected:`` line from each kernel."""
+    _, cert = _solve_in_a_child(tmp_path, goal)
+    mismatch = tmp_path / "other.txt"
+    mismatch.write_text(other)
+    for kernel in ("structured", "replay"):
+        done = _in_a_child("check", str(cert), "--goal", str(mismatch), "--kernel", kernel)
+        assert (done.returncode, done.stderr) == (3, ""), kernel
+        assert done.stdout.startswith("rejected: ") and done.stdout.count("\n") == 1
+        assert len(done.stdout.encode()) < 1100
+
+
+@needs_stackless_calls
+def test_both_kernels_accept_the_certificate_of_a_thirty_thousand_step_chain(tmp_path):
+    # Its refutation is one chain of 30,000 steps, nested 15 trans deep.
+    _solve_then_check_in_a_child(tmp_path, _long_chain(tmp_path, 30_000).read_text())
+
+
+def test_both_kernels_reject_a_mismatch_under_twenty_thousand_negations(tmp_path):
+    # Each kernel quotes the 20,000-deep goal, whose text once recursed once
+    # per negation and overflowed the C stack (SIGSEGV).
+    _check_a_mismatch_in_a_child(
+        tmp_path, "~" * 20_000 + "x <= y & ~(x <= y)\n", "~" * 20_000 + "x <= y & ~(y <= x)\n"
+    )
+
+
+@needs_stackless_calls
+def test_both_kernels_reject_a_mismatch_in_a_twenty_thousand_literal_conjunction(tmp_path):
+    literals = [f"x{i} <= y{i}" for i in range(19_999)]
+    _check_a_mismatch_in_a_child(
+        tmp_path, " & ".join(literals + ["~(x0 <= x0)"]) + "\n", " & ".join(literals + ["~(x1 <= x1)"]) + "\n"
+    )
 
 
 def test_solve_refutes_a_formula_under_twenty_thousand_negations(tmp_path):

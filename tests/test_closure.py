@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -68,6 +69,8 @@ from helpers import (
     proof_carrying_floyd_warshall,
     random_formula,
     rounds_closure,
+    trans_depth,
+    trans_steps,
 )
 
 
@@ -140,6 +143,15 @@ def test_trancl_proofs_check(m):
             assert check_atom_proof(assumptions, pair_proof(closed, x, y)) == pos(le(x, y))
 
 
+def _assert_balanced_chains(closed, expected) -> None:
+    """Each pair's proof has the oracle's chain of steps, nested at most ⌈log₂ n⌉ deep."""
+    for key in closed:
+        proof = pair_proof(closed, *key)
+        steps = trans_steps(proof)
+        assert steps == trans_steps(expected[key])
+        assert trans_depth(proof) <= math.ceil(math.log2(len(steps)))
+
+
 # Positive <= and = literals over up to 8 variables: x == y gives self-loops,
 # and each = literal puts both of its directions into the map.
 _positive_literals = st.lists(
@@ -159,7 +171,7 @@ def test_trancl_matches_round_based_closure(literals):
     m = leq1_mapping(literals)
     closed, expected = trancl_mapping(m), rounds_closure(m)
     assert closed.keys() == expected.keys()
-    assert {key: pair_proof(closed, *key) for key in closed} == expected
+    _assert_balanced_chains(closed, expected)
 
 
 @given(_positive_literals)
@@ -183,7 +195,7 @@ def test_floyd_warshall_midpoints_build_the_proof_carrying_certificates(literals
     m = leq1_mapping(literals)
     closed, expected = trancl_floyd_warshall(m), proof_carrying_floyd_warshall(m)
     assert closed.keys() == expected.keys()
-    assert {key: pair_proof(closed, *key) for key in closed} == expected
+    _assert_balanced_chains(closed, expected)
 
 
 def _counting_rows(monkeypatch) -> list:

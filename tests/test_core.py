@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordersat.core import (
     ATOM_KINDS,
+    MAX_FORMULA_TEXT,
     And,
     Atom,
     EvaluationError,
@@ -34,7 +35,7 @@ from ordersat.closure import decide
 from ordersat.oracle import enumerate_posets
 from ordersat.replay import FmHole
 
-from helpers import rebuild_formula, structurally_equal
+from helpers import rebuild_formula, recursive_str, structurally_equal
 
 
 def test_intern_first_seen_order():
@@ -195,8 +196,9 @@ _LITERALS = st.builds(
     st.booleans(),
     st.builds(OrderAtom, st.sampled_from(ATOM_KINDS), st.integers(0, 2), st.integers(0, 2)),
 )
+_LEAVES = st.builds(Atom, _LITERALS) | st.builds(FmHole, st.integers(-3, -1))
 _FORMULAS = st.recursive(
-    st.builds(Atom, _LITERALS) | st.builds(FmHole, st.integers(-3, -1)),
+    _LEAVES,
     lambda parts: st.builds(And, parts, parts) | st.builds(Or, parts, parts) | st.builds(Neg, parts),
     max_leaves=12,
 )
@@ -215,3 +217,55 @@ def test_formula_equality_agrees_with_a_recursive_structural_oracle(f, g, seed):
         if same:
             assert hash(a) == hash(b)
     assert f.__eq__(str(f)) is NotImplemented and f != str(f)
+
+
+def _joined(first, rest):
+    """``first`` joined with each part of ``rest`` by its connective, on its side."""
+    f = first
+    for part, kind, on_the_left in rest:
+        f = kind(part, f) if on_the_left else kind(f, part)
+    return f
+
+
+# A formula joined with dozens of leaves, so that most are longer than the bound.
+_LONG_FORMULAS = st.builds(
+    _joined,
+    _FORMULAS,
+    st.lists(st.tuples(_LEAVES, st.sampled_from([And, Or]), st.booleans()), min_size=20, max_size=80),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FORMULAS | _LONG_FORMULAS)
+def test_formula_text_is_the_recursive_text_cut_at_the_bound(f):
+    whole, text = recursive_str(f), str(f)
+    if len(whole) <= MAX_FORMULA_TEXT:
+        assert text == whole
+    else:
+        assert text == whole[: MAX_FORMULA_TEXT - 1] + "…"
+    assert len(text) <= MAX_FORMULA_TEXT
+
+
+def test_formula_text_cuts_a_long_atom_and_fits_the_bound_exactly():
+    long_atom = Atom(pos(le(10**1000, 0)))
+    assert str(long_atom) == recursive_str(long_atom)[: MAX_FORMULA_TEXT - 1] + "…"
+    fits = Atom(pos(le(10 ** (MAX_FORMULA_TEXT - 8), 0)))  # "v1000…0 <= v0"
+    assert len(recursive_str(fits)) == MAX_FORMULA_TEXT
+    assert str(fits) == recursive_str(fits)
+    over = Atom(pos(le(10 ** (MAX_FORMULA_TEXT - 7), 0)))
+    assert str(over) == recursive_str(over)[: MAX_FORMULA_TEXT - 1] + "…"
+
+
+def test_deep_and_wide_formulas_print_without_a_deep_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        deep = wide = Atom(pos(le(0, 1)))
+        for i in range(100_000):
+            deep = Neg(deep)
+            wide = And(wide, Atom(neg(le(i, i))))
+        assert str(deep) == "~" * (MAX_FORMULA_TEXT - 1) + "…"
+        assert str(wide) == "(" * (MAX_FORMULA_TEXT - 1) + "…"
+        assert str(Or(Atom(pos(le(0, 1))), deep)) == "(v0 <= v1 | " + "~" * (MAX_FORMULA_TEXT - 13) + "…"
+    finally:
+        sys.setrecursionlimit(limit)

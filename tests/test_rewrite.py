@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,8 @@ from ordersat.core import (
 from ordersat.certs import ArgConv, AtomConv, BinopConv, Rule, apply_conv
 from ordersat.closure import preprocess
 from ordersat.oracle import enumerate_posets
+
+from helpers import recursive_conj_list
 from ordersat.rewrite import (
     StructureError,
     amap_fm,
@@ -215,6 +219,43 @@ def test_conj_list_examples():
         conj_list(Or(Atom(a), Atom(b)))
     with pytest.raises(StructureError):
         conj_list(Neg(Atom(a)))
+
+
+clauses = st.recursive(st.builds(Atom, literals), lambda children: st.builds(And, children, children), max_leaves=30)
+
+
+def _outcome(fn, f):
+    try:
+        return fn(f)
+    except StructureError as exc:
+        return str(exc)
+
+
+@given(clauses | formulas)
+@settings(max_examples=300)
+def test_conj_list_agrees_with_the_recursive_version(f):
+    assert _outcome(conj_list, f) == _outcome(recursive_conj_list, f)
+
+
+def test_conj_list_and_disj_clauses_walk_a_long_spine_without_a_deep_stack():
+    n = 100_000
+    lits = [pos(le(i, i + 1)) for i in range(n)]
+    clause = Atom(lits[0])
+    for lit in lits[1:]:
+        clause = And(clause, Atom(lit))
+    disjunction = Or(Atom(lits[0]), Atom(lits[1]))
+    for i in range(n):
+        disjunction = Or(disjunction, Atom(lits[i]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert conj_list(clause) == lits
+        assert conj_list(And(Atom(lits[0]), clause)) == lits[:1] + lits
+        assert disj_clauses(disjunction) == [Atom(lits[0]), Atom(lits[1])] + [Atom(lit) for lit in lits]
+        with pytest.raises(StructureError, match=re.escape("atoms: (v0 <= v1 | v1 <= v2)")):
+            conj_list(And(clause, Or(Atom(lits[0]), Atom(lits[1]))))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_disj_clauses_examples():
