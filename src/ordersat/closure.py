@@ -11,8 +11,9 @@ searched for a contradiction against it, clause by clause, and
 pair a contradiction cites.  A negative literal reads at most the rows of
 its two variables; the first open clause keeps its closure for the model,
 which reads every row once.  ``decide`` glues this to the rewrite passes
-(``preprocess``: negation normal form, strict elimination, DNF, one
-conversion) and re-checks every certificate with the trusted kernel.
+(``preprocess``: negation normal form and strict elimination in one walk,
+then DNF, one conversion) and re-checks every certificate with the trusted
+kernel.
 """
 
 from __future__ import annotations
@@ -56,14 +57,12 @@ from .certs import (
     check_prop_proof,
 )
 from .model import Model, Pair, build_linear_model, build_partial_model, verify_model
-from .rewrite import (
+from .rewrite import (  # noqa: F401 - bench/spans.py rebinds amap_fm and amap_fm_prf here
     StructureError,
     amap_fm,
     amap_fm_prf,
     conj_list,
-    deless_linear,
     deless_linear_prf,
-    deless_partial,
     deless_partial_prf,
     then,
     to_dnf,
@@ -321,21 +320,17 @@ class Preprocessed:
 
 
 def preprocess(f: Formula, theory: Theory) -> Preprocessed:
-    """Negation normal form, strict elimination, then DNF, as one conversion.
+    """Negation normal form and strict elimination in one walk, then DNF, as one conversion.
 
-    Negations are pushed into the atoms, every literal is rewritten with the
-    theory's ``deless`` rule, and the strict-free negation normal form is
-    distributed into a DNF.  The conversion is ``allconv`` exactly when the
-    result is ``f`` itself.
+    Negations are pushed into the atoms and every literal is rewritten with
+    the theory's ``deless`` rule by ``to_nnf``, and the strict-free negation
+    normal form is distributed into a DNF.  The conversion is ``allconv``
+    exactly when the result is ``f`` itself.
     """
-    if theory is Theory.LINEAR:
-        deless, deless_prf = deless_linear, deless_linear_prf
-    else:
-        deless, deless_prf = deless_partial, deless_partial_prf
-    nnf, p = to_nnf(f)
-    delessed = amap_fm(deless, nnf)
-    dnf, q = to_dnf(delessed)
-    return Preprocessed(then(then(p, amap_fm_prf(deless_prf, nnf)), q), dnf)
+    deless_prf = deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf
+    nnf, p = to_nnf(f, deless_prf)
+    dnf, q = to_dnf(nnf)
+    return Preprocessed(then(p, q), dnf)
 
 
 @dataclass(frozen=True)

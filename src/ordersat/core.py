@@ -109,8 +109,9 @@ class Formula:
 
     Each node stores its hash in ``_hash`` when it is built, from its literal
     or its children's stored hashes, and ``==`` and ``str`` walk an explicit
-    stack.  Any other subclass stores a ``_hash`` too and brings its own
-    ``==`` and its own text.
+    stack; it returns at once for two nodes of one type that hold the same
+    literal object or the same two children.  Any other subclass
+    stores a ``_hash`` too and brings its own ``==`` and its own text.
 
     Nodes are never changed after they are built, so a stored hash stays
     the hash of the tree.  They are not frozen only because a frozen
@@ -129,6 +130,13 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
+        kind = type(self)
+        if kind is type(other):
+            if kind is Atom:
+                if self.lit is other.lit:
+                    return True
+            elif (kind is And or kind is Or) and self.left is other.left and self.right is other.right:
+                return True
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()

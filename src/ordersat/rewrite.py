@@ -4,11 +4,13 @@ Every rewrite emits the conversion certificate that replays it, and a
 produced certificate applies to exactly the formula the solver goes on to
 analyse.  Strict elimination states each rule once, as a certificate: the
 rewrite of an atom is the checker's own ``apply_conv`` of its rule, so the
-two agree by construction.  ``to_nnf`` and ``to_dnf`` build the formula and
-its certificate together, in one walk, with no simplification and no clause
-deduplication.  The solver applies them in the order ``to_nnf``, one
-``amap_fm`` pass of a ``deless`` rewrite, then ``to_dnf``, which takes a
-negation-free formula and only distributes it.
+two agree by construction.  ``to_nnf`` pushes every negation into the
+atoms and rewrites each atom by the theory's ``deless`` rule, in one walk
+on an explicit stack; ``to_dnf`` takes the negation-free result and
+only distributes it.  Each builds the formula and its certificate together,
+with no simplification and no clause deduplication.  ``amap_fm`` and
+``amap_fm_prf`` state an atom rewrite on its own, as a formula pass and a
+certificate pass.
 
 Every transformation returns its input object for a subtree it leaves
 unchanged, so the clauses of a DNF are, by identity, subterms of the formula
@@ -34,6 +36,7 @@ from .certs import NILADIC_CONVERSIONS as _RULE
 from .certs import ArgConv, AtomConv, BinopConv, ConvProof, ThenConv, apply_conv
 
 _ALLCONV = _RULE["allconv"]
+_NNF_ATOM = (_ALLCONV, _RULE["negatom"])  # an atom's NNF step, unnegated and negated
 
 
 class StructureError(OrderSatError):
@@ -51,11 +54,6 @@ def deless_partial_prf(lit: Literal) -> ConvProof:
     return _ALLCONV
 
 
-def deless_partial(lit: Literal) -> Formula:
-    """``Atom(lit)`` rewritten by its partial-order rule, as the checker applies it."""
-    return apply_conv(deless_partial_prf(lit), Atom(lit))
-
-
 def deless_linear_prf(lit: Literal) -> ConvProof:
     """The rule that eliminates a strict atom or a negated <= over a linear order.
 
@@ -68,11 +66,6 @@ def deless_linear_prf(lit: Literal) -> ConvProof:
     if a.kind == LE and not lit.pos:
         return _RULE["nle"]
     return _ALLCONV
-
-
-def deless_linear(lit: Literal) -> Formula:
-    """``Atom(lit)`` rewritten by its linear-order rule, as the checker applies it."""
-    return apply_conv(deless_linear_prf(lit), Atom(lit))
 
 
 def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:
@@ -129,37 +122,58 @@ def _rebuilt(f: And | Or, left: Formula, right: Formula) -> Formula:
     return type(f)(left, right)
 
 
-def to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
-    """Push every negation into the atoms, with a conversion certificate.
+def to_nnf(f: Formula, rule: Callable[[Literal], ConvProof]) -> tuple[Formula, ConvProof]:
+    """Push every negation into the atoms and apply ``rule`` to each, with a conversion certificate.
 
-    The result contains no Neg node: a negated atom becomes the atom of the
-    negated literal, double negations cancel and De Morgan's laws swap And
-    and Or.  Negation-free subtrees are kept as they are: on a formula that
-    is already negation-free the result is the input and the certificate is
-    ``allconv``.
+    The negation normal form contains no Neg node: a negated atom becomes the
+    atom of the negated literal, double negations cancel and De Morgan's laws
+    swap And and Or.  Each atom of it is then rewritten by
+    ``apply_conv(rule(lit), atom)``, and the certificate is ``then(p, q)`` for
+    the certificate ``p`` of the negation normal form and ``q =
+    amap_fm_prf(rule, nnf)``.  One walk on an explicit stack does both.
+    Subtrees that neither step changes are kept as they are: on a
+    negation-free formula the rule leaves alone, the result is the input and
+    the certificate is ``allconv``.
     """
-    if isinstance(f, Atom):
-        return f, _ALLCONV
-    if isinstance(f, (And, Or)):
-        left, pl = to_nnf(f.left)
-        right, pr = to_nnf(f.right)
-        return _rebuilt(f, left, right), _binop(pl, pr)
-    if isinstance(f, Neg):
-        inner = f.arg
-        if isinstance(inner, Atom):
-            return Atom(inner.lit.negate()), _RULE["negatom"]
-        if isinstance(inner, Neg):
-            result, p = to_nnf(inner.arg)
-            return result, then(_RULE["negneg"], p)
-        if isinstance(inner, And):
-            left, pl = to_nnf(Neg(inner.left))
-            right, pr = to_nnf(Neg(inner.right))
-            return Or(left, right), then(_RULE["negand"], _binop(pl, pr))
-        if isinstance(inner, Or):
-            left, pl = to_nnf(Neg(inner.left))
-            right, pr = to_nnf(Neg(inner.right))
-            return And(left, right), then(_RULE["negor"], _binop(pl, pr))
-    raise StructureError(f"not a formula node: {f!r}")
+    # ``done`` holds (result, nnf proof, rule proof) per finished subtree.
+    # ``todo`` holds (node, step): visit the node (negated if ``step`` is 1),
+    # join the top two results under it (negated if ``step`` is 3), or put
+    # ``negneg`` before the top result (``step`` 4).
+    done: list[tuple[Formula, ConvProof, ConvProof]] = []
+    todo: list[tuple[Formula, int]] = [(f, 0)]
+    while todo:
+        g, step = todo.pop()
+        kind = type(g)
+        if step >= 2:
+            h, p, q = done.pop()
+            if step == 4:
+                done.append((h, _RULE["negneg"] if p is _ALLCONV else ThenConv(_RULE["negneg"], p), q))
+                continue
+            hl, pl, ql = done.pop()
+            p = _ALLCONV if pl is _ALLCONV and p is _ALLCONV else BinopConv(pl, p)
+            q = _ALLCONV if ql is _ALLCONV and q is _ALLCONV else BinopConv(ql, q)
+            if step == 2:
+                done.append((_rebuilt(g, hl, h), p, q))
+            else:
+                name, dual = ("negand", Or) if kind is And else ("negor", And)
+                done.append((dual(hl, h), _RULE[name] if p is _ALLCONV else ThenConv(_RULE[name], p), q))
+        elif kind is Atom:
+            atom = Atom(g.lit.negate()) if step else g
+            r = rule(atom.lit)
+            if r == _ALLCONV:
+                done.append((atom, _NNF_ATOM[step], _ALLCONV))
+            else:
+                done.append((apply_conv(r, atom), _NNF_ATOM[step], AtomConv(r)))
+        elif kind is And or kind is Or:
+            todo += (g, step + 2), (g.right, step), (g.left, step)
+        elif kind is Neg:
+            if step:
+                todo.append((g, 4))
+            todo.append((g.arg, 1 - step))
+        else:
+            raise StructureError(f"not a formula node: {g!r}")
+    h, p, q = done.pop()
+    return h, then(p, q)
 
 
 def _dist_and(left: Formula, right: Formula) -> tuple[Formula, ConvProof]:

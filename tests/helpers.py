@@ -59,9 +59,17 @@ from ordersat.certs import (
     check_atom_proof,
     serialize_literal,
 )
-from ordersat.closure import ProofMap, Unsat, decide, leq1_mapping
+from ordersat.closure import Preprocessed, ProofMap, Unsat, decide, leq1_mapping
 from ordersat.replay import SIGMA, FmHole, ReplayError, SubstValue
-from ordersat.rewrite import StructureError
+from ordersat.rewrite import (
+    StructureError,
+    amap_fm,
+    amap_fm_prf,
+    deless_linear_prf,
+    deless_partial_prf,
+    then,
+    to_dnf,
+)
 
 
 def naive_closure(pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -466,6 +474,90 @@ def recursive_conj_list(f: Formula) -> list[Literal]:
     if isinstance(f, And):
         return recursive_conj_list(f.left) + recursive_conj_list(f.right)
     raise StructureError(f"not a conjunction of atoms: {f}")
+
+
+# ---------------------------------------------------------------------------
+# Normalization as three recursive walks: the oracle for ``to_nnf``'s one walk
+
+
+def deless_partial(lit: Literal) -> Formula:
+    """``Atom(lit)`` rewritten by its partial-order rule, as the checker applies it."""
+    return apply_conv(deless_partial_prf(lit), Atom(lit))
+
+
+def deless_linear(lit: Literal) -> Formula:
+    """``Atom(lit)`` rewritten by its linear-order rule, as the checker applies it."""
+    return apply_conv(deless_linear_prf(lit), Atom(lit))
+
+
+_ALLCONV = NILADIC_CONVERSIONS["allconv"]
+
+
+def keep_atoms(lit: Literal) -> ConvProof:
+    """The atom rule that keeps every atom: ``to_nnf`` with it only pushes negations."""
+    return _ALLCONV
+
+
+def _binop_or_allconv(left: ConvProof, right: ConvProof) -> ConvProof:
+    return _ALLCONV if left == _ALLCONV and right == _ALLCONV else BinopConv(left, right)
+
+
+def recursive_to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
+    """``rewrite.to_nnf`` with ``keep_atoms``, as it was when it recursed once per node."""
+    if isinstance(f, Atom):
+        return f, _ALLCONV
+    if isinstance(f, (And, Or)):
+        left, pl = recursive_to_nnf(f.left)
+        right, pr = recursive_to_nnf(f.right)
+        same = left is f.left and right is f.right
+        return f if same else type(f)(left, right), _binop_or_allconv(pl, pr)
+    if isinstance(f, Neg):
+        inner = f.arg
+        if isinstance(inner, Atom):
+            return Atom(inner.lit.negate()), NILADIC_CONVERSIONS["negatom"]
+        if isinstance(inner, Neg):
+            result, p = recursive_to_nnf(inner.arg)
+            return result, then(NILADIC_CONVERSIONS["negneg"], p)
+        if isinstance(inner, (And, Or)):
+            left, pl = recursive_to_nnf(Neg(inner.left))
+            right, pr = recursive_to_nnf(Neg(inner.right))
+            dual, rule = (Or, "negand") if isinstance(inner, And) else (And, "negor")
+            return dual(left, right), then(NILADIC_CONVERSIONS[rule], _binop_or_allconv(pl, pr))
+    raise StructureError(f"not a formula node: {f!r}")
+
+
+def three_walk_preprocess(f: Formula, theory: Theory) -> Preprocessed:
+    """``closure.preprocess`` as it was: ``to_nnf``, then ``amap_fm`` and ``amap_fm_prf`` of ``deless``, then ``to_dnf``."""
+    if theory is Theory.LINEAR:
+        deless, deless_prf = deless_linear, deless_linear_prf
+    else:
+        deless, deless_prf = deless_partial, deless_partial_prf
+    nnf, p = recursive_to_nnf(f)
+    delessed = amap_fm(deless, nnf)
+    dnf, q = to_dnf(delessed)
+    return Preprocessed(then(then(p, amap_fm_prf(deless_prf, nnf)), q), dnf)
+
+
+def stack_formula_eq(a: Formula, b: Formula) -> bool:
+    """``Formula.__eq__`` as it was: one explicit-stack walk, with no shortcut at the root."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a._hash != b._hash:
+            return False
+        if type(a) is Atom:
+            if a.lit != b.lit:
+                return False
+        elif type(a) is Neg:
+            stack.append((a.arg, b.arg))
+        elif type(a) is And or type(a) is Or:
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        elif a != b:
+            return False
+    return True
 
 
 def _formula_size(node: Formula) -> int:

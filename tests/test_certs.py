@@ -177,6 +177,26 @@ def _carried_by_atom(rule) -> bool:
     return True
 
 
+def test_the_readme_certificate_example_is_what_solve_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("`x <= y & ~(x <= y)` in the partial theory gives", 1)[1]
+    example = after.split("```\n", 2)[1]
+    f, _ = parse_input("x <= y & ~(x <= y)")
+    assert serialize_cert(decide(f, Theory.PARTIAL).certificate) == " ".join(example.split())
+
+
+def test_the_readme_session_goal_has_its_pinned_linear_certificate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    session = readme.split("$ cat goal.txt\n", 1)[1].split("\n$ ", 1)[0]
+    f, _ = parse_input(session)
+    assert serialize_cert(decide(f, Theory.LINEAR).certificate) == (
+        "(conv (and (neg (atom (+ le v0 v1))) (neg (atom (+ le v1 v0))))"
+        " (then (binop negatom negatom) (binop (atom nle) (atom nle)))"
+        " (conje (and #0=(atom (- eq v0 v1)) #1=(atom (+ le v1 v0))) (and #2=(atom (- eq v1 v0)) #3=(atom (+ le v0 v1)))"
+        " (conje #0# #1# (conje #2# #3# (lift (contr (- eq v0 v1) (antisym (assm (+ le v0 v1)) (assm (+ le v1 v0)))))))))"
+    )
+
+
 def test_rules_state_the_rows_of_the_readme_conversion_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Appendix: conversion table (normative)", 1)[1].split("\n## ", 1)[0]

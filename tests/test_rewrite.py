@@ -1,6 +1,7 @@
 import itertools
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,19 +27,27 @@ from ordersat.core import (
     neg,
     pos,
 )
-from ordersat.certs import ArgConv, AtomConv, BinopConv, Rule, apply_conv
-from ordersat.closure import preprocess
+from ordersat import closure
+from ordersat.certs import ArgConv, AtomConv, BinopConv, Rule, ThenConv, apply_conv, serialize_cert
+from ordersat.closure import Sat, decide, preprocess
 from ordersat.oracle import enumerate_posets
+from ordersat.replay import FmHole
 
-from helpers import recursive_conj_list
+from helpers import (
+    deless_linear,
+    deless_partial,
+    keep_atoms,
+    recursive_conj_list,
+    recursive_to_nnf,
+    stack_formula_eq,
+    three_walk_preprocess,
+)
 from ordersat.rewrite import (
     StructureError,
     amap_fm,
     amap_fm_prf,
     conj_list,
-    deless_linear,
     deless_linear_prf,
-    deless_partial,
     deless_partial_prf,
     disj_clauses,
     is_dnf,
@@ -164,10 +173,10 @@ def test_to_dnf_examples():
     dnf, _ = to_dnf(And(Or(a, b), c))
     assert dnf == Or(And(a, c), And(b, c))
 
-    dnf, _ = to_dnf(to_nnf(Neg(Atom(pos(le(0, 1)))))[0])
+    dnf, _ = to_dnf(to_nnf(Neg(Atom(pos(le(0, 1)))), keep_atoms)[0])
     assert dnf == Atom(neg(le(0, 1)))
 
-    dnf, _ = to_dnf(to_nnf(Neg(And(a, b)))[0])
+    dnf, _ = to_dnf(to_nnf(Neg(And(a, b)), keep_atoms)[0])
     assert dnf == Or(Atom(a.lit.negate()), Atom(b.lit.negate()))
 
     # to_dnf only distributes: it takes its input in negation normal form.
@@ -178,14 +187,14 @@ def test_to_dnf_examples():
 @given(formulas)
 @settings(max_examples=200, deadline=None)
 def test_to_dnf_shape(f):
-    dnf, _ = to_dnf(to_nnf(f)[0])
+    dnf, _ = to_dnf(to_nnf(f, keep_atoms)[0])
     assert is_dnf(dnf)
 
 
 @given(formulas)
 @settings(max_examples=200, deadline=None)
 def test_to_dnf_certificate_applies(f):
-    nnf, _ = to_nnf(f)
+    nnf, _ = to_nnf(f, keep_atoms)
     dnf, proof = to_dnf(nnf)
     assert apply_conv(proof, nnf) == dnf
 
@@ -204,7 +213,7 @@ def _eval_propositional(f: Formula, assignment) -> bool:
 @given(formulas)
 @settings(max_examples=150, deadline=None)
 def test_to_dnf_propositionally_equivalent(f):
-    dnf, _ = to_dnf(to_nnf(f)[0])
+    dnf, _ = to_dnf(to_nnf(f, keep_atoms)[0])
     distinct = sorted({l.atom for l in formula_literals(f)}, key=str)
     for values in itertools.product((False, True), repeat=len(distinct)):
         assignment = dict(zip(distinct, values))
@@ -287,5 +296,146 @@ def test_preprocess_has_one_conversion_that_applies(f):
 
 @given(formulas)
 def test_preprocess_partial_matches_deless_then_dnf(f):
-    assert preprocess(f, Theory.PARTIAL).result == to_dnf(to_nnf(amap_fm(deless_partial, f))[0])[0]
+    assert preprocess(f, Theory.PARTIAL).result == to_dnf(to_nnf(amap_fm(deless_partial, f), keep_atoms)[0])[0]
 
+
+# ---------------------------------------------------------------------------
+# One walk: negation normal form and strict elimination together
+
+# Over three variables, with ``~``, ``<`` and ``!=`` (a negated ``=``), and
+# goals that state a subformula object twice, so that sharing is tested.
+small_formulas = st.recursive(
+    st.builds(Atom, st.builds(Literal, st.booleans(), st.builds(
+        OrderAtom, st.sampled_from(ATOM_KINDS), st.integers(0, 2), st.integers(0, 2)))),
+    lambda children: st.one_of(
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Neg, children),
+    ),
+    max_leaves=8,
+)
+goals = st.one_of(
+    small_formulas,
+    small_formulas.map(lambda c: And(c, Neg(c))),
+    st.tuples(small_formulas, small_formulas).map(lambda cd: And(Or(cd[0], cd[1]), Neg(And(cd[1], cd[0])))),
+)
+
+
+def _sharing(g: Formula, f: Formula) -> list:
+    """``g``'s nodes in preorder: its type, the index of its first visit, and whether it is a node of ``f``."""
+    ids_of_f = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        ids_of_f.add(id(node))
+        if type(node) is Neg:
+            stack.append(node.arg)
+        elif type(node) is not Atom:
+            stack += node.right, node.left
+    first: dict[int, int] = {}
+    shape = []
+    stack = [g]
+    while stack:
+        node = stack.pop()
+        shape.append((type(node).__name__, first.setdefault(id(node), len(first)), id(node) in ids_of_f))
+        if type(node) is And or type(node) is Or:
+            stack += node.right, node.left
+    return shape
+
+
+@given(goals)
+@settings(max_examples=300, deadline=None)
+def test_preprocess_gives_the_three_walk_result_conversion_and_certificate(f):
+    for theory in Theory:
+        prep, oracle = preprocess(f, theory), three_walk_preprocess(f, theory)
+        assert prep.conversion == oracle.conversion
+        assert prep.result == oracle.result
+        assert _sharing(prep.result, f) == _sharing(oracle.result, f)
+        verdict = decide(f, theory)
+        with mock.patch.object(closure, "preprocess", three_walk_preprocess):
+            expected = decide(f, theory)
+        assert type(verdict) is type(expected)
+        if isinstance(verdict, Sat):
+            assert (verdict.model, verdict.clause_index) == (expected.model, expected.clause_index)
+        else:
+            assert serialize_cert(verdict.certificate) == serialize_cert(expected.certificate)
+
+
+@given(formulas)
+@settings(max_examples=200, deadline=None)
+def test_to_nnf_keeping_atoms_is_the_recursive_walk(f):
+    nnf, proof = to_nnf(f, keep_atoms)
+    expected, expected_proof = recursive_to_nnf(f)
+    assert (nnf, proof) == (expected, expected_proof)
+    assert _sharing(nnf, f) == _sharing(expected, f)
+    assert (nnf is f) == (proof == Rule("allconv"))
+
+
+def test_to_nnf_names_a_node_of_another_kind():
+    with pytest.raises(StructureError, match=re.escape("not a formula node: FmHole(hole=-1)")):
+        to_nnf(And(Atom(pos(le(0, 1))), Neg(FmHole(-1))), keep_atoms)
+
+
+def _preorder(conv) -> list[str]:
+    """A conversion's node classes and rule names in preorder, which determine it, by a loop."""
+    out = []
+    stack = [conv]
+    while stack:
+        node = stack.pop()
+        out.append(node.name if isinstance(node, Rule) else type(node).__name__)
+        if isinstance(node, BinopConv):
+            stack += node.right, node.left
+        elif isinstance(node, ThenConv):
+            stack += node.second, node.first
+        elif not isinstance(node, Rule):
+            stack.append(node.rule)
+    return out
+
+
+def test_to_nnf_walks_a_hundred_thousand_deep_nesting_without_a_deep_stack():
+    n = 100_000
+    f = Atom(pos(lt(0, 1)))
+    for i in range(n):
+        f = (Neg(f), And(f, Atom(neg(le(i, 0)))), Or(Atom(pos(eq(0, i))), f))[i % 3]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        nnf, proof = to_nnf(f, keep_atoms)
+        assert to_nnf(nnf, keep_atoms) == (nnf, Rule("allconv"))
+        result, conversion = to_nnf(f, deless_partial_prf)
+        assert to_nnf(result, deless_partial_prf)[0] is result
+        assert type(conversion) is ThenConv
+        assert _preorder(conversion.first) == _preorder(proof)
+        kinds = {Atom: 0, And: 0, Or: 0, Neg: 0}
+        stack = [result]
+        while stack:
+            node = stack.pop()
+            kinds[type(node)] += 1
+            if type(node) is not Atom:
+                stack += node.right, node.left
+        # Every third level is a Neg, gone; the strict atom at the bottom became two.
+        assert kinds == {Atom: 2 * n // 3 + 2, And: kinds[And], Or: kinds[Or], Neg: 0}
+        assert kinds[And] + kinds[Or] == kinds[Atom] - 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+pairs_of_formulas = st.one_of(
+    st.tuples(formulas, formulas),
+    formulas.map(lambda f: (f, f)),
+    st.tuples(formulas, formulas).map(lambda ab: (And(*ab), And(*ab))),
+    st.tuples(formulas, formulas).map(lambda ab: (Or(*ab), Or(ab[0], to_nnf(ab[1], keep_atoms)[0]))),
+    st.tuples(formulas, formulas).map(lambda ab: (And(*ab), Or(*ab))),
+    literals.map(lambda lit: (Atom(lit), Atom(lit))),
+    literals.map(lambda lit: (Atom(lit), Atom(Literal(lit.pos, OrderAtom(lit.atom.kind, lit.atom.x, lit.atom.y))))),
+    formulas.map(lambda f: (Neg(f), Neg(f))),
+    formulas.map(lambda f: (f, to_nnf(f, keep_atoms)[0])),
+)
+
+
+@given(pairs_of_formulas)
+@settings(max_examples=400)
+def test_formula_equality_agrees_with_the_stack_walk(pair):
+    a, b = pair
+    assert (a == b) == stack_formula_eq(a, b)
+    assert (b == a) == stack_formula_eq(b, a)
