@@ -6,20 +6,21 @@ one source row at a time: a row is one breadth-first search from its
 source, built when a contradiction or a model first reads it
 (``--algorithm fw`` builds every pair at once instead).  The closure
 records each pair it adds as a midpoint, not a proof; negative literals are
-searched for a contradiction against it, clause by clause, and
-``pair_proof`` builds the shortest ``trans`` chain, balanced, only for a
-pair a contradiction cites.  A negative literal reads at most the rows of
-its two variables; the first open clause keeps its closure for the model,
-which reads every row once.  ``decide`` glues this to the rewrite passes
-(``preprocess``: negation normal form and strict elimination in one walk,
-then DNF, one conversion) and re-checks every certificate with the trusted
-kernel.
+searched for a contradiction against it, clause by clause, shallowest
+first, and ``pair_proof`` builds the shortest ``trans`` chain, balanced,
+only for a pair a contradiction cites.  A clause's refutation decomposes
+only the conjunctions that hold a literal it cites.  A negative literal
+reads at most the rows of its two variables; the first open clause keeps
+its closure for the model, which reads every row once.  ``decide`` glues
+this to the rewrite passes (``preprocess``: negation normal form and strict
+elimination in one walk, then DNF, one conversion) and re-checks every
+certificate with the trusted kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,7 +62,6 @@ from .rewrite import (  # noqa: F401 - bench/spans.py rebinds amap_fm and amap_f
     StructureError,
     amap_fm,
     amap_fm_prf,
-    conj_list,
     deless_linear_prf,
     deless_partial_prf,
     then,
@@ -195,17 +195,16 @@ def trancl_floyd_warshall(mapping: ProofMap) -> ProofMap:
     return result
 
 
-def pair_proof(leqm: ProofMap, x: VarId, z: VarId) -> CertProof | None:
+def pair_proof(leqm: ProofMap, x: VarId, z: VarId, cited: list[Literal] | None = None) -> CertProof | None:
     """Certificate for the pair ``(x, z)`` of a closed map, if it is in it.
 
-    A base pair's certificate is stored.  A derived pair's midpoints are
-    expanded, on an explicit stack, into its chain of base steps in order,
+    Its midpoints are expanded, on an explicit stack, into its chain of base
+    steps in order, whose literals are appended to ``cited`` if it is given,
     and neighbouring proofs are joined by ``TransP`` until one is left, so
     an n-step chain nests ⌈log₂ n⌉ ``trans`` deep.
     """
-    top = leqm.get((x, z))
-    if not isinstance(top, int):
-        return top
+    if (x, z) not in leqm:
+        return None
     steps: list[CertProof] = []
     stack = [(x, z)]
     while stack:
@@ -215,65 +214,102 @@ def pair_proof(leqm: ProofMap, x: VarId, z: VarId) -> CertProof | None:
             stack += (b, c), (a, b)
         else:
             steps.append(b)
+    if cited is not None:
+        cited += [step.lit for step in steps]
     while len(steps) > 1:
         joined = [TransP(left, right) for left, right in zip(steps[::2], steps[1::2])]
         steps = joined + steps[len(joined) * 2 :]
     return steps[0]
 
 
-def is_in_leq(leqm: ProofMap, x: VarId, y: VarId) -> CertProof | None:
+def is_in_leq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal] | None = None) -> CertProof | None:
     """Certificate for x <= y under the closed map, if the pair is in it."""
     if x == y:
         return ReflP(x)
-    return pair_proof(leqm, x, y)
+    return pair_proof(leqm, x, y, cited)
 
 
-def is_in_eq(leqm: ProofMap, x: VarId, y: VarId) -> CertProof | None:
+def is_in_eq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal] | None = None) -> CertProof | None:
     """Certificate for x = y: both directions of <= combined antisymmetrically.
 
     Neither direction is built unless both are in the map.
     """
     if x != y and ((x, y) not in leqm or (y, x) not in leqm):
         return None
-    return AntisymP(is_in_leq(leqm, x, y), is_in_leq(leqm, y, x))
+    return AntisymP(is_in_leq(leqm, x, y, cited), is_in_leq(leqm, y, x, cited))
 
 
-def contr1_list(leqm: ProofMap, lit: Literal) -> PropProof | None:
-    """Falsity certificate from one negative literal against the closure."""
+def contr1_list(leqm: ProofMap, lit: Literal, cited: list[Literal] | None = None) -> PropProof | None:
+    """Falsity certificate from one negative literal; what it cites is appended to ``cited``."""
     if lit.pos:
         return None
     a = lit.atom
     if a.kind == LE:
-        proof = is_in_leq(leqm, a.x, a.y)
+        proof = is_in_leq(leqm, a.x, a.y, cited)
     elif a.kind == EQ:
-        proof = is_in_eq(leqm, a.x, a.y)
+        proof = is_in_eq(leqm, a.x, a.y, cited)
     else:
         return None
     if proof is None:
         return None
+    if cited is not None:
+        cited.append(lit)
     return Lift(ContrP(lit, proof))
 
 
 ClosureFn = Callable[[ProofMap], ProofMap]
 
 
-def contr_list(leqm: ProofMap, literals: Sequence[Literal]) -> PropProof | None:
-    """First contradiction in sequence order against the closed map ``leqm``."""
+def contr_list(leqm: ProofMap, literals: Sequence[Literal], cited: list[Literal] | None = None) -> PropProof | None:
+    """First contradiction in sequence order against the closed map ``leqm``; see ``contr1_list``."""
     for lit in literals:
-        found = contr1_list(leqm, lit)
+        found = contr1_list(leqm, lit, cited)
         if found is not None:
             return found
     return None
 
 
-def from_conj_prf(proof: PropProof, clause: Formula) -> PropProof:
-    """Turn a proof assuming every atom of ``clause`` into one assuming it whole."""
-    if isinstance(clause, Atom):
-        return proof
-    if isinstance(clause, And):
-        inner = from_conj_prf(from_conj_prf(proof, clause.right), clause.left)
-        return ConjE(clause.left, clause.right, inner)
-    raise StructureError(f"not a conjunction of atoms: {clause}")
+def clause_literals(clause: Formula) -> tuple[list[Literal], list[Literal], list[And]]:
+    """One walk of a conjunction: its literals left to right, its negative ones shallowest first
+    (level order, ties left to right), and its ``And`` nodes in pre-order."""
+    lits: list[Literal] = []
+    negs: list[Literal] = []
+    depths: list[int] = []
+    ands: list[And] = []
+    stack = [(clause, 0)]
+    while stack:
+        g, depth = stack.pop()
+        while type(g) is And:
+            ands.append(g)
+            depth += 1
+            stack.append((g.right, depth))
+            g = g.left
+        if type(g) is not Atom:
+            raise StructureError(f"not a conjunction of atoms: {g}")
+        lits.append(g.lit)
+        if not g.lit.pos:
+            negs.append(g.lit)
+            depths.append(depth)
+    return lits, [negs[i] for i in sorted(range(len(negs)), key=depths.__getitem__)], ands
+
+
+def from_conj_prf(proof: PropProof, ands: Sequence[And], cited: Iterable[Literal]) -> PropProof:
+    """Wrap ``proof`` in a ``ConjE`` for each of a conjunction's ``ands`` that holds a ``cited`` literal.
+
+    The result assumes the conjunction whole where ``proof`` assumed the cited
+    atoms.  ``ands`` are in pre-order and ``cited`` holds the very literal objects
+    at the leaves.  Read in reverse, children first, each ``And`` pushes whether it holds one.
+    """
+    cited_ids = set(map(id, cited))
+    held: list[bool] = []
+    for g in reversed(ands):
+        left, right = g.left, g.right
+        holds = held.pop() if type(left) is And else id(left.lit) in cited_ids
+        if (held.pop() if type(right) is And else id(right.lit) in cited_ids) or holds:
+            proof = ConjE(left, right, proof)
+            holds = True
+        held.append(holds)
+    return proof
 
 
 @dataclass(frozen=True)
@@ -288,8 +324,9 @@ class OpenClause:
 def contr_fm_prf(f: Formula, *, closure_fn: ClosureFn) -> PropProof | OpenClause:
     """Refute a negation-free DNF clause by clause, left to right.
 
-    Each clause's closure is computed once.  Returns the refutation when
-    every clause is contradictory, else the leftmost open clause.
+    Each clause's closure is computed once, and its negative literals are
+    tried shallowest first.  Returns the refutation when every clause is
+    contradictory, else the leftmost open clause.
     """
     indices = itertools.count()
 
@@ -300,13 +337,14 @@ def contr_fm_prf(f: Formula, *, closure_fn: ClosureFn) -> PropProof | OpenClause
                 return left
             right = refute(g.right)
             return right if isinstance(right, OpenClause) else DisjE(g.left, g.right, left, right)
-        lits = conj_list(g)
+        lits, shallow, ands = clause_literals(g)
         leqm = closure_fn(leq1_mapping(lits))
         index = next(indices)
-        found = contr_list(leqm, lits)
+        cited: list[Literal] = []
+        found = contr_list(leqm, shallow, cited)
         if found is None:
             return OpenClause(index, tuple(lits), leqm)
-        return from_conj_prf(found, g)
+        return from_conj_prf(found, ands, cited)
 
     return refute(f)
 

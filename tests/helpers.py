@@ -396,15 +396,43 @@ def random_literal(rng: random.Random, num_vars: int = 3) -> Literal:
 
 
 def wide_conjunction(n: int) -> tuple[Formula, PropProof]:
-    """``x0 <= y0 & ... & x(n-1) <= y(n-1) & ~(x0 <= x0)`` and its certificate.
+    """``x0 <= y0 & ... & x(n-1) <= y(n-1) & ~(x0 <= x0)`` and a spine certificate.
 
-    Its certificate is one conje node per literal above a single lift, and
-    the literals share no variable, so ``decide`` builds it in linear time.
+    The certificate is ``decide``'s lift rewrapped by ``unpruned_cert``: one
+    conje node per literal above a single lift, the long spine the kernels
+    must check in linear memory.  ``decide`` itself decomposes only the root.
     """
     f, _ = parse_input(" & ".join(f"x{i} <= y{i}" for i in range(n)) + " & ~(x0 <= x0)")
     verdict = decide(f, Theory.PARTIAL)
     assert isinstance(verdict, Unsat)
-    return f, verdict.certificate
+    return f, unpruned_cert(f, verdict.certificate)
+
+
+def unpruned_conj_prf(proof: PropProof, clause: Formula) -> PropProof:
+    """``closure.from_conj_prf`` as it was: a ``ConjE`` for every conjunction of ``clause``, cited or not."""
+    if isinstance(clause, Atom):
+        return proof
+    if isinstance(clause, And):
+        inner = unpruned_conj_prf(unpruned_conj_prf(proof, clause.right), clause.left)
+        return ConjE(clause.left, clause.right, inner)
+    raise StructureError(f"not a conjunction of atoms: {clause}")
+
+
+def unpruned_cert(goal: Formula, cert: PropProof) -> PropProof:
+    """``decide``'s refutation of ``goal`` with each clause's lift rewrapped by ``unpruned_conj_prf``.
+
+    ``cert`` is at most one ``ConvRule`` over case splits of the DNF, whose
+    leaves are each a clause's ``ConjE`` nodes above one ``Lift``.
+    """
+    if isinstance(cert, ConvRule):
+        dnf = apply_conv(cert.conversion, cert.source)
+        return ConvRule(cert.source, cert.conversion, unpruned_cert(dnf, cert.proof))
+    if isinstance(cert, DisjE):
+        left = unpruned_cert(cert.left, cert.left_proof)
+        return DisjE(cert.left, cert.right, left, unpruned_cert(cert.right, cert.right_proof))
+    while isinstance(cert, ConjE):
+        cert = cert.proof
+    return unpruned_conj_prf(cert, goal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -37,13 +38,16 @@ from ordersat.certs import (
     PropProof,
     ReflP,
     TransP,
+    cert_size,
     check_atom_proof,
     check_prop_proof,
+    is_refutation,
 )
 from ordersat.closure import (
     OpenClause,
     Sat,
     Unsat,
+    clause_literals,
     contr1_list,
     contr_fm_prf,
     contr_list,
@@ -60,6 +64,7 @@ from ordersat.closure import (
 )
 from ordersat.model import Model, build_linear_model, build_partial_model
 from ordersat.oracle import brute_sat
+from ordersat.replay import replay_refutation
 from ordersat.rewrite import StructureError, conj_list, disj_clauses
 
 from helpers import (
@@ -68,9 +73,12 @@ from helpers import (
     naive_closure,
     proof_carrying_floyd_warshall,
     random_formula,
+    random_literal,
     rounds_closure,
     trans_depth,
     trans_steps,
+    unpruned_cert,
+    unpruned_conj_prf,
 )
 
 
@@ -236,21 +244,43 @@ def test_a_cycle_builds_only_the_chains_its_contradiction_cites(monkeypatch):
 
 def test_a_wide_conjunction_refuted_by_refl_builds_no_row(monkeypatch):
     # x0 <= x1 & ... & x(n-1) <= xn & ~(x0 <= x0): the closure has n²/2
-    # pairs, and the contradiction needs only refl.
+    # pairs, and the contradiction needs only refl.  It cites only the last
+    # literal, so only the conjunctions above it are decomposed: the root
+    # when the goal nests to the left, as the parser reads it, and each of
+    # the n when it nests to the right.
     n = 2000
-    goal = Atom(neg(le(0, 0)))
-    for i in reversed(range(n)):
-        goal = And(Atom(pos(le(i, i + 1))), goal)
-    rows = _counting_rows(monkeypatch)
-    tracemalloc.start()
-    try:
-        verdict = decide(goal, Theory.PARTIAL)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert isinstance(verdict, Unsat)
-    assert rows == []
-    assert peak < 30 * 2**20
+    atoms = [Atom(pos(le(i, i + 1))) for i in range(n)] + [Atom(neg(le(0, 0)))]
+    left = functools.reduce(And, atoms)
+    right = functools.reduce(lambda inner, atom: And(atom, inner), reversed(atoms))
+    for goal, conjes in ((left, 1), (right, n)):
+        rows = _counting_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            verdict = decide(goal, Theory.PARTIAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(verdict, Unsat)
+        assert rows == []
+        assert peak < 30 * 2**20
+        assert _conje_count(verdict.certificate) == conjes
+
+
+def _prop_nodes(proof: PropProof) -> list[PropProof]:
+    """The propositional nodes of a certificate, by an explicit stack."""
+    nodes, stack = [], [proof]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, DisjE):
+            stack += node.left_proof, node.right_proof
+        elif not isinstance(node, Lift):
+            stack.append(node.proof)
+    return nodes
+
+
+def _conje_count(proof: PropProof) -> int:
+    return sum(isinstance(node, ConjE) for node in _prop_nodes(proof))
 
 
 def test_is_in_leq_examples():
@@ -315,15 +345,111 @@ def test_contr_list_first_hit_wins():
     assert found.proof.lit == neg(eq(0, 0))
 
 
+def _wrapped(proof, clause, cited):
+    return from_conj_prf(proof, clause_literals(clause)[2], cited)
+
+
 def test_from_conj_prf_examples():
     marker = Lift(ReflP(9))
-    a, b, c = Atom(pos(le(0, 1))), Atom(pos(le(1, 2))), Atom(pos(le(2, 3)))
-    assert from_conj_prf(marker, a) == marker
-    assert from_conj_prf(marker, And(a, b)) == ConjE(a, b, marker)
+    a, b, c, d = (Atom(pos(le(i, i + 1))) for i in range(4))
+    assert _wrapped(marker, a, [a.lit]) == marker
+    assert _wrapped(marker, And(a, b), [b.lit]) == ConjE(a, b, marker)
+    # A pair of conjuncts with no cited literal is not decomposed.
+    assert _wrapped(marker, And(a, b), []) == marker
     nested = And(a, And(b, c))
-    assert from_conj_prf(marker, nested) == ConjE(a, And(b, c), ConjE(b, c, marker))
+    assert _wrapped(marker, nested, [a.lit]) == ConjE(a, And(b, c), marker)
+    assert _wrapped(marker, nested, [c.lit]) == ConjE(a, And(b, c), ConjE(b, c, marker))
+    # Outermost first in pre-order: the root, then the left half, then the right.
+    halves = And(And(a, b), And(c, d))
+    both = ConjE(And(a, b), And(c, d), ConjE(a, b, ConjE(c, d, marker)))
+    assert _wrapped(marker, halves, [b.lit, d.lit]) == both
+    assert _wrapped(marker, halves, [d.lit]) == ConjE(And(a, b), And(c, d), ConjE(c, d, marker))
+    every = [a.lit, b.lit, c.lit, d.lit]
+    assert _wrapped(marker, halves, every) == unpruned_conj_prf(marker, halves)
+    # Leaves are matched by object: an equal literal elsewhere is not cited.
+    assert _wrapped(marker, And(a, b), [pos(le(1, 2))]) == marker
+
+
+def test_clause_literals_examples():
+    a, b, c, d = (pos(le(i, i + 1)) for i in range(4))
+    na, nb, nc, nd = (lit.negate() for lit in (a, b, c, d))
+    assert clause_literals(Atom(na)) == ([na], [na], [])
+    left = And(And(Atom(na), Atom(b)), Atom(nc))
+    assert clause_literals(left) == ([na, b, nc], [nc, na], [left, left.left])
+    assert clause_literals(And(Atom(na), And(Atom(nb), Atom(nc))))[:2] == ([na, nb, nc], [na, nb, nc])
+    assert clause_literals(And(And(Atom(na), Atom(nb)), And(Atom(nc), Atom(nd))))[1] == [na, nb, nc, nd]
     with pytest.raises(StructureError):
-        from_conj_prf(marker, Or(a, b))
+        clause_literals(And(Atom(a), Or(Atom(b), Atom(c))))
+
+
+def _pre_order(clause):
+    """The nodes of a conjunction, each before its left and then its right subtree."""
+    if isinstance(clause, And):
+        return [clause] + _pre_order(clause.left) + _pre_order(clause.right)
+    return [clause]
+
+
+def _level_order(clause):
+    """The literals of a conjunction in breadth-first order, by a queue."""
+    out, queue = [], [clause]
+    for g in queue:
+        if isinstance(g, And):
+            queue += g.left, g.right
+        else:
+            out.append(g.lit)
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_clause_literals_gives_conj_list_and_breadth_first_order(seed):
+    rng = random.Random(seed)
+    clause = Atom(random_literal(rng, 4))
+    for _ in range(rng.randrange(12)):
+        leaf = Atom(random_literal(rng, 4))
+        clause = And(clause, leaf) if rng.random() < 0.5 else And(leaf, clause)
+        if rng.random() < 0.3:
+            clause = And(clause, clause)
+    lits, shallow, ands = clause_literals(clause)
+    assert lits == conj_list(clause)
+    assert shallow == [lit for lit in _level_order(clause) if not lit.pos]
+    assert [id(g) for g in ands] == [id(g) for g in _pre_order(clause) if isinstance(g, And)]
+
+
+def _lift_citations(proof: PropProof) -> set:
+    """The literals the lifts below ``proof`` cite: their assm, eqe1, eqe2 and contr literals."""
+    cited, stack = set(), list(_prop_nodes(proof))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (AssmP, EQE1P, EQE2P)):
+            cited.add(node.lit)
+        elif isinstance(node, ContrP):
+            cited.add(node.lit)
+            stack.append(node.proof)
+        elif isinstance(node, (TransP, AntisymP)):
+            stack += node.left, node.right
+        elif isinstance(node, Lift):
+            stack.append(node.proof)
+    return cited
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_decide_decomposes_only_conjunctions_that_hold_a_cited_literal(seed):
+    f = random_formula(random.Random(seed), 4, 4)
+    for theory in Theory:
+        verdict = decide(f, theory)
+        if not isinstance(verdict, Unsat):
+            continue
+        cert = verdict.certificate
+        for node in _prop_nodes(cert):
+            if isinstance(node, ConjE):
+                assert set(conj_list(And(node.left, node.right))) & _lift_citations(node.proof)
+        unpruned = unpruned_cert(f, cert)
+        assert is_refutation(f, unpruned)
+        assert cert_size(cert) <= cert_size(unpruned)
+        assert check_prop_proof({f}, cert) == FLS_FORMULA
+        assert replay_refutation(cert, f)
 
 
 def test_contr_fm_prf_examples():
