@@ -5,22 +5,22 @@ pairs to atom-level certificates, and the map is closed under transitivity
 one source row at a time: a row is one breadth-first search from its
 source, built when a contradiction or a model first reads it
 (``--algorithm fw`` builds every pair at once instead).  The closure
-records each pair it adds as a midpoint, not a proof; negative literals are
-searched for a contradiction against it, clause by clause, shallowest
-first, and ``pair_proof`` builds the shortest ``trans`` chain, balanced,
-only for a pair a contradiction cites.  A clause's refutation decomposes
-only the conjunctions that hold a literal it cites.  A negative literal
-reads at most the rows of its two variables; the first open clause keeps
-its closure for the model, which reads every row once.  ``decide`` glues
-this to the rewrite passes (``preprocess``: negation normal form and strict
-elimination in one walk, then DNF, one conversion) and re-checks every
+records each pair it adds as a midpoint, and ``pair_proof`` builds the
+shortest ``trans`` chain, balanced, only for a pair a contradiction cites.
+``contr_fm_prf`` is a tableau over the strict-free negation normal form: a
+branch takes in its conjunctions, then splits its first disjunction, left
+disjunct first, and closes as soon as a negative literal, shallowest
+first, contradicts its closure; a refutation decomposes only conjunctions
+that hold a leaf it cites.  The first open branch keeps its closure for the
+model.  ``decide`` glues this to ``to_nnf`` (negation normal form and
+strict elimination in one walk, one conversion) and re-checks every
 certificate with the trusted kernel.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator, Mapping
+import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -269,84 +269,112 @@ def contr_list(leqm: ProofMap, literals: Sequence[Literal], cited: list[Literal]
     return None
 
 
-def clause_literals(clause: Formula) -> tuple[list[Literal], list[Literal], list[And]]:
-    """One walk of a conjunction: its literals left to right, its negative ones shallowest first
-    (level order, ties left to right), and its ``And`` nodes in pre-order."""
-    lits: list[Literal] = []
-    negs: list[Literal] = []
-    depths: list[int] = []
-    ands: list[And] = []
-    stack = [(clause, 0)]
-    while stack:
-        g, depth = stack.pop()
-        while type(g) is And:
-            ands.append(g)
-            depth += 1
-            stack.append((g.right, depth))
-            g = g.left
-        if type(g) is not Atom:
-            raise StructureError(f"not a conjunction of atoms: {g}")
-        lits.append(g.lit)
-        if not g.lit.pos:
-            negs.append(g.lit)
-            depths.append(depth)
-    return lits, [negs[i] for i in sorted(range(len(negs)), key=depths.__getitem__)], ands
+def _blocks(nnf: Formula) -> list[list]:
+    """The blocks of a negation normal form, numbered as found, each with its number of implicit-DNF clauses.
 
-
-def from_conj_prf(proof: PropProof, ands: Sequence[And], cited: Iterable[Literal]) -> PropProof:
-    """Wrap ``proof`` in a ``ConjE`` for each of a conjunction's ``ands`` that holds a ``cited`` literal.
-
-    The result assumes the conjunction whole where ``proof`` assumed the cited
-    atoms.  ``ands`` are in pre-order and ``cited`` holds the very literal objects
-    at the leaves.  Read in reverse, children first, each ``And`` pushes whether it holds one.
+    A block is the root or a disjunct read down its ``And`` nodes: those in
+    pre-order, its literals left to right, its negative ones as (depth, block,
+    position, literal), which sort shallowest first (level order, ties left
+    to right), and its disjunctions, each with its left disjunct's block
+    number (the right one's is next).  A disjunct's block follows its parent's.
     """
-    cited_ids = set(map(id, cited))
+    blocks: list[list] = []
+    roots = [nnf]
+    for root in roots:  # grows: each disjunction adds its two disjuncts
+        ands, lits, negs, ors = [], [], [], []
+        stack = [(root, 0)]
+        while stack:
+            g, depth = stack.pop()
+            while type(g) is And:
+                ands.append(g)
+                depth += 1
+                stack.append((g.right, depth))
+                g = g.left
+            if type(g) is Or:
+                ors.append((g, len(roots)))
+                roots += g.left, g.right
+            elif type(g) is Atom:
+                lits.append(g.lit)
+                if not g.lit.pos:
+                    negs.append((depth, len(blocks), len(lits), g.lit))
+            else:
+                raise StructureError(f"not a negation normal form: {g}")
+        blocks.append([ands, lits, sorted(negs), ors, 1])
+    for block in reversed(blocks):
+        block[4] = math.prod(blocks[j][4] + blocks[j + 1][4] for _, j in block[3])
+    return blocks
+
+
+def _cited_conj_prf(proof: PropProof, ands: Sequence[And], cited: list[Formula | Literal], start: int) -> PropProof:
+    """Wrap ``proof`` in a ``ConjE`` for each of a block's ``ands`` (pre-order) holding a leaf of ``cited[start:]``.
+
+    Leaves are matched by object: an atom's literal, or a disjunction.  Read
+    in reverse, children first, each ``And`` pushes whether it holds one.
+    """
+    ids = set(map(id, cited[start:])) if ands else ()
     held: list[bool] = []
     for g in reversed(ands):
-        left, right = g.left, g.right
-        holds = held.pop() if type(left) is And else id(left.lit) in cited_ids
-        if (held.pop() if type(right) is And else id(right.lit) in cited_ids) or holds:
-            proof = ConjE(left, right, proof)
-            holds = True
+        # Both children pop: the list is built whole before ``any`` reads it.
+        holds = any([held.pop() if type(h) is And else id(getattr(h, "lit", h)) in ids for h in (g.left, g.right)])
+        if holds:
+            proof = ConjE(g.left, g.right, proof)
         held.append(holds)
     return proof
 
 
 @dataclass(frozen=True)
 class OpenClause:
-    """A DNF clause without a contradiction: its position, atoms and closure."""
+    """An open tableau branch: its position among the implicit DNF's clauses, its atoms and its closure."""
 
     index: int
     literals: tuple[Literal, ...]
     closure: ProofMap
 
 
-def contr_fm_prf(f: Formula, *, closure_fn: ClosureFn) -> PropProof | OpenClause:
-    """Refute a negation-free DNF clause by clause, left to right.
+def contr_fm_prf(nnf: Formula, *, closure_fn: ClosureFn) -> PropProof | OpenClause:
+    """Refute a strict-free negation normal form by a tableau, or return its first open branch.
 
-    Each clause's closure is computed once, and its negative literals are
-    tried shallowest first.  Returns the refutation when every clause is
-    contradictory, else the leftmost open clause.
+    A branch takes in a whole block, then splits its first pending
+    disjunction, left disjunct first: branches come in the DNF's clause
+    order.  Its closure is built only for a negative literal not yet checked
+    against its positive ones, or for an open branch.  One frame per split.
     """
-    indices = itertools.count()
-
-    def refute(g: Formula) -> PropProof | OpenClause:
-        if isinstance(g, Or):
-            left = refute(g.left)
-            if isinstance(left, OpenClause):
-                return left
-            right = refute(g.right)
-            return right if isinstance(right, OpenClause) else DisjE(g.left, g.right, left, right)
-        lits, shallow, ands = clause_literals(g)
-        leqm = closure_fn(leq1_mapping(lits))
-        index = next(indices)
-        cited: list[Literal] = []
-        found = contr_list(leqm, shallow, cited)
+    blocks = _blocks(nnf)
+    lits, negs, cited = [], [], []  # the branch's literals, its negative ones as in ``_blocks``, what is cited
+    pending = None  # unsplit disjunctions in formula order: (first, its block, rest, clauses of all) or None
+    leqm: ProofMap | None = None  # the closure every negative literal was checked against
+    index, frames, b = 0, [], 0
+    while True:
+        ands, block_lits, block_negs, ors, _ = blocks[b]
+        mark = len(cited)
+        for o, j in reversed(ors):
+            pending = (o, j, pending, (blocks[j][4] + blocks[j + 1][4]) * (pending[3] if pending else 1))
+        leqm = None if len(block_negs) < len(block_lits) else leqm  # new positive literals
+        lits += block_lits
+        negs += block_negs
+        if leqm is None and (negs or pending is None):  # an open branch's closure feeds the model
+            mapping = leq1_mapping(lits)
+            leqm = closure_fn(mapping) if mapping else {}
+            block_negs = sorted(negs)
+        found = contr_list(leqm, [neg[3] for neg in block_negs], cited) if block_negs else None
+        if found is None and pending is not None:
+            o, b, pending, _ = pending
+            frames.append([o, b, len(lits), len(negs), leqm, pending, ands, mark, None])
+            continue
         if found is None:
             return OpenClause(index, tuple(lits), leqm)
-        return from_conj_prf(found, ands, cited)
-
-    return refute(f)
+        index += pending[3] if pending else 1
+        proof = _cited_conj_prf(found, ands, cited, mark)
+        while frames and frames[-1][8] is not None:
+            o, _, _, _, _, _, ands, mark, left = frames.pop()
+            cited.append(o)
+            proof = _cited_conj_prf(DisjE(o.left, o.right, left, proof), ands, cited, mark)
+        if not frames:
+            return proof
+        frames[-1][8] = proof
+        o, b, n_lits, n_negs, leqm, pending = frames[-1][:6]
+        del lits[n_lits:], negs[n_negs:]
+        b += 1
 
 
 @dataclass(frozen=True)
@@ -358,12 +386,10 @@ class Preprocessed:
 
 
 def preprocess(f: Formula, theory: Theory) -> Preprocessed:
-    """Negation normal form and strict elimination in one walk, then DNF, as one conversion.
+    """The DNF that ``decide``'s tableau leaves implicit, with the one conversion into it.
 
-    Negations are pushed into the atoms and every literal is rewritten with
-    the theory's ``deless`` rule by ``to_nnf``, and the strict-free negation
-    normal form is distributed into a DNF.  The conversion is ``allconv``
-    exactly when the result is ``f`` itself.
+    ``to_nnf`` gives the strict-free negation normal form, and ``to_dnf``
+    distributes it.  The conversion is ``allconv`` exactly when the result is ``f``.
     """
     deless_prf = deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf
     nnf, p = to_nnf(f, deless_prf)
@@ -396,17 +422,17 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
     Unsat verdicts carry a falsity certificate rooted at ``f``, with at most
     one ``ConvRule``, at the root; it is re-checked with the trusted kernel.
     Sat verdicts carry a verified finite model, built from the search's own
-    closure, of the leftmost open clause of ``preprocess(f, theory).result``
-    (the DNF of the strict-free negation normal form), with every variable
-    of ``f`` assigned; ``clause_index`` is that clause's position.
+    closure, of the first open branch of ``contr_fm_prf``, with every
+    variable of ``f`` assigned; ``clause_index`` is its position among the
+    clauses of ``preprocess(f, theory).result``, the DNF it leaves implicit.
     """
     try:
         closure_fn = _CLOSURE_ALGORITHMS[algorithm]
     except KeyError:
         raise ValueError(f"unknown closure algorithm {algorithm!r}") from None
 
-    prep = preprocess(f, theory)
-    found = contr_fm_prf(prep.result, closure_fn=closure_fn)
+    nnf, conversion = to_nnf(f, deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf)
+    found = contr_fm_prf(nnf, closure_fn=closure_fn)
 
     if isinstance(found, OpenClause):
         lits = found.literals
@@ -417,7 +443,6 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
             raise InvariantViolation("model failed verification")
         return Sat(m, found.index)
 
-    conversion = prep.conversion
     certificate = found if conversion == NILADIC_CONVERSIONS["allconv"] else ConvRule(f, conversion, found)
     verdict = _checked_conclusion(f, certificate)
     if verdict != FLS_FORMULA:

@@ -210,11 +210,6 @@ def to_dnf(f: Formula) -> tuple[Formula, ConvProof]:
     raise StructureError(f"negation survived NNF: {f!r}")
 
 
-def is_dnf(f: Formula) -> bool:
-    """Shape check: disjunction of conjunctions of atoms."""
-    return all(type(g) is Atom for clause in _leaves(f, Or) for g in _leaves(clause, And))
-
-
 def _leaves(f: Formula, kind: type) -> list[Formula]:
     """The maximal subtrees of ``f`` that are not ``kind`` nodes, left to right, by a loop."""
     out: list[Formula] = []

@@ -28,6 +28,8 @@ from ordersat.core import (
     SymbolTable,
     Theory,
     VarId,
+    formula_vars,
+    literal_vars,
     parse_input,
     quote_token,
 )
@@ -59,14 +61,30 @@ from ordersat.certs import (
     check_atom_proof,
     serialize_literal,
 )
-from ordersat.closure import Preprocessed, ProofMap, Unsat, decide, leq1_mapping
+from ordersat.closure import (
+    ClosureFn,
+    OpenClause,
+    Preprocessed,
+    ProofMap,
+    Sat,
+    Unsat,
+    Verdict,
+    contr_list,
+    decide,
+    leq1_mapping,
+    preprocess,
+    trancl_mapping,
+)
+from ordersat.model import build_linear_model, build_partial_model
 from ordersat.replay import SIGMA, FmHole, ReplayError, SubstValue
 from ordersat.rewrite import (
     StructureError,
     amap_fm,
     amap_fm_prf,
+    conj_list,
     deless_linear_prf,
     deless_partial_prf,
+    disj_clauses,
     then,
     to_dnf,
 )
@@ -419,20 +437,113 @@ def unpruned_conj_prf(proof: PropProof, clause: Formula) -> PropProof:
 
 
 def unpruned_cert(goal: Formula, cert: PropProof) -> PropProof:
-    """``decide``'s refutation of ``goal`` with each clause's lift rewrapped by ``unpruned_conj_prf``.
+    """``decide``'s refutation of a goal with no disjunction, its lift rewrapped by ``unpruned_conj_prf``.
 
-    ``cert`` is at most one ``ConvRule`` over case splits of the DNF, whose
-    leaves are each a clause's ``ConjE`` nodes above one ``Lift``.
+    ``cert`` is at most one ``ConvRule`` over ``ConjE`` nodes above one ``Lift``.
     """
     if isinstance(cert, ConvRule):
-        dnf = apply_conv(cert.conversion, cert.source)
-        return ConvRule(cert.source, cert.conversion, unpruned_cert(dnf, cert.proof))
-    if isinstance(cert, DisjE):
-        left = unpruned_cert(cert.left, cert.left_proof)
-        return DisjE(cert.left, cert.right, left, unpruned_cert(cert.right, cert.right_proof))
+        nnf = apply_conv(cert.conversion, cert.source)
+        return ConvRule(cert.source, cert.conversion, unpruned_cert(nnf, cert.proof))
     while isinstance(cert, ConjE):
         cert = cert.proof
     return unpruned_conj_prf(cert, goal)
+
+
+# ---------------------------------------------------------------------------
+# The clause-by-clause search over an eager DNF, the oracle for the tableau
+
+
+def is_dnf(f: Formula) -> bool:
+    """Shape check: disjunction of conjunctions of atoms."""
+    try:
+        for clause in disj_clauses(f):
+            conj_list(clause)
+    except StructureError:
+        return False
+    return True
+
+
+def clause_literals(clause: Formula) -> tuple[list[Literal], list[Literal], list[And]]:
+    """One walk of a conjunction: its literals left to right, its negative ones shallowest first
+    (level order, ties left to right), and its ``And`` nodes in pre-order."""
+    lits: list[Literal] = []
+    negs: list[Literal] = []
+    depths: list[int] = []
+    ands: list[And] = []
+    stack = [(clause, 0)]
+    while stack:
+        g, depth = stack.pop()
+        while type(g) is And:
+            ands.append(g)
+            depth += 1
+            stack.append((g.right, depth))
+            g = g.left
+        if type(g) is not Atom:
+            raise StructureError(f"not a conjunction of atoms: {g}")
+        lits.append(g.lit)
+        if not g.lit.pos:
+            negs.append(g.lit)
+            depths.append(depth)
+    return lits, [negs[i] for i in sorted(range(len(negs)), key=depths.__getitem__)], ands
+
+
+def from_conj_prf(proof: PropProof, ands: list[And], cited: Iterable[Literal]) -> PropProof:
+    """Wrap ``proof`` in a ``ConjE`` for each of a conjunction's ``ands`` that holds a ``cited`` literal.
+
+    ``ands`` are in pre-order and ``cited`` holds the very literal objects at
+    the leaves.  Read in reverse, children first, each ``And`` pushes whether it holds one.
+    """
+    cited_ids = set(map(id, cited))
+    held: list[bool] = []
+    for g in reversed(ands):
+        left, right = g.left, g.right
+        holds = held.pop() if type(left) is And else id(left.lit) in cited_ids
+        if (held.pop() if type(right) is And else id(right.lit) in cited_ids) or holds:
+            proof = ConjE(left, right, proof)
+            holds = True
+        held.append(holds)
+    return proof
+
+
+def dnf_contr_fm_prf(f: Formula, *, closure_fn: ClosureFn = trancl_mapping) -> PropProof | OpenClause:
+    """``closure.contr_fm_prf`` as it was: refute a negation-free DNF clause by clause, left to right.
+
+    Each clause's closure is computed once, and its negative literals are
+    tried shallowest first.  Returns the refutation when every clause is
+    contradictory, else the leftmost open clause.
+    """
+    indices = itertools.count()
+
+    def refute(g: Formula) -> PropProof | OpenClause:
+        if isinstance(g, Or):
+            left = refute(g.left)
+            if isinstance(left, OpenClause):
+                return left
+            right = refute(g.right)
+            return right if isinstance(right, OpenClause) else DisjE(g.left, g.right, left, right)
+        lits, shallow, ands = clause_literals(g)
+        leqm = closure_fn(leq1_mapping(lits))
+        index = next(indices)
+        cited: list[Literal] = []
+        found = contr_list(leqm, shallow, cited)
+        if found is None:
+            return OpenClause(index, tuple(lits), leqm)
+        return from_conj_prf(found, ands, cited)
+
+    return refute(f)
+
+
+def dnf_decide(f: Formula, theory: Theory) -> Verdict:
+    """``closure.decide`` as it was: ``preprocess`` into a DNF, then ``dnf_contr_fm_prf``, unchecked."""
+    prep = preprocess(f, theory)
+    found = dnf_contr_fm_prf(prep.result)
+    if isinstance(found, OpenClause):
+        lits = found.literals
+        extra = formula_vars(f) - literal_vars(lits)
+        build = build_linear_model if theory is Theory.LINEAR else build_partial_model
+        return Sat(build(lits, set(found.closure), extra_vars=extra), found.index)
+    allconv = prep.conversion == NILADIC_CONVERSIONS["allconv"]
+    return Unsat(found if allconv else ConvRule(f, prep.conversion, found))
 
 
 # ---------------------------------------------------------------------------

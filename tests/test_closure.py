@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -22,6 +23,7 @@ from ordersat.core import (
     literal_vars,
     lt,
     neg,
+    parse_input,
     pos,
 )
 from ordersat.certs import (
@@ -38,21 +40,19 @@ from ordersat.certs import (
     PropProof,
     ReflP,
     TransP,
-    cert_size,
     check_atom_proof,
     check_prop_proof,
-    is_refutation,
+    parse_cert,
+    serialize_cert,
 )
 from ordersat.closure import (
     OpenClause,
     Sat,
     Unsat,
-    clause_literals,
     contr1_list,
     contr_fm_prf,
     contr_list,
     decide,
-    from_conj_prf,
     is_in_eq,
     is_in_leq,
     leq1_mapping,
@@ -65,11 +65,14 @@ from ordersat.closure import (
 from ordersat.model import Model, build_linear_model, build_partial_model
 from ordersat.oracle import brute_sat
 from ordersat.replay import replay_refutation
-from ordersat.rewrite import StructureError, conj_list, disj_clauses
+from ordersat.rewrite import StructureError, conj_list, deless_linear_prf, deless_partial_prf, disj_clauses, to_nnf
 
 from helpers import (
+    clause_literals,
     closed,
+    dnf_decide,
     eager_trancl,
+    from_conj_prf,
     naive_closure,
     proof_carrying_floyd_warshall,
     random_formula,
@@ -77,7 +80,6 @@ from helpers import (
     rounds_closure,
     trans_depth,
     trans_steps,
-    unpruned_cert,
     unpruned_conj_prf,
 )
 
@@ -433,9 +435,23 @@ def _lift_citations(proof: PropProof) -> set:
     return cited
 
 
+def _and_leaves(f):
+    """The maximal subtrees of ``f`` that are not conjunctions, by an explicit stack."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += g.right, g.left
+        else:
+            out.append(g)
+    return out
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_decide_decomposes_only_conjunctions_that_hold_a_cited_literal(seed):
+    # A leaf is cited below a ConjE if a lift below it cites its literal, or
+    # a DisjE below it splits it.
     f = random_formula(random.Random(seed), 4, 4)
     for theory in Theory:
         verdict = decide(f, theory)
@@ -444,10 +460,11 @@ def test_decide_decomposes_only_conjunctions_that_hold_a_cited_literal(seed):
         cert = verdict.certificate
         for node in _prop_nodes(cert):
             if isinstance(node, ConjE):
-                assert set(conj_list(And(node.left, node.right))) & _lift_citations(node.proof)
-        unpruned = unpruned_cert(f, cert)
-        assert is_refutation(f, unpruned)
-        assert cert_size(cert) <= cert_size(unpruned)
+                below = _prop_nodes(node.proof)
+                split = {Or(d.left, d.right) for d in below if isinstance(d, DisjE)}
+                cited = _lift_citations(node.proof)
+                leaves = _and_leaves(And(node.left, node.right))
+                assert any(g in split if isinstance(g, Or) else g.lit in cited for g in leaves)
         assert check_prop_proof({f}, cert) == FLS_FORMULA
         assert replay_refutation(cert, f)
 
@@ -536,6 +553,69 @@ def test_decide_sat_answer_matches_the_two_pass_search(seed):
             assert (verdict.clause_index, verdict.model) == expected
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.integers(3, 5))
+@settings(max_examples=300, deadline=None)
+def test_the_tableau_agrees_with_the_clause_by_clause_search(seed, depth, num_vars):
+    f = random_formula(random.Random(seed), depth, num_vars)
+    for theory in Theory:
+        verdict, expected = decide(f, theory), dnf_decide(f, theory)
+        assert type(verdict) is type(expected)
+        if isinstance(verdict, Sat):
+            assert (verdict.clause_index, verdict.model) == (expected.clause_index, expected.model)
+            continue
+        nnf, _ = to_nnf(f, deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf)
+        if not any(isinstance(g, Or) for g in _and_leaves(nnf)):
+            assert serialize_cert(verdict.certificate) == serialize_cert(expected.certificate)
+
+
+def test_the_twelve_rung_linear_ladder_splits_once():
+    # (x0 < x1 | x1 < x0) & x0 = x1 & ...: the first rung's case split
+    # closes the goal, where the DNF has 4,096 clauses.
+    text = " & ".join(f"(x{i} < x{i + 1} | x{i + 1} < x{i}) & x{i} = x{i + 1}" for i in range(12))
+    f, _ = parse_input(text)
+    start = time.perf_counter()
+    verdict = decide(f, Theory.LINEAR)
+    assert isinstance(verdict, Unsat)
+    written = serialize_cert(verdict.certificate)
+    cert = parse_cert(written)
+    assert check_prop_proof({f}, cert) == FLS_FORMULA
+    assert replay_refutation(cert, f)
+    assert time.perf_counter() - start < 1.0
+    assert len(written) < 16 * 1024
+    assert sum(isinstance(node, DisjE) for node in _prop_nodes(cert)) == 1
+
+
+def _tableau_closures(nnf):
+    """The closures the tableau over ``nnf`` builds up to its first open branch, by recursion.
+
+    A node takes in its disjunct's literals and holds its disjunctions, in
+    formula order, before the ones still pending.  It builds a closure when
+    its branch holds a negative literal and more positive ones than its last
+    closure saw, and the first open branch builds one if its last closure is
+    stale.  A branch with no positive literal builds none.
+    """
+    built = 0
+
+    def node(lits, todo, seen):
+        nonlocal built
+        leaves = _and_leaves(todo[0])
+        lits = lits + [g.lit for g in leaves if isinstance(g, Atom)]
+        todo = [g for g in leaves if isinstance(g, Or)] + todo[1:]
+        positives = sum(lit.pos for lit in lits)
+        if positives > seen and not all(lit.pos for lit in lits):
+            built, seen = built + 1, positives
+        if contr_list(closed(lits), lits) is not None:
+            return False
+        if not todo:
+            built += positives > seen
+            return True
+        split = todo[0]
+        return node(lits, [split.left] + todo[1:], seen) or node(lits, [split.right] + todo[1:], seen)
+
+    node([], [nnf], 0)
+    return built
+
+
 def test_decide_closes_each_clause_at_most_once(monkeypatch):
     calls = []
 
@@ -549,11 +629,22 @@ def test_decide_closes_each_clause_at_most_once(monkeypatch):
         f = random_formula(rng, 4, 4)
         for theory in Theory:
             calls.clear()
-            verdict = decide(f, theory)
-            if isinstance(verdict, Sat):
-                assert len(calls) == verdict.clause_index + 1
-            else:
-                assert len(calls) == len(disj_clauses(preprocess(f, theory).result))
+            decide(f, theory)
+            nnf, _ = to_nnf(f, deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf)
+            assert len(calls) == _tableau_closures(nnf)
+            # At most one closure per node of a tableau whose leaves are at
+            # most the DNF's clauses.
+            assert len(calls) <= 2 * len(disj_clauses(preprocess(f, theory).result)) - 1
+    # Not at most one per clause: the root checks its negative literal, and
+    # each branch needs its own positive literal.
+    calls.clear()
+    x, y, z, w = range(4)
+    goal = And(
+        And(Atom(pos(le(x, y))), Atom(neg(le(y, x)))),
+        Or(And(Atom(pos(le(y, z))), Atom(neg(le(x, z)))), And(Atom(pos(le(y, w))), Atom(neg(le(x, w))))),
+    )
+    assert isinstance(decide(goal, Theory.PARTIAL), Unsat)
+    assert len(calls) == _tableau_closures(goal) == 3
 
 
 def _conv_rules(proof: PropProof) -> list[ConvRule]:
