@@ -13,8 +13,8 @@ disjunct first, and closes as soon as a negative literal, shallowest
 first, contradicts its closure; a refutation decomposes only conjunctions
 that hold a leaf it cites.  The first open branch keeps its closure for the
 model.  ``decide`` glues this to ``to_nnf`` (negation normal form and
-strict elimination in one walk, one conversion) and re-checks every
-certificate with the trusted kernel.
+strict elimination by the theory's ``DELESS`` rules in one walk, one
+conversion tree) and re-checks every certificate with the trusted kernel.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ from .certs import (
 )
 from .model import Model, Pair, build_linear_model, build_partial_model, verify_model
 from .rewrite import (  # noqa: F401 - bench/spans.py rebinds amap_fm and amap_fm_prf here
+    DELESS,
     StructureError,
     amap_fm,
     amap_fm_prf,
-    deless_linear_prf,
-    deless_partial_prf,
     then,
     to_dnf,
     to_nnf,
@@ -391,8 +390,7 @@ def preprocess(f: Formula, theory: Theory) -> Preprocessed:
     ``to_nnf`` gives the strict-free negation normal form, and ``to_dnf``
     distributes it.  The conversion is ``allconv`` exactly when the result is ``f``.
     """
-    deless_prf = deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf
-    nnf, p = to_nnf(f, deless_prf)
+    nnf, p = to_nnf(f, DELESS[theory])
     dnf, q = to_dnf(nnf)
     return Preprocessed(then(p, q), dnf)
 
@@ -431,7 +429,7 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
     except KeyError:
         raise ValueError(f"unknown closure algorithm {algorithm!r}") from None
 
-    nnf, conversion = to_nnf(f, deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf)
+    nnf, conversion = to_nnf(f, DELESS[theory])
     found = contr_fm_prf(nnf, closure_fn=closure_fn)
 
     if isinstance(found, OpenClause):

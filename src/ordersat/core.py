@@ -65,7 +65,13 @@ class OrderAtom:
             raise ValueError(f"unknown atom kind {self.kind!r}")
 
     def __str__(self) -> str:
-        return f"v{self.x} {_KIND_SYMBOL[self.kind]} v{self.y}"
+        return f"{_var_text(self.x)} {_KIND_SYMBOL[self.kind]} {_var_text(self.y)}"
+
+
+def _var_text(var: VarId) -> str:
+    """``v`` and the id, cut to its first 40 digits and "…" as ``quote_token`` cuts a token."""
+    digits = str(var)
+    return f"v{digits}" if len(digits) <= 40 else f"v{digits[:40]}…"
 
 
 def le(x: VarId, y: VarId) -> OrderAtom:

@@ -2,15 +2,16 @@
 
 Every rewrite emits the conversion certificate that replays it, and a
 produced certificate applies to exactly the formula the solver goes on to
-analyse.  Strict elimination states each rule once, as a certificate: the
-rewrite of an atom is the checker's own ``apply_conv`` of its rule, so the
-two agree by construction.  ``to_nnf`` pushes every negation into the
-atoms and rewrites each atom by the theory's ``deless`` rule, in one walk
-on an explicit stack; ``to_dnf`` takes the negation-free result and
-only distributes it.  Each builds the formula and its certificate together,
-with no simplification and no clause deduplication.  ``amap_fm`` and
-``amap_fm_prf`` state an atom rewrite on its own, as a formula pass and a
-certificate pass.
+analyse.  Strict elimination states each rule once, as a certificate in the
+theory's table ``DELESS``: the rewrite of an atom is the checker's own
+``apply_conv`` of its rule, so the two agree by construction.  ``to_nnf``
+pushes every negation into the atoms and rewrites each atom by its rule, in
+one walk on an explicit stack, and writes one conversion tree whose every
+atom carries its negation step and its rule where it stands; ``to_dnf``
+takes the negation-free result and only distributes it.  Each builds the
+formula and its certificate together, with no simplification and no clause
+deduplication.  ``amap_fm`` and ``amap_fm_prf`` state an atom rewrite on
+its own, as a formula pass and a certificate pass.
 
 Every transformation returns its input object for a subtree it leaves
 unchanged, so the clauses of a DNF are, by identity, subterms of the formula
@@ -19,6 +20,7 @@ they came from, and a certificate that states both writes each once.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Callable
 
 from .core import (
@@ -31,6 +33,7 @@ from .core import (
     Neg,
     Or,
     OrderSatError,
+    Theory,
 )
 from .certs import NILADIC_CONVERSIONS as _RULE
 from .certs import ArgConv, AtomConv, BinopConv, ConvProof, ThenConv, apply_conv
@@ -43,29 +46,18 @@ class StructureError(OrderSatError):
     """A formula did not have the shape an operation requires."""
 
 
-def deless_partial_prf(lit: Literal) -> ConvProof:
-    """The rule that eliminates a strict atom over a partial order.
+# An atom rule table: a literal's (polarity, kind) to the rule that rewrites
+# its atom; a literal with no entry is kept as an atom.
+Rules = Mapping[tuple[bool, str], ConvProof]
 
-    ``x < y`` becomes ``x <= y and x != y``; its negation becomes
-    ``not x <= y or x = y``; every other literal is kept as an atom.
-    """
-    if lit.atom.kind == LT:
-        return _RULE["lessle"] if lit.pos else _RULE["nlessle"]
-    return _ALLCONV
-
-
-def deless_linear_prf(lit: Literal) -> ConvProof:
-    """The rule that eliminates a strict atom or a negated <= over a linear order.
-
-    Totality additionally turns ``not x <= y`` into ``x != y and y <= x``
-    and ``not x < y`` into ``y <= x``.
-    """
-    a = lit.atom
-    if a.kind == LT:
-        return _RULE["lessle"] if lit.pos else _RULE["nless"]
-    if a.kind == LE and not lit.pos:
-        return _RULE["nle"]
-    return _ALLCONV
+# Each theory's rules, which eliminate strict literals: over a partial order
+# ``x < y`` becomes ``x <= y and x != y`` and its negation ``not x <= y or
+# x = y``; totality additionally turns ``not x <= y`` into ``x != y and
+# y <= x`` and ``not x < y`` into ``y <= x``.
+DELESS: dict[Theory, Rules] = {
+    Theory.PARTIAL: {(True, LT): _RULE["lessle"], (False, LT): _RULE["nlessle"]},
+    Theory.LINEAR: {(True, LT): _RULE["lessle"], (False, LT): _RULE["nless"], (False, LE): _RULE["nle"]},
+}
 
 
 def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:
@@ -84,18 +76,18 @@ def amap_fm(fn: Callable[[Literal], Formula], f: Formula) -> Formula:
     raise StructureError(f"not a formula node: {f!r}")
 
 
-def amap_fm_prf(ap: Callable[[Literal], ConvProof], f: Formula) -> ConvProof:
-    """Certificate for amap_fm: atom rules under AtomConv, congruence above.
+def amap_fm_prf(rules: Rules, f: Formula) -> ConvProof:
+    """Certificate for amap_fm: each atom's rule in ``rules`` under AtomConv, congruence above.
 
-    A subtree whose atoms the rule all leaves unchanged gets ``allconv``.
+    A subtree none of whose atoms has a rule gets ``allconv``.
     """
     if isinstance(f, Atom):
-        rule = ap(f.lit)
-        return rule if rule == _ALLCONV else AtomConv(rule)
+        rule = rules.get((f.lit.pos, f.lit.atom.kind))
+        return _ALLCONV if rule is None else AtomConv(rule)
     if isinstance(f, (And, Or)):
-        return _binop(amap_fm_prf(ap, f.left), amap_fm_prf(ap, f.right))
+        return _binop(amap_fm_prf(rules, f.left), amap_fm_prf(rules, f.right))
     if isinstance(f, Neg):
-        inner = amap_fm_prf(ap, f.arg)
+        inner = amap_fm_prf(rules, f.arg)
         return inner if inner == _ALLCONV else ArgConv(inner)
     raise StructureError(f"not a formula node: {f!r}")
 
@@ -122,48 +114,48 @@ def _rebuilt(f: And | Or, left: Formula, right: Formula) -> Formula:
     return type(f)(left, right)
 
 
-def to_nnf(f: Formula, rule: Callable[[Literal], ConvProof]) -> tuple[Formula, ConvProof]:
-    """Push every negation into the atoms and apply ``rule`` to each, with a conversion certificate.
+def to_nnf(f: Formula, rules: Rules) -> tuple[Formula, ConvProof]:
+    """Push every negation into the atoms and rewrite each by its rule in ``rules``, with one conversion.
 
     The negation normal form contains no Neg node: a negated atom becomes the
     atom of the negated literal, double negations cancel and De Morgan's laws
-    swap And and Or.  Each atom of it is then rewritten by
-    ``apply_conv(rule(lit), atom)``, and the certificate is ``then(p, q)`` for
-    the certificate ``p`` of the negation normal form and ``q =
-    amap_fm_prf(rule, nnf)``.  One walk on an explicit stack does both.
-    Subtrees that neither step changes are kept as they are: on a
-    negation-free formula the rule leaves alone, the result is the input and
-    the certificate is ``allconv``.
+    swap And and Or.  Each atom of it whose literal has a rule in ``rules``,
+    such as ``DELESS[theory]``, becomes ``apply_conv(rule, atom)``; an empty
+    table only pushes negations.  The conversion is one tree that writes,
+    where each atom stands, its negation step and its rule:
+    ``(then negatom (atom r))``, ``(atom r)``, ``negatom`` or ``allconv``.
+    One walk on an explicit stack builds both.  Subtrees that neither step
+    changes are kept as they are: on a negation-free formula with no ruled
+    atom, the result is the input and the conversion is ``allconv``.
     """
-    # ``done`` holds (result, nnf proof, rule proof) per finished subtree.
-    # ``todo`` holds (node, step): visit the node (negated if ``step`` is 1),
-    # join the top two results under it (negated if ``step`` is 3), or put
-    # ``negneg`` before the top result (``step`` 4).
-    done: list[tuple[Formula, ConvProof, ConvProof]] = []
+    # ``done`` holds (result, conversion) per finished subtree.  ``todo``
+    # holds (node, step): visit the node (negated if ``step`` is 1), join the
+    # top two results under it (negated if ``step`` is 3), or put ``negneg``
+    # before the top result (``step`` 4).
+    done: list[tuple[Formula, ConvProof]] = []
     todo: list[tuple[Formula, int]] = [(f, 0)]
     while todo:
         g, step = todo.pop()
         kind = type(g)
         if step >= 2:
-            h, p, q = done.pop()
+            h, p = done.pop()
             if step == 4:
-                done.append((h, _RULE["negneg"] if p is _ALLCONV else ThenConv(_RULE["negneg"], p), q))
+                done.append((h, _RULE["negneg"] if p is _ALLCONV else ThenConv(_RULE["negneg"], p)))
                 continue
-            hl, pl, ql = done.pop()
+            hl, pl = done.pop()
             p = _ALLCONV if pl is _ALLCONV and p is _ALLCONV else BinopConv(pl, p)
-            q = _ALLCONV if ql is _ALLCONV and q is _ALLCONV else BinopConv(ql, q)
             if step == 2:
-                done.append((_rebuilt(g, hl, h), p, q))
+                done.append((_rebuilt(g, hl, h), p))
             else:
                 name, dual = ("negand", Or) if kind is And else ("negor", And)
-                done.append((dual(hl, h), _RULE[name] if p is _ALLCONV else ThenConv(_RULE[name], p), q))
+                done.append((dual(hl, h), _RULE[name] if p is _ALLCONV else ThenConv(_RULE[name], p)))
         elif kind is Atom:
             atom = Atom(g.lit.negate()) if step else g
-            r = rule(atom.lit)
-            if r == _ALLCONV:
-                done.append((atom, _NNF_ATOM[step], _ALLCONV))
+            r = rules.get((atom.lit.pos, atom.lit.atom.kind))
+            if r is None:
+                done.append((atom, _NNF_ATOM[step]))
             else:
-                done.append((apply_conv(r, atom), _NNF_ATOM[step], AtomConv(r)))
+                done.append((apply_conv(r, atom), then(_NNF_ATOM[step], AtomConv(r))))
         elif kind is And or kind is Or:
             todo += (g, step + 2), (g.right, step), (g.left, step)
         elif kind is Neg:
@@ -172,8 +164,7 @@ def to_nnf(f: Formula, rule: Callable[[Literal], ConvProof]) -> tuple[Formula, C
             todo.append((g.arg, 1 - step))
         else:
             raise StructureError(f"not a formula node: {g!r}")
-    h, p, q = done.pop()
-    return h, then(p, q)
+    return done.pop()
 
 
 def _dist_and(left: Formula, right: Formula) -> tuple[Formula, ConvProof]:

@@ -78,12 +78,11 @@ from ordersat.closure import (
 from ordersat.model import build_linear_model, build_partial_model
 from ordersat.replay import SIGMA, FmHole, ReplayError, SubstValue
 from ordersat.rewrite import (
+    DELESS,
     StructureError,
     amap_fm,
     amap_fm_prf,
     conj_list,
-    deless_linear_prf,
-    deless_partial_prf,
     disj_clauses,
     then,
     to_dnf,
@@ -619,22 +618,25 @@ def recursive_conj_list(f: Formula) -> list[Literal]:
 # Normalization as three recursive walks: the oracle for ``to_nnf``'s one walk
 
 
+def _deless(theory: Theory, lit: Literal) -> Formula:
+    rule = DELESS[theory].get((lit.pos, lit.atom.kind))
+    return Atom(lit) if rule is None else apply_conv(rule, Atom(lit))
+
+
 def deless_partial(lit: Literal) -> Formula:
     """``Atom(lit)`` rewritten by its partial-order rule, as the checker applies it."""
-    return apply_conv(deless_partial_prf(lit), Atom(lit))
+    return _deless(Theory.PARTIAL, lit)
 
 
 def deless_linear(lit: Literal) -> Formula:
     """``Atom(lit)`` rewritten by its linear-order rule, as the checker applies it."""
-    return apply_conv(deless_linear_prf(lit), Atom(lit))
+    return _deless(Theory.LINEAR, lit)
 
 
 _ALLCONV = NILADIC_CONVERSIONS["allconv"]
 
-
-def keep_atoms(lit: Literal) -> ConvProof:
-    """The atom rule that keeps every atom: ``to_nnf`` with it only pushes negations."""
-    return _ALLCONV
+# The empty rule table: ``to_nnf`` with it only pushes negations.
+keep_atoms: dict = {}
 
 
 def _binop_or_allconv(left: ConvProof, right: ConvProof) -> ConvProof:
@@ -667,14 +669,63 @@ def recursive_to_nnf(f: Formula) -> tuple[Formula, ConvProof]:
 
 def three_walk_preprocess(f: Formula, theory: Theory) -> Preprocessed:
     """``closure.preprocess`` as it was: ``to_nnf``, then ``amap_fm`` and ``amap_fm_prf`` of ``deless``, then ``to_dnf``."""
-    if theory is Theory.LINEAR:
-        deless, deless_prf = deless_linear, deless_linear_prf
-    else:
-        deless, deless_prf = deless_partial, deless_partial_prf
+    deless = deless_linear if theory is Theory.LINEAR else deless_partial
     nnf, p = recursive_to_nnf(f)
     delessed = amap_fm(deless, nnf)
     dnf, q = to_dnf(delessed)
-    return Preprocessed(then(then(p, amap_fm_prf(deless_prf, nnf)), q), dnf)
+    return Preprocessed(then(then(p, amap_fm_prf(DELESS[theory], nnf)), q), dnf)
+
+
+_NNF_ATOM = (_ALLCONV, NILADIC_CONVERSIONS["negatom"])
+
+
+def _rebuilt(f: And | Or, left: Formula, right: Formula) -> Formula:
+    if left is f.left and right is f.right:
+        return f
+    return type(f)(left, right)
+
+
+def two_part_to_nnf(f: Formula, rules: dict) -> tuple[Formula, ConvProof]:
+    """``rewrite.to_nnf`` as it was: one walk that builds two conversions and joins them as ``then(p, q)``.
+
+    ``p`` only pushes negations and ``q`` only rewrites atoms of the
+    negation normal form by their rules, so the two state every shared
+    ``binop`` path twice.  The oracle for the one-tree walk.
+    """
+    done: list[tuple[Formula, ConvProof, ConvProof]] = []
+    todo: list[tuple[Formula, int]] = [(f, 0)]
+    while todo:
+        g, step = todo.pop()
+        kind = type(g)
+        if step >= 2:
+            h, p, q = done.pop()
+            if step == 4:
+                done.append((h, then(NILADIC_CONVERSIONS["negneg"], p), q))
+                continue
+            hl, pl, ql = done.pop()
+            p, q = _binop_or_allconv(pl, p), _binop_or_allconv(ql, q)
+            if step == 2:
+                done.append((_rebuilt(g, hl, h), p, q))
+            else:
+                name, dual = ("negand", Or) if kind is And else ("negor", And)
+                done.append((dual(hl, h), then(NILADIC_CONVERSIONS[name], p), q))
+        elif kind is Atom:
+            atom = Atom(g.lit.negate()) if step else g
+            r = rules.get((atom.lit.pos, atom.lit.atom.kind))
+            if r is None:
+                done.append((atom, _NNF_ATOM[step], _ALLCONV))
+            else:
+                done.append((apply_conv(r, atom), _NNF_ATOM[step], AtomConv(r)))
+        elif kind is And or kind is Or:
+            todo += (g, step + 2), (g.right, step), (g.left, step)
+        elif kind is Neg:
+            if step:
+                todo.append((g, 4))
+            todo.append((g.arg, 1 - step))
+        else:
+            raise StructureError(f"not a formula node: {g!r}")
+    h, p, q = done.pop()
+    return h, then(p, q)
 
 
 def stack_formula_eq(a: Formula, b: Formula) -> bool:

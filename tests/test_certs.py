@@ -191,7 +191,7 @@ def test_the_readme_session_goal_has_its_pinned_linear_certificate():
     f, _ = parse_input(session)
     assert serialize_cert(decide(f, Theory.LINEAR).certificate) == (
         "(conv (and (neg (atom (+ le v0 v1))) (neg (atom (+ le v1 v0))))"
-        " (then (binop negatom negatom) (binop (atom nle) (atom nle)))"
+        " (binop (then negatom (atom nle)) (then negatom (atom nle)))"
         " (conje (and #0=(atom (- eq v0 v1)) #1=(atom (+ le v1 v0))) (and #2=(atom (- eq v1 v0)) #3=(atom (+ le v0 v1)))"
         " (conje #0# #1# (conje #2# #3# (lift (contr (- eq v0 v1) (antisym (assm (+ le v0 v1)) (assm (+ le v1 v0)))))))))"
     )

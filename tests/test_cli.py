@@ -298,6 +298,23 @@ def test_check_quotes_a_bounded_prefix_of_a_long_token(tmp_path, capsys, kernel)
 
 
 @pytest.mark.parametrize("kernel", ["structured", "replay"])
+def test_check_cuts_long_variable_ids_in_a_rejection(tmp_path, capsys, kernel):
+    # Two assumptions over four 4,300-digit ids, the longest the reader
+    # takes, that the goal does not assume: each id is quoted by its first
+    # 40 digits.
+    source = tmp_path / "goal.txt"
+    source.write_text("x <= y\n")
+    v1, v2, v3, v4 = (f"v{digit * 4300}" for digit in "1234")
+    cert = tmp_path / "long-ids.cert"
+    cert.write_text(f"(lift (trans (assm (+ le {v1} {v2})) (assm (+ le {v3} {v4}))))\n")
+    assert run(["check", str(cert), "--goal", str(source), "--kernel", kernel]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("rejected: ") and out.count("\n") == 1
+    assert f" {v1[:41]}… <= {v2[:41]}…" in out
+    assert len(out.encode()) < 1100
+
+
+@pytest.mark.parametrize("kernel", ["structured", "replay"])
 def test_check_bounds_a_rejection_that_quotes_a_huge_formula(tmp_path, capsys, kernel):
     # The certificate of a 2,000-literal conjunction against a goal that
     # differs in its last literal: both kernels quote the formula, cut short.

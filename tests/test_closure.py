@@ -65,7 +65,7 @@ from ordersat.closure import (
 from ordersat.model import Model, build_linear_model, build_partial_model
 from ordersat.oracle import brute_sat
 from ordersat.replay import replay_refutation
-from ordersat.rewrite import StructureError, conj_list, deless_linear_prf, deless_partial_prf, disj_clauses, to_nnf
+from ordersat.rewrite import DELESS, StructureError, conj_list, disj_clauses, to_nnf
 
 from helpers import (
     clause_literals,
@@ -563,7 +563,7 @@ def test_the_tableau_agrees_with_the_clause_by_clause_search(seed, depth, num_va
         if isinstance(verdict, Sat):
             assert (verdict.clause_index, verdict.model) == (expected.clause_index, expected.model)
             continue
-        nnf, _ = to_nnf(f, deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf)
+        nnf, _ = to_nnf(f, DELESS[theory])
         if not any(isinstance(g, Or) for g in _and_leaves(nnf)):
             assert serialize_cert(verdict.certificate) == serialize_cert(expected.certificate)
 
@@ -630,7 +630,7 @@ def test_decide_closes_each_clause_at_most_once(monkeypatch):
         for theory in Theory:
             calls.clear()
             decide(f, theory)
-            nnf, _ = to_nnf(f, deless_linear_prf if theory is Theory.LINEAR else deless_partial_prf)
+            nnf, _ = to_nnf(f, DELESS[theory])
             assert len(calls) == _tableau_closures(nnf)
             # At most one closure per node of a tableau whose leaves are at
             # most the DNF's clauses.

@@ -247,12 +247,22 @@ def test_formula_text_is_the_recursive_text_cut_at_the_bound(f):
 
 
 def test_formula_text_cuts_a_long_atom_and_fits_the_bound_exactly():
-    long_atom = Atom(pos(le(10**1000, 0)))
-    assert str(long_atom) == recursive_str(long_atom)[: MAX_FORMULA_TEXT - 1] + "…"
-    fits = Atom(pos(le(10 ** (MAX_FORMULA_TEXT - 8), 0)))  # "v1000…0 <= v0"
+    # A variable id prints as its first 40 digits and "…" when it is longer.
+    assert str(Atom(pos(le(10**1000, 0)))) == "v1" + "0" * 39 + "… <= v0"
+    assert str(Atom(pos(le(10**39, 0)))) == "v1" + "0" * 39 + " <= v0"
+    assert str(neg(lt(7, 10**40))) == "~(v7 < v1" + "0" * 39 + "…)"
+
+    def joined(digits: int):
+        # Seven 47-character atoms and one of ``digits + 7``, left-nested.
+        f = Atom(pos(le(10**39, 0)))
+        for _ in range(6):
+            f = And(f, Atom(pos(le(10**39, 0))))
+        return And(f, Atom(pos(le(10 ** (digits - 1), 0))))
+
+    fits = joined(29)
     assert len(recursive_str(fits)) == MAX_FORMULA_TEXT
     assert str(fits) == recursive_str(fits)
-    over = Atom(pos(le(10 ** (MAX_FORMULA_TEXT - 7), 0)))
+    over = joined(30)
     assert str(over) == recursive_str(over)[: MAX_FORMULA_TEXT - 1] + "…"
 
 

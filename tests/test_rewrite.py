@@ -26,13 +26,25 @@ from ordersat.core import (
     neg,
     pos,
 )
-from ordersat.certs import ArgConv, AtomConv, BinopConv, Rule, ThenConv, apply_conv
-from ordersat.closure import preprocess
+from ordersat.certs import (
+    FLS_FORMULA,
+    ArgConv,
+    AtomConv,
+    BinopConv,
+    ConvRule,
+    Rule,
+    ThenConv,
+    apply_conv,
+    cert_size,
+    check_prop_proof,
+)
+from ordersat.closure import OpenClause, preprocess
 from ordersat.oracle import enumerate_posets
-from ordersat.replay import FmHole
+from ordersat.replay import FmHole, replay_refutation
 
 from helpers import (
     deless_linear,
+    dnf_contr_fm_prf,
     is_dnf,
     deless_partial,
     keep_atoms,
@@ -40,14 +52,14 @@ from helpers import (
     recursive_to_nnf,
     stack_formula_eq,
     three_walk_preprocess,
+    two_part_to_nnf,
 )
 from ordersat.rewrite import (
+    DELESS,
     StructureError,
     amap_fm,
     amap_fm_prf,
     conj_list,
-    deless_linear_prf,
-    deless_partial_prf,
     disj_clauses,
     to_dnf,
     to_nnf,
@@ -77,16 +89,6 @@ def _linear_orders(k):
         )
 
 
-def _all_literals(num_vars=2):
-    return [
-        Literal(p, OrderAtom(kind, x, y))
-        for p in (True, False)
-        for kind in ATOM_KINDS
-        for x in range(num_vars)
-        for y in range(num_vars)
-    ]
-
-
 def test_deless_partial_examples():
     x, y = 0, 1
     assert deless_partial(pos(lt(x, y))) == And(Atom(pos(le(x, y))), Atom(neg(eq(x, y))))
@@ -111,23 +113,27 @@ def test_not_less_equals_flipped_le_on_linear_orders():
                 )
 
 
+def _assert_rules_preserve_semantics(theory, orders):
+    # Each entry of the theory's table, on every atom of its key over two
+    # variables, against every order on carriers of size <= 4; a literal
+    # with no entry is kept as it is.
+    for (polarity, kind), rule in DELESS[theory].items():
+        for x, y in itertools.product((0, 1), repeat=2):
+            lit = Literal(polarity, OrderAtom(kind, x, y))
+            f = apply_conv(rule, Atom(lit))
+            for k in (1, 2, 3, 4):
+                for rel in orders(k):
+                    for v in iter_valuations({0, 1}, rel.carrier):
+                        assert eval_formula(rel, v, f) == eval_literal(rel, v, lit), (theory, rule, lit)
+
+
 def test_deless_partial_semantics_preserved():
     # Holds for every poset on carriers of size <= 4, not just size 2.
-    for lit in _all_literals():
-        f = deless_partial(lit)
-        for k in (1, 2, 3, 4):
-            for rel in enumerate_posets(k):
-                for v in iter_valuations({0, 1}, rel.carrier):
-                    assert eval_formula(rel, v, f) == eval_literal(rel, v, lit)
+    _assert_rules_preserve_semantics(Theory.PARTIAL, enumerate_posets)
 
 
 def test_deless_linear_semantics_preserved():
-    for lit in _all_literals():
-        f = deless_linear(lit)
-        for k in (1, 2, 3, 4):
-            for rel in _linear_orders(k):
-                for v in iter_valuations({0, 1}, rel.carrier):
-                    assert eval_formula(rel, v, f) == eval_literal(rel, v, lit)
+    _assert_rules_preserve_semantics(Theory.LINEAR, _linear_orders)
 
 
 def test_amap_fm_examples():
@@ -143,25 +149,22 @@ def test_amap_fm_examples():
 
 def test_amap_fm_prf_examples():
     x, y = 0, 1
-    assert amap_fm_prf(deless_partial_prf, Atom(pos(lt(x, y)))) == AtomConv(Rule("lessle"))
+    partial = DELESS[Theory.PARTIAL]
+    assert amap_fm_prf(partial, Atom(pos(lt(x, y)))) == AtomConv(Rule("lessle"))
     a, b = Atom(pos(lt(x, y))), Atom(pos(eq(x, y)))
-    assert amap_fm_prf(deless_partial_prf, And(a, b)) == BinopConv(
-        amap_fm_prf(deless_partial_prf, a), amap_fm_prf(deless_partial_prf, b)
-    )
-    assert amap_fm_prf(deless_partial_prf, Atom(pos(le(x, y)))) == Rule("allconv")
-    assert amap_fm_prf(deless_partial_prf, Or(b, Neg(b))) == Rule("allconv")
-    assert amap_fm_prf(deless_partial_prf, Neg(a)) == ArgConv(AtomConv(Rule("lessle")))
-    assert deless_linear_prf(neg(le(x, y))) == Rule("nle")
+    assert amap_fm_prf(partial, And(a, b)) == BinopConv(amap_fm_prf(partial, a), amap_fm_prf(partial, b))
+    assert amap_fm_prf(partial, Atom(pos(le(x, y)))) == Rule("allconv")
+    assert amap_fm_prf(partial, Or(b, Neg(b))) == Rule("allconv")
+    assert amap_fm_prf(partial, Neg(a)) == ArgConv(AtomConv(Rule("lessle")))
+    assert amap_fm_prf(DELESS[Theory.LINEAR], Atom(neg(le(x, y)))) == AtomConv(Rule("nle"))
+    assert amap_fm_prf(keep_atoms, a) == Rule("allconv")
 
 
 @given(formulas)
 @settings(max_examples=150, deadline=None)
 def test_deless_conversion_matches_rewrite(f):
-    for deless, deless_prf in (
-        (deless_partial, deless_partial_prf),
-        (deless_linear, deless_linear_prf),
-    ):
-        assert apply_conv(amap_fm_prf(deless_prf, f), f) == amap_fm(deless, f)
+    for theory, deless in ((Theory.PARTIAL, deless_partial), (Theory.LINEAR, deless_linear)):
+        assert apply_conv(amap_fm_prf(DELESS[theory], f), f) == amap_fm(deless, f)
 
 
 def test_to_dnf_examples():
@@ -346,9 +349,16 @@ def _sharing(g: Formula, f: Formula) -> list:
 def test_preprocess_gives_the_three_walk_result_conversion_and_certificate(f):
     for theory in Theory:
         prep, oracle = preprocess(f, theory), three_walk_preprocess(f, theory)
-        assert prep.conversion == oracle.conversion
         assert prep.result == oracle.result
         assert _sharing(prep.result, f) == _sharing(oracle.result, f)
+        assert apply_conv(prep.conversion, f) == apply_conv(oracle.conversion, f) == prep.result
+        found = dnf_contr_fm_prf(prep.result)
+        if isinstance(found, OpenClause):
+            continue
+        for conversion in (prep.conversion, oracle.conversion):
+            cert = ConvRule(f, conversion, found)
+            assert check_prop_proof({f}, cert) == FLS_FORMULA
+            assert replay_refutation(cert, f)
 
 
 @given(formulas)
@@ -359,6 +369,41 @@ def test_to_nnf_keeping_atoms_is_the_recursive_walk(f):
     assert (nnf, proof) == (expected, expected_proof)
     assert _sharing(nnf, f) == _sharing(expected, f)
     assert (nnf is f) == (proof == Rule("allconv"))
+
+
+def _formulas_to_depth(depth: int, num_vars: int):
+    leaves = st.builds(Atom, st.builds(Literal, st.booleans(), st.builds(
+        OrderAtom, st.sampled_from(ATOM_KINDS), st.integers(0, num_vars - 1), st.integers(0, num_vars - 1))))
+    nodes = leaves
+    for _ in range(depth):
+        nodes = st.one_of(leaves, st.builds(And, nodes, nodes), st.builds(Or, nodes, nodes), st.builds(Neg, nodes))
+    return nodes
+
+
+_NEGATION_STEPS = {"negatom", "negneg", "negand", "negor"}
+
+
+@given(_formulas_to_depth(6, 5))
+@settings(max_examples=300, deadline=None)
+def test_to_nnf_writes_one_tree_no_larger_than_the_two_part_walk(f):
+    for theory in Theory:
+        nnf, tree = to_nnf(f, DELESS[theory])
+        expected, two_part = two_part_to_nnf(f, DELESS[theory])
+        assert nnf == expected
+        assert apply_conv(tree, f) == nnf == apply_conv(two_part, f)
+        assert cert_size(tree) <= cert_size(two_part)
+        # Every ``then`` is a negation step before the tree below it: no
+        # second pass over the negation normal form.
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ThenConv):
+                assert isinstance(node.first, Rule) and node.first.name in _NEGATION_STEPS, node
+                stack.append(node.second)
+            elif isinstance(node, BinopConv):
+                stack += node.right, node.left
+            elif not isinstance(node, Rule):
+                stack.append(node.rule)
 
 
 def test_to_nnf_names_a_node_of_another_kind():
@@ -392,10 +437,13 @@ def test_to_nnf_walks_a_hundred_thousand_deep_nesting_without_a_deep_stack():
     try:
         nnf, proof = to_nnf(f, keep_atoms)
         assert to_nnf(nnf, keep_atoms) == (nnf, Rule("allconv"))
-        result, conversion = to_nnf(f, deless_partial_prf)
-        assert to_nnf(result, deless_partial_prf)[0] is result
-        assert type(conversion) is ThenConv
-        assert _preorder(conversion.first) == _preorder(proof)
+        result, conversion = to_nnf(f, DELESS[Theory.PARTIAL])
+        assert to_nnf(result, DELESS[Theory.PARTIAL])[0] is result
+        # One tree: the negation steps' tree, with the one strict atom's rule
+        # written where it stands, after the ``negneg`` that uncovers it.
+        steps, tree = _preorder(proof), _preorder(conversion)
+        k = next(i for i, (a, b) in enumerate(zip(steps, tree)) if a != b)
+        assert tree == steps[:k] + ["ThenConv", "negneg", "AtomConv", "lessle"] + steps[k + 1:]
         kinds = {Atom: 0, And: 0, Or: 0, Neg: 0}
         stack = [result]
         while stack:
