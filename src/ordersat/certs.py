@@ -40,7 +40,7 @@ printing one is bounded by ``Formula.__str__``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import AbstractSet, Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .core import (
     EQ,
@@ -125,8 +125,11 @@ class ContrP(CertProof):
     proof: CertProof
 
 
-def check_atom_proof(assumptions: AbstractSet[Literal], proof: CertProof) -> Literal:
-    """Return the literal proved by ``proof`` under ``assumptions``.
+def check_atom_proof(context: Container[Formula], proof: CertProof) -> Literal:
+    """Return the literal proved by ``proof`` under the atoms of ``context``.
+
+    Only atoms count: each literal ``lit`` the proof cites is looked up as
+    ``Atom(lit) in context``, so a check takes time in the proof, not the context.
 
     Raises ProofError if any rule is misapplied: a missing assumption, a
     polarity or kind mismatch, or transitivity steps that do not share their
@@ -136,22 +139,22 @@ def check_atom_proof(assumptions: AbstractSet[Literal], proof: CertProof) -> Lit
         lit = proof.lit
         if not lit.pos or lit.atom.kind != LE:
             raise ProofError(f"assumption rule expects a positive <=, got {lit}")
-        if lit not in assumptions:
+        if Atom(lit) not in context:
             raise ProofError(f"assumption {lit} is not among the assumptions")
         return lit
     if isinstance(proof, ReflP):
         return Literal(True, le(proof.var, proof.var))
     if isinstance(proof, TransP):
-        c1 = check_atom_proof(assumptions, proof.left)
-        c2 = check_atom_proof(assumptions, proof.right)
+        c1 = check_atom_proof(context, proof.left)
+        c2 = check_atom_proof(context, proof.right)
         if c1.atom.kind != LE or c2.atom.kind != LE:
             raise ProofError(f"transitivity needs <= premises, got {c1} and {c2}")
         if c1.atom.y != c2.atom.x:
             raise ProofError(f"transitivity premises do not chain: {c1} then {c2}")
         return Literal(True, le(c1.atom.x, c2.atom.y))
     if isinstance(proof, AntisymP):
-        c1 = check_atom_proof(assumptions, proof.left)
-        c2 = check_atom_proof(assumptions, proof.right)
+        c1 = check_atom_proof(context, proof.left)
+        c2 = check_atom_proof(context, proof.right)
         if c1.atom.kind != LE or c2.atom.kind != LE:
             raise ProofError(f"antisymmetry needs <= premises, got {c1} and {c2}")
         if c1.atom.x != c2.atom.y or c1.atom.y != c2.atom.x:
@@ -161,7 +164,7 @@ def check_atom_proof(assumptions: AbstractSet[Literal], proof: CertProof) -> Lit
         lit = proof.lit
         if not lit.pos or lit.atom.kind != EQ:
             raise ProofError(f"equality elimination expects a positive =, got {lit}")
-        if lit not in assumptions:
+        if Atom(lit) not in context:
             raise ProofError(f"equality {lit} is not among the assumptions")
         x, y = lit.atom.x, lit.atom.y
         return Literal(True, le(x, y) if isinstance(proof, EQE1P) else le(y, x))
@@ -169,9 +172,9 @@ def check_atom_proof(assumptions: AbstractSet[Literal], proof: CertProof) -> Lit
         lit = proof.lit
         if lit.pos:
             raise ProofError(f"contradiction rule expects a negative literal, got {lit}")
-        if lit not in assumptions:
+        if Atom(lit) not in context:
             raise ProofError(f"negative assumption {lit} is not among the assumptions")
-        concl = check_atom_proof(assumptions, proof.proof)
+        concl = check_atom_proof(context, proof.proof)
         if concl != Literal(True, lit.atom):
             raise ProofError(f"contradiction premise proves {concl}, expected {Literal(True, lit.atom)}")
         return FLS
@@ -349,36 +352,40 @@ def check_prop_proof(context: Iterable[Formula], proof: PropProof) -> Formula:
     ConvRule requires its source formula to be assumed and extends the
     context with the conversion's result.
 
-    The check loops down the certificate's spine over one copy of
-    ``context``: ConjE and ConvRule add to it in place, and only a DisjE
-    copies it, once for each case, so a spine takes linear time and memory.
+    One scoped context serves the whole check: ConjE and ConvRule add to it,
+    a DisjE takes out what its left case added before its right case, and
+    Lift looks up only the literals it cites, so a check is linear in the certificate.
     """
-    return _check_spine(set(context), proof)
+    return _check_spine(dict.fromkeys(context), proof)
 
 
-def _check_spine(context: set[Formula], proof: PropProof) -> Formula:
-    # ``context`` belongs to this call, which adds to it.
+def _check_spine(context: dict[Formula, None], proof: PropProof) -> Formula:
+    # Adds to ``context``; the caller takes out what it no longer holds.
     while True:
         if isinstance(proof, Lift):
-            atoms = frozenset(f.lit for f in context if isinstance(f, Atom))
-            return Atom(check_atom_proof(atoms, proof.proof))
+            return Atom(check_atom_proof(context, proof.proof))
         if isinstance(proof, ConjE):
             if And(proof.left, proof.right) not in context:
                 raise ProofError(f"conjunction {And(proof.left, proof.right)} is not among the assumptions")
-            context.add(proof.left)
-            context.add(proof.right)
+            context[proof.left] = context[proof.right] = None
         elif isinstance(proof, DisjE):
             if Or(proof.left, proof.right) not in context:
                 raise ProofError(f"disjunction {Or(proof.left, proof.right)} is not among the assumptions")
-            c1 = _check_spine(context | {proof.left}, proof.left_proof)
-            c2 = _check_spine(context | {proof.right}, proof.right_proof)
+            # A formula already held keeps its place, so popping back to ``mark`` keeps it.
+            mark = len(context)
+            context[proof.left] = None
+            c1 = _check_spine(context, proof.left_proof)
+            while len(context) > mark:
+                context.popitem()
+            context[proof.right] = None
+            c2 = _check_spine(context, proof.right_proof)
             if c1 != c2:
                 raise ProofError(f"case split branches prove different formulas: {c1} and {c2}")
             return c1
         elif isinstance(proof, ConvRule):
             if proof.source not in context:
                 raise ProofError(f"conversion source {proof.source} is not among the assumptions")
-            context.add(apply_conv(proof.conversion, proof.source))
+            context[apply_conv(proof.conversion, proof.source)] = None
         else:
             raise ProofError(f"unknown propositional proof node {proof!r}")
         proof = proof.proof

@@ -194,13 +194,13 @@ def trancl_floyd_warshall(mapping: ProofMap) -> ProofMap:
     return result
 
 
-def pair_proof(leqm: ProofMap, x: VarId, z: VarId, cited: list[Literal] | None = None) -> CertProof | None:
+def pair_proof(leqm: ProofMap, x: VarId, z: VarId, cited: list[Literal]) -> CertProof | None:
     """Certificate for the pair ``(x, z)`` of a closed map, if it is in it.
 
     Its midpoints are expanded, on an explicit stack, into its chain of base
-    steps in order, whose literals are appended to ``cited`` if it is given,
-    and neighbouring proofs are joined by ``TransP`` until one is left, so
-    an n-step chain nests ⌈log₂ n⌉ ``trans`` deep.
+    steps in order, whose literals are appended to ``cited``, and neighbouring
+    proofs are joined by ``TransP`` until one is left, so an n-step chain
+    nests ⌈log₂ n⌉ ``trans`` deep.
     """
     if (x, z) not in leqm:
         return None
@@ -213,22 +213,21 @@ def pair_proof(leqm: ProofMap, x: VarId, z: VarId, cited: list[Literal] | None =
             stack += (b, c), (a, b)
         else:
             steps.append(b)
-    if cited is not None:
-        cited += [step.lit for step in steps]
+    cited += [step.lit for step in steps]
     while len(steps) > 1:
         joined = [TransP(left, right) for left, right in zip(steps[::2], steps[1::2])]
         steps = joined + steps[len(joined) * 2 :]
     return steps[0]
 
 
-def is_in_leq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal] | None = None) -> CertProof | None:
+def is_in_leq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal]) -> CertProof | None:
     """Certificate for x <= y under the closed map, if the pair is in it."""
     if x == y:
         return ReflP(x)
     return pair_proof(leqm, x, y, cited)
 
 
-def is_in_eq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal] | None = None) -> CertProof | None:
+def is_in_eq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal]) -> CertProof | None:
     """Certificate for x = y: both directions of <= combined antisymmetrically.
 
     Neither direction is built unless both are in the map.
@@ -238,7 +237,7 @@ def is_in_eq(leqm: ProofMap, x: VarId, y: VarId, cited: list[Literal] | None = N
     return AntisymP(is_in_leq(leqm, x, y, cited), is_in_leq(leqm, y, x, cited))
 
 
-def contr1_list(leqm: ProofMap, lit: Literal, cited: list[Literal] | None = None) -> PropProof | None:
+def contr1_list(leqm: ProofMap, lit: Literal, cited: list[Literal]) -> PropProof | None:
     """Falsity certificate from one negative literal; what it cites is appended to ``cited``."""
     if lit.pos:
         return None
@@ -251,15 +250,14 @@ def contr1_list(leqm: ProofMap, lit: Literal, cited: list[Literal] | None = None
         return None
     if proof is None:
         return None
-    if cited is not None:
-        cited.append(lit)
+    cited.append(lit)
     return Lift(ContrP(lit, proof))
 
 
 ClosureFn = Callable[[ProofMap], ProofMap]
 
 
-def contr_list(leqm: ProofMap, literals: Sequence[Literal], cited: list[Literal] | None = None) -> PropProof | None:
+def contr_list(leqm: ProofMap, literals: Sequence[Literal], cited: list[Literal]) -> PropProof | None:
     """First contradiction in sequence order against the closed map ``leqm``; see ``contr1_list``."""
     for lit in literals:
         found = contr1_list(leqm, lit, cited)
@@ -422,7 +420,7 @@ def decide(f: Formula, theory: Theory, *, algorithm: str = "naive") -> Verdict:
     Sat verdicts carry a verified finite model, built from the search's own
     closure, of the first open branch of ``contr_fm_prf``, with every
     variable of ``f`` assigned; ``clause_index`` is its position among the
-    clauses of ``preprocess(f, theory).result``, the DNF it leaves implicit.
+    clauses of the implicit DNF of the strict-free negation normal form.
     """
     try:
         closure_fn = _CLOSURE_ALGORITHMS[algorithm]

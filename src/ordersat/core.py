@@ -69,8 +69,14 @@ class OrderAtom:
 
 
 def _var_text(var: VarId) -> str:
-    """``v`` and the id, cut to its first 40 digits and "…" as ``quote_token`` cuts a token."""
-    digits = str(var)
+    """``v`` and the id, cut to its first 40 digits and "…" as ``quote_token`` cuts a token.
+
+    Only the head of a long id is converted: all but 50 or 51 of its digits,
+    counted from its bit length by log10(2) rounded up, are divided off.  A
+    hand-built literal may hold another value, which ``str`` prints.
+    """
+    drop = int(abs(var).bit_length() * 0.30103) - 50 if isinstance(var, int) else 0
+    digits = str(var) if drop <= 0 else ("-" if var < 0 else "") + str(abs(var) // 10**drop)
     return f"v{digits}" if len(digits) <= 40 else f"v{digits[:40]}…"
 
 

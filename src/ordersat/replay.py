@@ -45,7 +45,6 @@ from .core import (
     Atom,
     Formula,
     Literal,
-    Neg,
     Or,
     OrderAtom,
     OrderSatError,
@@ -153,9 +152,6 @@ def _subst_fm(f: Formula, env: Env) -> Formula:
     if isinstance(f, (And, Or)):
         left, right = _subst_fm(f.left, env), _subst_fm(f.right, env)
         return f if left is f.left and right is f.right else type(f)(left, right)
-    if isinstance(f, Neg):
-        arg = _subst_fm(f.arg, env)
-        return f if arg is f.arg else Neg(arg)
     raise ReplayError(f"not a formula: {f}")
 
 
@@ -181,7 +177,7 @@ def _match(part: Formula, env: dict[VarId, SubstValue], f: object) -> bool:
         same = type(f) is type(part)
         left = _match(part.left, env, f.left if same else None)
         return same & left & _match(part.right, env, f.right if same else None)
-    value = _subst_fm(part, env)  # a hole's value, or a negation's instance (no SIGMA row has one)
+    value = _subst_fm(part, env)  # a hole's value
     return value is f or value == f
 
 

@@ -152,9 +152,13 @@ def eager_trancl(mapping: ProofMap) -> dict:
 def closed(lits: Iterable[Literal]) -> ProofMap:
     """Closed certificate map of a clause's positive literals, by the oracle.
 
-    What the search hands ``contr_list`` and the model builders.
+    What the search hands ``contr_list`` and the model builders: each pair
+    the oracle derives as ``TransP(left, step)`` is recorded, as the closure
+    records it, by its midpoint, where ``left``'s pair ends.
     """
-    return rounds_closure(leq1_mapping(list(lits)))
+    proofs = rounds_closure(leq1_mapping(list(lits)))
+    pair_of = {id(proof): key for key, proof in proofs.items()}
+    return {key: pair_of[id(p.left)][1] if isinstance(p, TransP) else p for key, p in proofs.items()}
 
 
 def proof_carrying_floyd_warshall(mapping: ProofMap) -> ProofMap:
@@ -1236,8 +1240,9 @@ def reference_parse_cert(text: str) -> PropProof:
 # The recursive structured kernel, the oracle for ``certs.check_prop_proof``
 #
 # The structured kernel's earlier check, which copied its frozenset context
-# at every ConjE, DisjE and ConvRule node: kept verbatim as the reference for
-# conclusions and error messages.
+# at every ConjE, DisjE and ConvRule node: kept as the reference for
+# conclusions and error messages.  Its Lift hands ``check_atom_proof`` the
+# context's atoms, as formulas.
 
 
 def recursive_check_prop_proof(context: Iterable[Formula], proof: PropProof) -> Formula:
@@ -1247,7 +1252,7 @@ def recursive_check_prop_proof(context: Iterable[Formula], proof: PropProof) -> 
 
 def _check_prop(context: frozenset[Formula], proof: PropProof) -> Formula:
     if isinstance(proof, Lift):
-        atoms = frozenset(f.lit for f in context if isinstance(f, Atom))
+        atoms = frozenset(f for f in context if isinstance(f, Atom))
         return Atom(check_atom_proof(atoms, proof.proof))
     if isinstance(proof, ConjE):
         if And(proof.left, proof.right) not in context:

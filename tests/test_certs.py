@@ -80,16 +80,16 @@ from workloads import chain_text, ladder_text  # noqa: E402
 
 def test_check_atom_proof_examples():
     x, y = 0, 1
-    a = frozenset({pos(le(x, y))})
+    a = frozenset({Atom(pos(le(x, y)))})
     assert check_atom_proof(a, AssmP(pos(le(x, y)))) == pos(le(x, y))
     assert check_atom_proof(frozenset(), ReflP(3)) == pos(le(3, 3))
-    full = frozenset({pos(le(x, y)), pos(le(y, x)), neg(eq(x, y))})
+    full = frozenset({Atom(pos(le(x, y))), Atom(pos(le(y, x))), Atom(neg(eq(x, y)))})
     contr = ContrP(neg(eq(x, y)), AntisymP(AssmP(pos(le(x, y))), AssmP(pos(le(y, x)))))
     assert check_atom_proof(full, contr) == FLS
 
 
 def test_check_atom_proof_transitivity():
-    a = frozenset({pos(le(0, 1)), pos(le(1, 2))})
+    a = frozenset({Atom(pos(le(0, 1))), Atom(pos(le(1, 2)))})
     p = TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2))))
     assert check_atom_proof(a, p) == pos(le(0, 2))
 
@@ -98,8 +98,8 @@ def test_check_atom_proof_distinct_errors():
     with pytest.raises(ProofError, match="not among the assumptions"):
         check_atom_proof(frozenset(), AssmP(pos(le(0, 1))))
     with pytest.raises(ProofError, match="positive <="):
-        check_atom_proof(frozenset({neg(le(0, 1))}), AssmP(neg(le(0, 1))))
-    a = frozenset({pos(le(0, 1)), pos(le(2, 3))})
+        check_atom_proof(frozenset({Atom(neg(le(0, 1)))}), AssmP(neg(le(0, 1))))
+    a = frozenset({Atom(pos(le(0, 1))), Atom(pos(le(2, 3)))})
     with pytest.raises(ProofError, match="do not chain"):
         check_atom_proof(a, TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(2, 3)))))
     with pytest.raises(ProofError, match="not converse"):
@@ -107,7 +107,7 @@ def test_check_atom_proof_distinct_errors():
     with pytest.raises(ProofError, match="negative literal"):
         check_atom_proof(a, ContrP(pos(le(0, 1)), AssmP(pos(le(0, 1)))))
     with pytest.raises(ProofError, match="expects a positive ="):
-        check_atom_proof(frozenset({pos(le(0, 1))}), EQE1P(pos(le(0, 1))))
+        check_atom_proof(frozenset({Atom(pos(le(0, 1)))}), EQE1P(pos(le(0, 1))))
 
 
 def test_apply_conv_examples():
@@ -708,6 +708,51 @@ def test_assumptions_stay_in_their_case_and_out_of_the_callers_set():
     before = set(context)
     assert check_prop_proof(context, ConjE(xy, yx, uses_xy)) == FLS_FORMULA
     assert context == before
+
+
+def test_a_case_split_takes_out_what_its_left_case_added():
+    # The left case adds v0 <= v1 by a conje and v1 <= v2 by a conv, and
+    # the right case may cite neither.  A disjunct assumed before the split
+    # stays for both cases.
+    xy, yz, other = Atom(pos(le(0, 1))), Atom(pos(le(1, 2))), Atom(pos(le(5, 6)))
+    left = And(xy, Neg(Neg(yz)))
+    closes = Lift(ContrP(neg(le(0, 2)), TransP(AssmP(xy.lit), AssmP(yz.lit))))
+    left_proof = ConjE(xy, left.right, ConvRule(left.right, Rule("negneg"), closes))
+    context = {Or(left, other), Atom(neg(le(0, 2)))}
+    assert check_prop_proof({left, Atom(neg(le(0, 2)))}, left_proof) == FLS_FORMULA
+    for cited in (xy, yz):
+        proof = DisjE(left, other, left_proof, Lift(AssmP(cited.lit)))
+        message = f"assumption {cited.lit} is not among the assumptions"
+        assert _outcome(check_prop_proof, context, proof) == (ProofError, message)
+        assert _outcome(recursive_check_prop_proof, context, proof) == (ProofError, message)
+    uses_xy = Lift(ContrP(neg(le(0, 1)), AssmP(xy.lit)))
+    held = {Or(xy, other), xy, Atom(neg(le(0, 1)))}
+    assert check_prop_proof(held, DisjE(xy, other, uses_xy, uses_xy)) == FLS_FORMULA
+
+
+def test_structured_kernel_hashes_only_the_literals_each_lift_cites(monkeypatch):
+    # A context of n atoms and k branches, closed through nested disje.  A
+    # kernel that gathers the context's literals at each lift hashes about
+    # n·k literals; one that looks up what each lift cites, O(n + k).
+    n, k = 2000, 200
+    facts = [Atom(pos(le(i, i + 1))) for i in range(n)]
+    cases = [Atom(neg(le(i, i + 1))) for i in range(k)]
+    split, proof = cases[-1], Lift(ContrP(cases[-1].lit, AssmP(facts[k - 1].lit)))
+    for i in reversed(range(k - 1)):
+        closes = Lift(ContrP(cases[i].lit, AssmP(facts[i].lit)))
+        split, proof = Or(cases[i], split), DisjE(cases[i], split, closes, proof)
+    context = [*facts, split]
+    calls = 0
+    literal_hash = Literal.__hash__
+
+    def counting(lit):
+        nonlocal calls
+        calls += 1
+        return literal_hash(lit)
+
+    monkeypatch.setattr(Literal, "__hash__", counting)
+    assert check_prop_proof(context, proof) == FLS_FORMULA
+    assert calls < 10 * (n + k)
 
 
 def test_structured_kernel_checks_a_spine_in_linear_memory_and_constant_stack():

@@ -111,7 +111,7 @@ def test_trancl_mapping_examples():
     p, q = AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2)))
     closed = trancl_mapping({(0, 1): p, (1, 2): q})
     assert set(closed) == {(0, 1), (1, 2), (0, 2)}
-    assert pair_proof(closed, 0, 2) == TransP(p, q)
+    assert pair_proof(closed, 0, 2, []) == TransP(p, q)
 
     single = {(0, 1): p}
     assert trancl_mapping(single) == single
@@ -146,17 +146,17 @@ def test_trancl_key_set_matches_fixpoint_oracle(m):
 @given(_maps)
 @settings(max_examples=200, deadline=None)
 def test_trancl_proofs_check(m):
-    assumptions = frozenset(pos(le(*k)) for k in m)
+    assumptions = frozenset(Atom(pos(le(*k))) for k in m)
     for closure in (trancl_mapping, trancl_floyd_warshall):
         closed = closure(m)
         for x, y in closed:
-            assert check_atom_proof(assumptions, pair_proof(closed, x, y)) == pos(le(x, y))
+            assert check_atom_proof(assumptions, pair_proof(closed, x, y, [])) == pos(le(x, y))
 
 
 def _assert_balanced_chains(closed, expected) -> None:
     """Each pair's proof has the oracle's chain of steps, nested at most ⌈log₂ n⌉ deep."""
     for key in closed:
-        proof = pair_proof(closed, *key)
+        proof = pair_proof(closed, *key, [])
         steps = trans_steps(proof)
         assert steps == trans_steps(expected[key])
         assert trans_depth(proof) <= math.ceil(math.log2(len(steps)))
@@ -287,27 +287,27 @@ def _conje_count(proof: PropProof) -> int:
 
 def test_is_in_leq_examples():
     closed = trancl_mapping(leq1_mapping([pos(le(0, 1)), pos(le(1, 2))]))
-    assert is_in_leq(closed, 3, 3) == ReflP(3)
-    assert is_in_leq(closed, 0, 2) == pair_proof(closed, 0, 2)
-    assert is_in_leq(closed, 0, 2) == TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2))))
-    assert is_in_leq(closed, 2, 0) is None
+    assert is_in_leq(closed, 3, 3, []) == ReflP(3)
+    assert is_in_leq(closed, 0, 2, []) == pair_proof(closed, 0, 2, [])
+    assert is_in_leq(closed, 0, 2, []) == TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2))))
+    assert is_in_leq(closed, 2, 0, []) is None
 
 
 def test_is_in_eq_examples():
     closed = trancl_mapping(leq1_mapping([pos(le(0, 1)), pos(le(1, 0))]))
-    assert is_in_eq(closed, 0, 1) == AntisymP(closed[(0, 1)], closed[(1, 0)])
-    assert is_in_eq(closed, 2, 2) == AntisymP(ReflP(2), ReflP(2))
+    assert is_in_eq(closed, 0, 1, []) == AntisymP(closed[(0, 1)], closed[(1, 0)])
+    assert is_in_eq(closed, 2, 2, []) == AntisymP(ReflP(2), ReflP(2))
     only_one = trancl_mapping(leq1_mapping([pos(le(0, 1))]))
-    assert is_in_eq(only_one, 0, 1) is None
+    assert is_in_eq(only_one, 0, 1, []) is None
 
 
 def test_contr1_list_examples():
     closed = trancl_mapping(leq1_mapping([pos(le(0, 1))]))
-    found = contr1_list(closed, neg(le(0, 1)))
+    found = contr1_list(closed, neg(le(0, 1)), [])
     assert found == Lift(ContrP(neg(le(0, 1)), AssmP(pos(le(0, 1)))))
-    assert contr1_list(closed, pos(le(0, 1))) is None
-    assert contr1_list(closed, neg(lt(0, 1))) is None
-    assert contr1_list(closed, neg(eq(0, 2))) is None
+    assert contr1_list(closed, pos(le(0, 1)), []) is None
+    assert contr1_list(closed, neg(lt(0, 1)), []) is None
+    assert contr1_list(closed, neg(eq(0, 2)), []) is None
 
 
 def test_contr_list_antisym_certificate():
@@ -319,7 +319,7 @@ def test_contr_list_antisym_certificate():
             AntisymP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 0)))),
         )
     )
-    assert contr_list(closed(lits), lits) == expected
+    assert contr_list(closed(lits), lits, []) == expected
     assert check_prop_proof({Atom(l) for l in lits}, expected) == FLS_FORMULA
 
 
@@ -331,18 +331,18 @@ def test_contr_list_trans_certificate():
             TransP(AssmP(pos(le(0, 1))), AssmP(pos(le(1, 2)))),
         )
     )
-    assert contr_list(closed(lits), lits) == expected
+    assert contr_list(closed(lits), lits, []) == expected
 
 
 def test_contr_list_no_contradiction():
     lits = [pos(le(0, 1))]
-    assert contr_list(closed(lits), lits) is None
-    assert contr_list({}, []) is None
+    assert contr_list(closed(lits), lits, []) is None
+    assert contr_list({}, [], []) is None
 
 
 def test_contr_list_first_hit_wins():
     lits = [neg(eq(0, 0)), neg(le(1, 1))]
-    found = contr_list(closed(lits), lits)
+    found = contr_list(closed(lits), lits, [])
     assert isinstance(found, Lift)
     assert found.proof.lit == neg(eq(0, 0))
 
@@ -532,7 +532,7 @@ def _two_pass_answer(f, theory):
     for index, clause in enumerate(disj_clauses(preprocess(f, theory).result)):
         lits = conj_list(clause)
         leq = closed(lits)
-        if contr_list(leq, lits) is None:
+        if contr_list(leq, lits, []) is None:
             extra = formula_vars(f) - literal_vars(lits)
             build = build_linear_model if theory is Theory.LINEAR else build_partial_model
             return index, build(lits, leq, extra_vars=extra)
@@ -604,7 +604,7 @@ def _tableau_closures(nnf):
         positives = sum(lit.pos for lit in lits)
         if positives > seen and not all(lit.pos for lit in lits):
             built, seen = built + 1, positives
-        if contr_list(closed(lits), lits) is not None:
+        if contr_list(closed(lits), lits, []) is not None:
             return False
         if not todo:
             built += positives > seen
@@ -699,7 +699,7 @@ def test_contr_list_complete_on_strict_free_clauses():
         if any(l.atom.kind == "lt" for l in lits):
             continue
         f = clause_formula(lits)
-        found = contr_list(closed(lits), lits)
+        found = contr_list(closed(lits), lits, [])
         if brute_sat(f, Theory.PARTIAL):
             assert found is None
         else:

@@ -251,6 +251,9 @@ def test_formula_text_cuts_a_long_atom_and_fits_the_bound_exactly():
     assert str(Atom(pos(le(10**1000, 0)))) == "v1" + "0" * 39 + "… <= v0"
     assert str(Atom(pos(le(10**39, 0)))) == "v1" + "0" * 39 + " <= v0"
     assert str(neg(lt(7, 10**40))) == "~(v7 < v1" + "0" * 39 + "…)"
+    # An id past the limit of integer-to-string conversion is cut all the same.
+    assert str(Atom(pos(le(10**5000, 0)))) == "v1" + "0" * 39 + "… <= v0"
+    assert str(Atom(pos(le(7 * (10**5000 - 1) // 9, 0)))) == "v" + "7" * 40 + "… <= v0"
 
     def joined(digits: int):
         # Seven 47-character atoms and one of ``digits + 7``, left-nested.

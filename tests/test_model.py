@@ -192,7 +192,7 @@ def test_partial_completeness_small_clauses():
         if any(l.atom.kind == "lt" for l in clause):
             continue
         leq = closed(clause)
-        if contr_list(leq, list(clause)) is not None:
+        if contr_list(leq, list(clause), []) is not None:
             continue
         m = build_partial_model(list(clause), leq)
         assert verify_model(m, list(clause))

@@ -617,6 +617,11 @@ def _schema_formula_nodes():
     return nodes
 
 
+def test_no_schema_part_holds_a_negation():
+    # Substitution walks only schema nodes, so it has no case for a negation.
+    assert not any(isinstance(node, Neg) for node in _schema_formula_nodes())
+
+
 @pytest.mark.parametrize(
     "make, size, theory", [(chain_text, 60, Theory.PARTIAL), (ladder_text, 5, Theory.LINEAR)]
 )
@@ -951,9 +956,14 @@ def test_rejected_mutants_also_rejected_by_replay():
     assert min(checked.values()) > 100
 
 
-def _row_holds(binders, premises, conclusion, rel, valuation, pool):
-    """Whether the row holds for every value of ``binders``, taken one at a time."""
+def _row_holds(binders, premises, conclusion, rel, valuation, pool, formulas):
+    """Whether the row holds for every value of ``binders``, taken one at a time.
+
+    The ``formulas`` at holes are substituted once every binder has its
+    value, as replay places a value once and never walks it again.
+    """
     if not binders:
+        premises, conclusion = _subst_row(premises, conclusion, formulas)
 
         def holds(f):
             return eval_formula(rel, valuation, f)
@@ -963,11 +973,10 @@ def _row_holds(binders, premises, conclusion, rel, valuation, pool):
     binder, rest = binders[0], binders[1:]
     if any(_has_hole(part, binder) for part in _row_parts(premises, conclusion)):
         return all(
-            _row_holds(rest, *_subst_row(premises, conclusion, {binder: f}), rel, valuation, pool)
-            for f in pool
+            _row_holds(rest, premises, conclusion, rel, valuation, pool, {**formulas, binder: f}) for f in pool
         )
     return all(
-        _row_holds(rest, premises, conclusion, rel, {**valuation, binder: c}, pool) for c in rel.carrier
+        _row_holds(rest, premises, conclusion, rel, {**valuation, binder: c}, pool, formulas) for c in rel.carrier
     )
 
 
@@ -998,4 +1007,4 @@ def test_sigma_axioms_semantically_valid():
         for k in (1, 2, 3):
             for rel in enumerate_posets(k):
                 for valuation in iter_valuations({0, 1, 2}, rel.carrier):
-                    assert _row_holds(binders, premises, conclusion, rel, valuation, pool), name
+                    assert _row_holds(binders, premises, conclusion, rel, valuation, pool, {}), name
